@@ -6,7 +6,8 @@ Subcommands
 - ks: the value-assignment enumeration and its bound, optionally
   evaluated on a state.
 - fine: CHSH panel and local-model construction for a correlator quad.
-- bound: numerical product-state supremum of one witness statistic.
+- bound: exact product-state supremum of one witness statistic, the
+  offset plus the top singular value of its correlation-matrix form.
 - qkd: one simulated key-distribution run.
 
 States are named (psi-minus, psi-plus, phi-plus, phi-minus, mixed),
@@ -14,8 +15,9 @@ parametric (werner:W, phase:PHI), or read from a JSON file holding
 either a 4x4 matrix of [re, im] pairs or a product ensemble
 [{"weight": w, "blochA": [...], "blochB": [...]}, ...].
 
-Exit codes: 0 on success, 2 on invalid input, 3 on an internal
-consistency failure.  Output is deterministic for a fixed command line.
+Exit codes: 0 on success, 2 on invalid input (NaN and infinite numbers
+included), 3 on an internal consistency failure.  Output is deterministic
+for a fixed command line, and JSON output never carries NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import numpy as np
 from .hidden_variables import (
     STRATEGIES,
     CorrelatorQuad,
-    SearchOptions,
     SeparableFunctional,
     chsh_panel,
     enumerate_ks_assignments,
@@ -100,33 +101,48 @@ def _ensemble_from_json(data: Any, path: str) -> ProductEnsemble:
                 f"ensemble entry {k} in {path} must have exactly the keys "
                 "weight, blochA, blochB"
             )
-        terms.append((entry["weight"], entry["blochA"], entry["blochB"]))
+        terms.append(
+            (
+                _numbers(entry["weight"], (), f"ensemble entry {k} weight in {path}"),
+                _numbers(entry["blochA"], (3,), f"ensemble entry {k} blochA in {path}"),
+                _numbers(entry["blochB"], (3,), f"ensemble entry {k} blochB in {path}"),
+            )
+        )
     return ProductEnsemble(terms)
 
 
+def _numbers(data: Any, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """JSON numbers of the given shape as a finite float array; anything else is invalid."""
+    try:
+        values = np.asarray(data, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what} must hold only numbers: {exc}") from exc
+    if values.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} holds a NaN or infinite number")
+    return values
+
+
 def _matrix_from_json(data: Any, path: str, tolerance: float) -> TwoQubitState:
-    m = np.asarray(data, dtype=float)
-    if m.shape != (4, 4, 2):
-        raise ValueError(
-            f"state file {path} must hold a 4x4 matrix of [re, im] pairs, got shape {m.shape}"
-        )
+    m = _numbers(data, (4, 4, 2), f"state file {path} (a 4x4 matrix of [re, im] pairs)")
     matrix = m[..., 0] + 1.0j * m[..., 1]
     herm_dev = float(np.abs(matrix - matrix.conj().T).max())
-    if herm_dev > tolerance:
+    if not herm_dev <= tolerance:
         raise ValueError(
             f"state file {path} violates Hermiticity (deviation {herm_dev:.3e} "
             f"> tolerance {tolerance:.3e})"
         )
     matrix = 0.5 * (matrix + matrix.conj().T)
     trace = float(matrix.trace().real)
-    if abs(trace - 1.0) > tolerance:
+    if not abs(trace - 1.0) <= tolerance:
         raise ValueError(
             f"state file {path} violates unit trace (trace {trace!r}, "
             f"tolerance {tolerance:.3e})"
         )
     matrix = matrix / trace
     eigmin = float(np.linalg.eigvalsh(matrix).min())
-    if eigmin < -tolerance:
+    if not eigmin >= -tolerance:
         raise ValueError(
             f"state file {path} violates positivity (eigenvalue {eigmin:.3e})"
         )
@@ -146,6 +162,8 @@ def resolve_state(
     tolerance: float = 1e-10,
 ) -> tuple[TwoQubitState, str]:
     """Turn a state descriptor into a density matrix and a display label."""
+    if not 0.0 <= tolerance < np.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
     name = descriptor.strip()
     base, _, argument = name.partition(":")
     if base in ("psi-minus", "psi-plus", "phi-plus", "phi-minus"):
@@ -191,7 +209,7 @@ def _flatten(doc: Any, prefix: str = "") -> list[tuple[str, Any]]:
 def render(doc: dict[str, Any], fmt: str, flat_report: bool = True) -> str:
     """Serialize a report dict deterministically in the requested format."""
     if fmt == "json":
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
     flat = _flatten(doc)
     if fmt == "plain":
         return "".join(f"{key} = {value}\n" for key, value in flat)
@@ -297,8 +315,7 @@ def cmd_fine(args: argparse.Namespace) -> dict[str, Any]:
 
 def cmd_bound(args: argparse.Namespace) -> dict[str, Any]:
     functional = SeparableFunctional(args.functional)
-    options = SearchOptions(max_evaluations=args.max_evaluations)
-    report = separable_bound(functional, options)
+    report = separable_bound(functional)
     return {
         "functional": functional.value,
         "supremum": report.supremum,
@@ -420,15 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser(
         "bound", parents=[common],
-        help="numerical product-state supremum of a witness statistic",
+        help="exact product-state supremum of a witness statistic",
     )
     p_bound.add_argument(
         "functional", choices=[f.value for f in SeparableFunctional],
         help="which statistic to maximize",
-    )
-    p_bound.add_argument(
-        "--max-evaluations", type=int, default=100_000,
-        help="cap on objective evaluations (default: 100000)",
     )
     p_bound.set_defaults(func=cmd_bound, flat_report=True)
 

@@ -11,9 +11,11 @@ Three classical constructions live here:
   correlator quad exists exactly when the eight CHSH combinations stay
   at or below 2 (for vanishing marginals); existence is decided by a
   linear-programming feasibility check.
-- Product (separable) states.  The suprema of the witness statistics
-  over product states are verified against their analytic bounds by a
-  coarse grid search plus coordinate ascent on the two Bloch spheres.
+- Product (separable) states.  A product mixture has correlation matrix
+  T = sum_k w_k r_A,k r_B,k^T, so a witness offset + <W, T> is at most
+  offset + sigma_max(W) on it, attained at the top singular vectors of W
+  (the Horodecki correlation-matrix formalism); the suprema are checked
+  against the analytic bounds.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ import numpy as np
 
 from .qstate import (
     ATOL_ALARM,
-    X_AXIS,
-    Z_AXIS,
     ProductEnsemble,
     TwoQubitState,
     outcome_distribution,
@@ -37,12 +37,16 @@ from .qstate import (
 )
 from .witnesses import (
     BBM_BOUND,
+    BBM_FUNCTIONAL,
     EKERT_BOUND,
+    EKERT_FUNCTIONAL,
     KS_BOUND,
     EkertSettings,
     KSCase,
+    LinearFunctional,
     bbm_statistic,
     default_ekert_settings,
+    ekert_functional,
     ekert_statistic,
 )
 from .simplex import INFEASIBLE, OPTIMAL, solve_lp
@@ -151,7 +155,7 @@ class CorrelatorQuad:
     def __post_init__(self) -> None:
         for name in ("c11", "c13", "c31", "c33", "m_a1", "m_a3", "m_b1", "m_b3"):
             value = getattr(self, name)
-            if abs(value) > 1.0 + 1e-12:
+            if not abs(value) <= 1.0 + 1e-12:
                 raise ValueError(f"{name}={value!r} outside [-1, 1]")
 
     def correlators(self) -> tuple[float, float, float, float]:
@@ -286,7 +290,7 @@ def fine_local_model(quad: CorrelatorQuad) -> Optional[LocalModel]:
 
 
 class SeparableFunctional(Enum):
-    """Witness statistics whose product-state suprema are verified numerically."""
+    """Witness statistics whose product-state suprema are computed exactly."""
 
     EKERT_S = "ekert-s"
     BBM_T = "bbm-t"
@@ -303,33 +307,18 @@ ANALYTIC_BOUNDS = {
     SeparableFunctional.KS_III: KS_BOUND,
 }
 
-_KS_CASE_OF_FUNCTIONAL = {
-    SeparableFunctional.KS_I: KSCase.CASE_I,
-    SeparableFunctional.KS_II: KSCase.CASE_II,
-    SeparableFunctional.KS_III: KSCase.CASE_III,
+_FUNCTIONALS = {
+    SeparableFunctional.EKERT_S: EKERT_FUNCTIONAL,
+    SeparableFunctional.BBM_T: BBM_FUNCTIONAL,
+    SeparableFunctional.KS_I: KSCase.CASE_I.functional,
+    SeparableFunctional.KS_II: KSCase.CASE_II.functional,
+    SeparableFunctional.KS_III: KSCase.CASE_III.functional,
 }
 
 
 @dataclass(frozen=True)
-class SearchOptions:
-    """Knobs for the product-state supremum search."""
-
-    coarse_points: int = 8          # azimuthal and polar samples per sphere
-    max_evaluations: int = 100_000  # hard cap on objective evaluations
-    refine_step_tol: float = 1e-6   # stop once the ascent step shrinks below this
-
-    def __post_init__(self) -> None:
-        if self.coarse_points < 2:
-            raise ValueError("need at least 2 coarse points per angle")
-        if self.max_evaluations < self.coarse_points**4:
-            raise ValueError("evaluation cap below the coarse grid size")
-        if not 0.0 < self.refine_step_tol < 1.0:
-            raise ValueError("refine_step_tol must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
 class BoundReport:
-    """Result of a product-state supremum search for one functional."""
+    """Product-state supremum of one functional and the product state attaining it."""
 
     functional: SeparableFunctional
     supremum: float
@@ -341,118 +330,29 @@ class BoundReport:
     def __post_init__(self) -> None:
         if self.supremum > self.analytic_bound + BOUND_SLACK:
             raise RuntimeError(
-                f"search found {self.supremum!r} above the analytic bound "
+                f"supremum {self.supremum!r} lies above the analytic bound "
                 f"{self.analytic_bound!r}; functional or bound is wrong"
             )
         if self.evaluations < 1:
-            raise ValueError("search must evaluate at least one point")
+            raise ValueError("a bound report needs at least one evaluation")
 
 
-def _unit_vector(theta: float, phi: float) -> np.ndarray:
-    sin_t = np.sin(theta)
-    return np.array([sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)])
+def separable_bound(functional: SeparableFunctional) -> BoundReport:
+    """Supremum of a witness statistic over product states, in closed form.
 
-
-def _product_objective(functional: SeparableFunctional):
-    """Scalar objective on a pair of Bloch unit vectors.
-
-    For a product state, E(a, b) = (a . u)(b . v), so every witness
-    statistic reduces to a bilinear form in the two Bloch vectors.
+    On the pure product state with Bloch vectors u and v the statistic is
+    offset + u.W.v, and |u.W.v| <= sigma_max(W) with equality at the top
+    singular vectors; mixing product states cannot exceed that.  The
+    report counts the one singular value decomposition as one evaluation.
     """
-    if functional is SeparableFunctional.EKERT_S:
-        s = default_ekert_settings()
-        a1, a3 = s.a1.direction, s.a3.direction
-        b1, b3 = s.b1.direction, s.b3.direction
-
-        def objective(u: np.ndarray, v: np.ndarray) -> float:
-            return abs((a1 @ u) * ((b1 - b3) @ v) + (a3 @ u) * ((b1 + b3) @ v))
-
-    elif functional is SeparableFunctional.BBM_T:
-
-        def objective(u: np.ndarray, v: np.ndarray) -> float:
-            return abs(u[0] * v[0] + u[2] * v[2])
-
-    else:
-        sxx, syy, szz = _KS_CASE_OF_FUNCTIONAL[functional].signs
-
-        def objective(u: np.ndarray, v: np.ndarray) -> float:
-            return 1.0 + sxx * u[0] * v[0] + syy * u[1] * v[1] + szz * u[2] * v[2]
-
-    return objective
-
-
-_AXIS_SEED_ANGLES = (
-    (np.pi / 2, 0.0),            # +x
-    (np.pi / 2, np.pi),          # -x
-    (np.pi / 2, np.pi / 2),      # +y
-    (np.pi / 2, 3 * np.pi / 2),  # -y
-    (0.0, 0.0),                  # +z
-    (np.pi, 0.0),                # -z
-)
-
-
-def separable_bound(
-    functional: SeparableFunctional, options: Optional[SearchOptions] = None
-) -> BoundReport:
-    """Numerically maximize a witness statistic over pure product states.
-
-    A coarse angular grid over both Bloch spheres plus the axis pairs
-    seeds a coordinate ascent with step halving.  The report records the
-    supremum found, which must not exceed the analytic bound.
-    """
-    opts = options if options is not None else SearchOptions()
-    objective = _product_objective(functional)
-    points = opts.coarse_points
-    thetas = np.linspace(0.0, np.pi, points)
-    phis = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
-    grid_angles = [(t, p) for t in thetas for p in phis]
-    seed_angles = grid_angles + list(_AXIS_SEED_ANGLES)
-
-    evaluations = 0
-    best_value = -np.inf
-    best_angles: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-    for theta_a, phi_a in seed_angles:
-        if evaluations >= opts.max_evaluations:
-            break
-        u = _unit_vector(theta_a, phi_a)
-        for theta_b, phi_b in seed_angles:
-            if evaluations >= opts.max_evaluations:
-                break
-            value = objective(u, _unit_vector(theta_b, phi_b))
-            evaluations += 1
-            if value > best_value:
-                best_value = value
-                best_angles = (theta_a, phi_a, theta_b, phi_b)
-
-    angles = list(best_angles)
-    step = np.pi / points
-    while step > opts.refine_step_tol and evaluations < opts.max_evaluations:
-        improved = False
-        for index in range(4):
-            for delta in (step, -step):
-                if evaluations >= opts.max_evaluations:
-                    break
-                trial = list(angles)
-                trial[index] += delta
-                value = objective(
-                    _unit_vector(trial[0], trial[1]), _unit_vector(trial[2], trial[3])
-                )
-                evaluations += 1
-                if value > best_value + 1e-15:
-                    best_value = value
-                    angles = trial
-                    improved = True
-        if not improved:
-            step *= 0.5
-
-    u = _unit_vector(angles[0], angles[1])
-    v = _unit_vector(angles[2], angles[3])
+    linear = _FUNCTIONALS[functional]
+    left, singular_values, right = np.linalg.svd(linear.weights)
     return BoundReport(
         functional=functional,
-        supremum=float(best_value),
-        argmax_bloch_a=tuple(float(x) for x in u),
-        argmax_bloch_b=tuple(float(x) for x in v),
-        evaluations=evaluations,
+        supremum=linear.offset + float(singular_values[0]),
+        argmax_bloch_a=tuple(float(x) for x in left[:, 0]),
+        argmax_bloch_b=tuple(float(x) for x in right[0]),
+        evaluations=1,
         analytic_bound=ANALYTIC_BOUNDS[functional],
     )
 
@@ -470,32 +370,20 @@ def separable_expansion_check(
 ) -> ExpansionResiduals:
     """Compare two routes to S and T on a product mixture.
 
-    Route one forms the density matrix and takes traces; route two expands
-    each correlator as a weighted sum of (a . nA)(b . nB) terms.  Raises
-    if the routes disagree beyond ATOL_ALARM.
+    Route one forms the density matrix and reads S and T off its
+    correlation matrix; route two expands each statistic as a weighted sum
+    of nA.W.nB terms over the ensemble.  Raises if the routes disagree
+    beyond ATOL_ALARM.
     """
     s = settings if settings is not None else default_ekert_settings()
     state = product_mixture(ensemble)
-    trace_ekert = ekert_statistic(state, s)
-    trace_bbm = bbm_statistic(state)
 
-    a1, a3 = s.a1.direction, s.a3.direction
-    b1, b3 = s.b1.direction, s.b3.direction
-    bloch_ekert = 0.0
-    bloch_bbm = 0.0
-    for weight, bloch_a, bloch_b in ensemble:
-        bloch_ekert += weight * (
-            (a1 @ bloch_a) * (b1 @ bloch_b)
-            - (a1 @ bloch_a) * (b3 @ bloch_b)
-            + (a3 @ bloch_a) * (b1 @ bloch_b)
-            + (a3 @ bloch_a) * (b3 @ bloch_b)
-        )
-        bloch_bbm += weight * (
-            (X_AXIS @ bloch_a) * (X_AXIS @ bloch_b)
-            + (Z_AXIS @ bloch_a) * (Z_AXIS @ bloch_b)
-        )
+    def expansion(linear: LinearFunctional) -> float:
+        return sum(w * (bloch_a @ linear.weights @ bloch_b) for w, bloch_a, bloch_b in ensemble)
+
     residuals = ExpansionResiduals(
-        ekert=abs(trace_ekert - bloch_ekert), bbm=abs(trace_bbm - bloch_bbm)
+        ekert=abs(ekert_statistic(state, s) - expansion(ekert_functional(s))),
+        bbm=abs(bbm_statistic(state) - expansion(BBM_FUNCTIONAL)),
     )
     if residuals.ekert > ATOL_ALARM or residuals.bbm > ATOL_ALARM:
         raise RuntimeError(

@@ -32,9 +32,6 @@ import numpy as np
 
 from .qstate import (
     IDENTITY_2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     X_AXIS,
     Y_AXIS,
     Z_AXIS,
@@ -44,6 +41,7 @@ from .qstate import (
     SpinSetting,
     TwoQubitState,
     bell_state,
+    bloch_qubit,
     correlator,
     density_from_pure,
     outcome_distribution,
@@ -86,8 +84,8 @@ class InterceptResend:
         if len(direction) != 3:
             raise ValueError(f"basis vector must have 3 components, got {len(direction)}")
         norm = float(np.linalg.norm(direction))
-        if abs(norm - 1.0) > ATOL_CONSTRUCT:
-            raise ValueError(f"basis vector norm {norm!r} deviates from 1")
+        if not abs(norm - 1.0) <= ATOL_CONSTRUCT:
+            raise ValueError(f"basis vector {list(direction)} has norm {norm!r}, not 1")
         object.__setattr__(self, "basis", direction)
 
 
@@ -126,8 +124,8 @@ class ProtocolConfig:
             raise ValueError(f"test_fraction must lie in (0, 1), got {self.test_fraction!r}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed!r}")
-        if not self.abort_sigma > 0.0:
-            raise ValueError(f"abort_sigma must be positive, got {self.abort_sigma!r}")
+        if not 0.0 < self.abort_sigma < np.inf:
+            raise ValueError(f"abort_sigma must be positive and finite, got {self.abort_sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -156,16 +154,11 @@ class ProtocolReport:
             raise ValueError("aborted flag inconsistent with the abort rule")
 
 
-def _projector_pair(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    local = direction[0] * PAULI_X + direction[1] * PAULI_Y + direction[2] * PAULI_Z
-    return 0.5 * (IDENTITY_2 + local), 0.5 * (IDENTITY_2 - local)
-
-
 def _measure_bob_wing(state: TwoQubitState, direction: np.ndarray) -> np.ndarray:
     """Projective measurement of Bob's qubit along direction, outcome forgotten."""
     rho = state.matrix
     out = np.zeros_like(rho)
-    for projector in _projector_pair(direction):
+    for projector in (bloch_qubit(direction), bloch_qubit(-direction)):
         kron = np.kron(IDENTITY_2, projector)
         out += kron @ rho @ kron
     return out

@@ -9,6 +9,11 @@ Conventions
   observable n . sigma.
 - Bloch vectors are real 3-vectors (x, y, z); norm 1 is pure, norm < 1
   is mixed, norm > 1 is rejected.
+- Every statistic is read from the 15 real numbers of
+  rho = (I + r_A.sigma (x) I + I (x) r_B.sigma + sum_ij T_ij sigma_i (x) sigma_j)/4:
+  Alice's Bloch vector r_A, Bob's r_B, and the correlation matrix
+  T_ij = tr(rho sigma_i (x) sigma_j).  A correlator is n_a.T.n_b and a
+  joint outcome probability is (1 + a r_A.n_a + b r_B.n_b + ab n_a.T.n_b)/4.
 """
 
 from __future__ import annotations
@@ -31,6 +36,10 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_VECTOR = (PAULI_X, PAULI_Y, PAULI_Z)
+# Row 4i + j is (sigma_i (x) sigma_j)^T flattened, with sigma_0 = I, so this
+# table times a flattened density matrix gives every tr(rho sigma_i (x) sigma_j).
+_PAULI_BASIS = (IDENTITY_2, *PAULI_VECTOR)
+_PAULI_PRODUCTS = np.array([np.kron(a, b).T.ravel() for a in _PAULI_BASIS for b in _PAULI_BASIS])
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -74,7 +83,7 @@ class PureState:
         if amp.shape != (4,):
             raise ValueError(f"pure state needs 4 amplitudes, got shape {amp.shape}")
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > ATOL_CONSTRUCT:
+        if not abs(norm - 1.0) <= ATOL_CONSTRUCT:
             raise ValueError(f"pure state norm {norm!r} deviates from 1 beyond {ATOL_CONSTRUCT}")
         self.amplitudes = _read_only(amp.copy())
 
@@ -83,12 +92,18 @@ class PureState:
 
 
 class TwoQubitState:
-    """Density matrix on two qubits: Hermitian, unit trace, positive semidefinite."""
+    """Density matrix on two qubits: Hermitian, unit trace, positive semidefinite.
+
+    The read-only arrays bloch_a, bloch_b and correlations hold r_A, r_B and
+    T, computed once from the validated matrix.
+    """
 
     def __init__(self, matrix: Sequence[Sequence[complex]]) -> None:
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"density matrix must be 4x4, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix has non-finite entries")
         if not np.allclose(m, m.conj().T, atol=ATOL_CONSTRUCT, rtol=0.0):
             dev = np.abs(m - m.conj().T).max()
             raise ValueError(f"density matrix not Hermitian (max deviation {dev:.3e})")
@@ -99,6 +114,16 @@ class TwoQubitState:
         if eigmin < -ATOL_PSD:
             raise ValueError(f"density matrix has negative eigenvalue {eigmin:.3e}")
         self.matrix = _read_only(m.copy())
+        pauli = (_PAULI_PRODUCTS @ m.ravel()).reshape(4, 4)
+        imaginary = np.abs(pauli.imag).max()
+        if imaginary > ATOL_ALARM:
+            raise RuntimeError(
+                f"Pauli expectations have imaginary part {imaginary:.3e}; state corrupted"
+            )
+        expectations = _read_only(pauli.real.copy())  # slices of it are read-only too
+        self.bloch_a = expectations[1:, 0]
+        self.bloch_b = expectations[0, 1:]
+        self.correlations = expectations[1:, 1:]
 
     def __repr__(self) -> str:
         return f"TwoQubitState(trace={self.matrix.trace().real:.6f})"
@@ -112,7 +137,7 @@ class SpinSetting:
         if d.shape != (3,):
             raise ValueError(f"spin direction must be a 3-vector, got shape {d.shape}")
         norm = np.linalg.norm(d)
-        if abs(norm - 1.0) > ATOL_CONSTRUCT:
+        if not abs(norm - 1.0) <= ATOL_CONSTRUCT:
             raise ValueError(f"spin direction norm {norm!r} deviates from 1 beyond {ATOL_CONSTRUCT}")
         if not isinstance(party, Party):
             raise ValueError(f"party must be a Party enum member, got {party!r}")
@@ -138,14 +163,14 @@ class ProductEnsemble:
         parsed = []
         for k, (weight, bloch_a, bloch_b) in enumerate(terms):
             w = float(weight)
-            if w < -ATOL_CONSTRUCT:
+            if not w >= -ATOL_CONSTRUCT:
                 raise ValueError(f"ensemble weight {w!r} at index {k} is negative")
             na = np.asarray(bloch_a, dtype=float)
             nb = np.asarray(bloch_b, dtype=float)
             for name, n in (("blochA", na), ("blochB", nb)):
                 if n.shape != (3,):
                     raise ValueError(f"{name} at index {k} must be a 3-vector, got shape {n.shape}")
-                if np.linalg.norm(n) > 1.0 + ATOL_CONSTRUCT:
+                if not np.linalg.norm(n) <= 1.0 + ATOL_CONSTRUCT:
                     raise ValueError(
                         f"{name} at index {k} has norm {np.linalg.norm(n)!r} above 1"
                     )
@@ -153,7 +178,7 @@ class ProductEnsemble:
         if not parsed:
             raise ValueError("ensemble must contain at least one term")
         total = sum(w for w, _, _ in parsed)
-        if abs(total - 1.0) > ATOL_CONSTRUCT:
+        if not abs(total - 1.0) <= ATOL_CONSTRUCT:
             raise ValueError(f"ensemble weights sum to {total!r}, not 1")
         self.terms = tuple(parsed)
 
@@ -218,9 +243,12 @@ def bell_state(label: BellLabel) -> PureState:
 
 def phase_epr_state(phase: float) -> PureState:
     """EPR pair with a relative phase: (|+-> + exp(-i phase)|-+>)/sqrt(2)."""
+    phase = float(phase)
+    if not np.isfinite(phase):
+        raise ValueError(f"phase must be a finite number, got {phase!r}")
     amp = np.zeros(4, dtype=complex)
     amp[1] = 1.0 / np.sqrt(2.0)
-    amp[2] = np.exp(-1.0j * float(phase)) / np.sqrt(2.0)
+    amp[2] = np.exp(-1.0j * phase) / np.sqrt(2.0)
     return PureState(amp)
 
 
@@ -235,7 +263,7 @@ def bloch_qubit(bloch: Sequence[float]) -> Array:
     n = np.asarray(bloch, dtype=float)
     if n.shape != (3,):
         raise ValueError(f"Bloch vector must be a 3-vector, got shape {n.shape}")
-    if np.linalg.norm(n) > 1.0 + ATOL_CONSTRUCT:
+    if not np.linalg.norm(n) <= 1.0 + ATOL_CONSTRUCT:
         raise ValueError(f"Bloch vector norm {np.linalg.norm(n)!r} above 1")
     rho = 0.5 * (IDENTITY_2 + n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
     return rho
@@ -278,43 +306,23 @@ def _require_pair(setting_a: SpinSetting, setting_b: SpinSetting) -> None:
 
 
 def correlator(state: TwoQubitState, setting_a: SpinSetting, setting_b: SpinSetting) -> float:
-    """Expectation of the product of outcomes for a joint spin measurement."""
+    """Expectation of the product of outcomes for a joint spin measurement: n_a.T.n_b."""
     _require_pair(setting_a, setting_b)
-    value = np.trace(state.matrix @ spin_observable(setting_a) @ spin_observable(setting_b))
-    if abs(value.imag) > ATOL_ALARM:
-        raise RuntimeError(f"correlator has imaginary part {value.imag:.3e}; state corrupted")
-    return float(value.real)
-
-
-def _projectors(direction: Array) -> tuple[Array, Array]:
-    local = direction[0] * PAULI_X + direction[1] * PAULI_Y + direction[2] * PAULI_Z
-    plus = 0.5 * (IDENTITY_2 + local)
-    minus = 0.5 * (IDENTITY_2 - local)
-    return plus, minus
+    return float(setting_a.direction @ state.correlations @ setting_b.direction)
 
 
 def outcome_distribution(
     state: TwoQubitState, setting_a: SpinSetting, setting_b: SpinSetting
 ) -> OutcomeDistribution:
-    """Joint outcome probabilities via Born's rule.
-
-    Cross-checks the implied correlator against the analytic one and raises
-    if they disagree beyond ATOL_DERIVED.
-    """
+    """Joint outcome probabilities (1 + a r_A.n_a + b r_B.n_b + ab n_a.T.n_b)/4."""
     _require_pair(setting_a, setting_b)
-    pa_plus, pa_minus = _projectors(setting_a.direction)
-    pb_plus, pb_minus = _projectors(setting_b.direction)
-    probs = []
-    for pa in (pa_plus, pa_minus):
-        for pb in (pb_plus, pb_minus):
-            value = np.trace(state.matrix @ np.kron(pa, pb))
-            if abs(value.imag) > ATOL_ALARM:
-                raise RuntimeError(f"probability has imaginary part {value.imag:.3e}")
-            if value.real < -ATOL_PSD:
-                raise ValueError(f"negative probability {value.real:.3e}; state not physical")
-            probs.append(max(value.real, 0.0))
-    # Constructor order is (+1,+1), (+1,-1), (-1,+1), (-1,-1): matches loop order.
-    dist = OutcomeDistribution(probs)
-    if abs(dist.correlator - correlator(state, setting_a, setting_b)) > ATOL_DERIVED:
-        raise RuntimeError("outcome distribution disagrees with analytic correlator")
-    return dist
+    mean_a = float(state.bloch_a @ setting_a.direction)
+    mean_b = float(state.bloch_b @ setting_b.direction)
+    mean_ab = correlator(state, setting_a, setting_b)
+    probs = [
+        (1.0 + a * mean_a + b * mean_b + a * b * mean_ab) / 4.0
+        for a, b in OutcomeDistribution.OUTCOMES
+    ]
+    if min(probs) < -ATOL_PSD:
+        raise ValueError(f"negative probability {min(probs):.3e}; state not physical")
+    return OutcomeDistribution(np.clip(probs, 0.0, None))

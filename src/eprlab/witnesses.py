@@ -1,17 +1,20 @@
 """Entanglement witness statistics for two-qubit states.
 
-Three families of witnesses share the correlator machinery:
+Every statistic here is an offset plus a linear functional of the
+state's correlation matrix T, offset + sum_ij W_ij T_ij, and each is
+defined once, as a LinearFunctional (offset, W):
 
-- The four-setting statistic S built from two Alice and two Bob
-  directions, with separable bound sqrt(2) for the anticommuting
-  default settings and quantum maximum 2 sqrt(2).
-- The two-axis statistic T = E(xx) + E(zz) with separable bound 1.
-- Three value-assignment functionals U1, U2, U3 built from E(xx),
-  E(yy), E(zz), each bounded by 2 under noncontextual sign
-  assignments and reaching 4 on one Bell state apiece.
-
-Each U equals four times the fidelity to one Bell state, so violations
-certify distillability.
+- The four-setting statistic S with W = a1 (b1 - b3)^T + a3 (b1 + b3)^T,
+  separable bound sqrt(2) at the anticommuting default settings and
+  quantum maximum 2 sqrt(2).
+- The two-axis statistic T = E(xx) + E(zz) with W = diag(1, 0, 1) and
+  separable bound 1.
+- One functional 1 + s_xx E(xx) + s_yy E(yy) + s_zz E(zz) per Bell state,
+  W = diag(s) with s that state's same-axis correlators, equal to four
+  times the fidelity with it.  Three of them are the value-assignment
+  functionals U1, U2, U3, each bounded by 2 under noncontextual sign
+  assignments and reaching 4 on its Bell state, so their violations
+  certify distillability.
 """
 
 from __future__ import annotations
@@ -26,13 +29,11 @@ from .qstate import (
     ATOL_DERIVED,
     X_AXIS,
     Y_AXIS,
-    Z_AXIS,
     BellLabel,
     SpinSetting,
     TwoQubitState,
     bell_state,
-    correlator,
-    density_from_pure,
+    correlator,  # re-exported: the single-correlator building block n_a.T.n_b
 )
 
 EKERT_BOUND = float(np.sqrt(2.0))  # separable bound for S at the default settings
@@ -43,31 +44,60 @@ VERDICT_SLACK = 1e-10  # non-strict comparison: the boundary is not a violation
 DISTILL_THRESHOLD = 0.5  # a Bell fidelity above 1/2 certifies distillability
 
 
-class KSCase(Enum):
-    """Sign patterns (s_xx, s_yy, s_zz) of the three assignment functionals.
+@dataclass(frozen=True, eq=False)
+class LinearFunctional:
+    """The statistic offset + sum_ij W_ij T_ij of a state's correlation matrix T."""
 
-    Each functional is 1 + s_xx E(xx) + s_yy E(yy) + s_zz E(zz); the pattern
-    determines which Bell state saturates it at 4.
+    offset: float
+    weights: np.ndarray  # W, 3x3, read-only
+
+    def __post_init__(self) -> None:
+        weights = np.array(self.weights, dtype=float)
+        weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
+
+    def __call__(self, state: TwoQubitState) -> float:
+        return self.offset + float(np.vdot(self.weights, state.correlations))
+
+
+# Same-axis correlators (E(xx), E(yy), E(zz)) of each Bell state.
+BELL_CORRELATORS = {
+    BellLabel.PHI_PLUS: (1.0, -1.0, 1.0),
+    BellLabel.PHI_MINUS: (-1.0, 1.0, 1.0),
+    BellLabel.PSI_PLUS: (1.0, 1.0, -1.0),
+    BellLabel.PSI_MINUS: (-1.0, -1.0, -1.0),
+}
+
+# tr(rho |bell><bell|) = (1 + s . diag(T))/4, so each functional is 4 f(bell).
+BELL_FUNCTIONALS = {
+    label: LinearFunctional(1.0, np.diag(signs)) for label, signs in BELL_CORRELATORS.items()
+}
+
+BBM_FUNCTIONAL = LinearFunctional(0.0, np.diag([1.0, 0.0, 1.0]))
+
+
+class KSCase(Enum):
+    """The three value-assignment functionals, each keyed by the Bell state it witnesses.
+
+    Each functional is 1 + s_xx E(xx) + s_yy E(yy) + s_zz E(zz), where the
+    signs are that Bell state's same-axis correlators, so it reaches 4 on it.
     """
 
-    CASE_I = (1.0, 1.0, -1.0)
-    CASE_II = (-1.0, -1.0, -1.0)
-    CASE_III = (1.0, -1.0, 1.0)
+    CASE_I = BellLabel.PSI_PLUS
+    CASE_II = BellLabel.PSI_MINUS
+    CASE_III = BellLabel.PHI_PLUS
 
     @property
     def signs(self) -> tuple[float, float, float]:
-        return self.value
+        return BELL_CORRELATORS[self.value]
 
     @property
     def bell_label(self) -> BellLabel:
-        return _KS_WITNESSED[self]
+        return self.value
 
-
-_KS_WITNESSED = {
-    KSCase.CASE_I: BellLabel.PSI_PLUS,
-    KSCase.CASE_II: BellLabel.PSI_MINUS,
-    KSCase.CASE_III: BellLabel.PHI_PLUS,
-}
+    @property
+    def functional(self) -> LinearFunctional:
+        return BELL_FUNCTIONALS[self.value]
 
 
 @dataclass(frozen=True)
@@ -88,6 +118,13 @@ class EkertSettings:
                 raise ValueError(f"setting {name} must belong to Bob")
 
 
+def ekert_functional(settings: Optional[EkertSettings] = None) -> LinearFunctional:
+    """S = E(a1,b1) - E(a1,b3) + E(a3,b1) + E(a3,b3) = a1.T.(b1 - b3) + a3.T.(b1 + b3)."""
+    s = settings if settings is not None else default_ekert_settings()
+    a1, a3, b1, b3 = (x.direction for x in (s.a1, s.a3, s.b1, s.b3))
+    return LinearFunctional(0.0, np.outer(a1, b1 - b3) + np.outer(a3, b1 + b3))
+
+
 def default_ekert_settings() -> EkertSettings:
     """Alice along x and y; Bob along (x+y)/sqrt(2) and (y-x)/sqrt(2)."""
     inv = 1.0 / np.sqrt(2.0)
@@ -97,6 +134,9 @@ def default_ekert_settings() -> EkertSettings:
         b1=SpinSetting.bob(inv * (X_AXIS + Y_AXIS)),
         b3=SpinSetting.bob(inv * (Y_AXIS - X_AXIS)),
     )
+
+
+EKERT_FUNCTIONAL = ekert_functional()
 
 
 @dataclass(frozen=True)
@@ -170,29 +210,19 @@ class CorrelatorAxes(Enum):
     XX_ZZ = "xx+zz"
 
 
-_AXIS_PAIRS = {
-    CorrelatorAxes.XX_YY: ((X_AXIS, X_AXIS), (Y_AXIS, Y_AXIS)),
-    CorrelatorAxes.XX_ZZ: ((X_AXIS, X_AXIS), (Z_AXIS, Z_AXIS)),
-}
+_AXIS_INDICES = {CorrelatorAxes.XX_YY: (0, 1), CorrelatorAxes.XX_ZZ: (0, 2)}
 
 
 def pair_correlator_sum(state: TwoQubitState, axes: CorrelatorAxes) -> float:
     """Sum of two same-axis correlators, e.g. E(xx) + E(zz)."""
-    total = 0.0
-    for axis_a, axis_b in _AXIS_PAIRS[axes]:
-        total += correlator(state, SpinSetting.alice(axis_a), SpinSetting.bob(axis_b))
-    return total
+    i, j = _AXIS_INDICES[axes]
+    return float(state.correlations[i, i] + state.correlations[j, j])
 
 
 def ekert_statistic(state: TwoQubitState, settings: Optional[EkertSettings] = None) -> float:
     """S = E(a1,b1) - E(a1,b3) + E(a3,b1) + E(a3,b3)."""
-    s = settings if settings is not None else default_ekert_settings()
-    value = (
-        correlator(state, s.a1, s.b1)
-        - correlator(state, s.a1, s.b3)
-        + correlator(state, s.a3, s.b1)
-        + correlator(state, s.a3, s.b3)
-    )
+    functional = EKERT_FUNCTIONAL if settings is None else ekert_functional(settings)
+    value = functional(state)
     if abs(value) > TSIRELSON_BOUND + 1e-9:
         raise RuntimeError(f"statistic {value!r} exceeds the quantum maximum; state corrupted")
     return value
@@ -205,7 +235,7 @@ def ekert_verdict(state: TwoQubitState, settings: Optional[EkertSettings] = None
 
 def bbm_statistic(state: TwoQubitState) -> float:
     """T = E(xx) + E(zz)."""
-    return pair_correlator_sum(state, CorrelatorAxes.XX_ZZ)
+    return BBM_FUNCTIONAL(state)
 
 
 def bbm_verdict(state: TwoQubitState) -> WitnessVerdict:
@@ -213,18 +243,9 @@ def bbm_verdict(state: TwoQubitState) -> WitnessVerdict:
     return _verdict(bbm_statistic(state), BBM_BOUND)
 
 
-def _same_axis_correlators(state: TwoQubitState) -> tuple[float, float, float]:
-    exx = correlator(state, SpinSetting.alice(X_AXIS), SpinSetting.bob(X_AXIS))
-    eyy = correlator(state, SpinSetting.alice(Y_AXIS), SpinSetting.bob(Y_AXIS))
-    ezz = correlator(state, SpinSetting.alice(Z_AXIS), SpinSetting.bob(Z_AXIS))
-    return exx, eyy, ezz
-
-
 def ks_functional(state: TwoQubitState, case: KSCase) -> float:
     """Value of 1 + s_xx E(xx) + s_yy E(yy) + s_zz E(zz) for the case's signs."""
-    exx, eyy, ezz = _same_axis_correlators(state)
-    sxx, syy, szz = case.signs
-    return 1.0 + sxx * exx + syy * eyy + szz * ezz
+    return case.functional(state)
 
 
 def ks_verdict(state: TwoQubitState, case: KSCase) -> WitnessVerdict:
@@ -240,32 +261,29 @@ def ks_verdict(state: TwoQubitState, case: KSCase) -> WitnessVerdict:
 
 
 def bell_fidelities(state: TwoQubitState) -> BellFidelities:
-    """All four Bell fidelities from the three same-axis correlators.
-
-    f(Phi+-) = (1 +- E(xx) -+ E(yy) + E(zz)) / 4
-    f(Psi+-) = (1 +- E(xx) +- E(yy) - E(zz)) / 4
-    """
-    exx, eyy, ezz = _same_axis_correlators(state)
+    """All four Bell fidelities, f(bell) = (1 + s . diag(T))/4 with s its correlators."""
+    f = {label: functional(state) / 4.0 for label, functional in BELL_FUNCTIONALS.items()}
     return BellFidelities(
-        phi_plus=(1.0 + exx - eyy + ezz) / 4.0,
-        phi_minus=(1.0 - exx + eyy + ezz) / 4.0,
-        psi_plus=(1.0 + exx + eyy - ezz) / 4.0,
-        psi_minus=(1.0 - exx - eyy - ezz) / 4.0,
+        phi_plus=f[BellLabel.PHI_PLUS],
+        phi_minus=f[BellLabel.PHI_MINUS],
+        psi_plus=f[BellLabel.PSI_PLUS],
+        psi_minus=f[BellLabel.PSI_MINUS],
     )
 
 
 def fidelity_identities_check(state: TwoQubitState) -> tuple[float, float]:
     """Residuals of two routes to the Bell fidelities.
 
-    Route one takes overlaps tr(rho |bell><bell|) directly; route two uses
-    the correlator expressions above.  Returns (max residual, fidelity sum
-    deviation from 1) and raises if either exceeds ATOL_DERIVED.
+    Route one takes overlaps <bell|rho|bell> of the density matrix; route
+    two reads them off the correlation matrix as above.  Returns (max
+    residual, fidelity sum deviation from 1) and raises if either exceeds
+    ATOL_DERIVED.
     """
     from_correlators = bell_fidelities(state)
     max_residual = 0.0
     for label, value in from_correlators.by_label().items():
-        projector = density_from_pure(bell_state(label)).matrix
-        overlap = float(np.trace(state.matrix @ projector).real)
+        amplitudes = bell_state(label).amplitudes
+        overlap = float(np.vdot(amplitudes, state.matrix @ amplitudes).real)
         max_residual = max(max_residual, abs(overlap - value))
     sum_deviation = abs(sum(from_correlators.as_tuple()) - 1.0)
     if max_residual > ATOL_DERIVED or sum_deviation > ATOL_DERIVED:

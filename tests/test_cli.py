@@ -78,6 +78,15 @@ class TestResolveState:
         assert label == f"ensemble:{path}"
         assert state.matrix[0, 0].real == pytest.approx(0.0, abs=1e-12)
 
+    def test_json_object_file_rejected(self, capsys, tmp_path):
+        """A JSON object is neither a matrix nor an ensemble: exit 2, naming the file."""
+        path = tmp_path / "object.json"
+        path.write_text(json.dumps({"a": 1}))
+        code, out, err = run_cli(capsys, "witness", "--state", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(path) in err
+
     def test_ensemble_file_strict_keys(self, tmp_path):
         payload = [{"weight": 1.0, "blochA": [0, 0, 1], "bloch_b": [0, 0, 1]}]
         path = tmp_path / "ensemble.json"
@@ -225,6 +234,17 @@ class TestQkdCommand:
         assert code == 0
         assert json.loads(out)["aborted"] is True
 
+    def test_infinite_abort_sigma_rejected(self, capsys):
+        """stdout never carries Infinity: the config rejects it and render refuses it."""
+        code, out, err = run_cli(
+            capsys, "qkd", "--protocol", "e91", "--rounds", "2000", "--abort-sigma", "inf"
+        )
+        assert code == 2
+        assert out == ""
+        assert "abort_sigma must be positive and finite, got inf" in err
+        with pytest.raises(ValueError, match="JSON"):
+            cli.render({"abortSigma": float("inf")}, "json")
+
     def test_bad_eve_spec(self, capsys):
         code, _, err = run_cli(
             capsys, "qkd", "--protocol", "e91", "--eve", "listen-quietly"
@@ -251,6 +271,41 @@ class TestFormatsAndCodes:
         code, _, err = run_cli(capsys, "witness", "--state", "werner:1.5")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fine", "nan", "0", "0", "0"], "c11=nan outside [-1, 1]"),
+            (["fine", "0", "0", "0", "0", "--marginals", "nan", "0", "0", "0"], "m_a1=nan outside"),
+            (["fine", "inf", "0", "0", "0"], "c11=inf outside [-1, 1]"),
+            (["witness", "--state", "phase:nan"], "phase must be a finite number, got nan"),
+            (["witness", "--state", "phase", "--phi", "inf"], "phase must be a finite number"),
+            (["witness", "--state", "werner:nan"], "Werner parameter must lie in [0, 1], got nan"),
+            (["witness", "--state", "mixed", "--tolerance", "nan"], "tolerance must be finite"),
+            (["ks", "--state", "mixed", "--tolerance", "inf"], "tolerance must be finite"),
+            (["qkd", "--protocol", "bbm92", "--eve", "intercept:nan,0,0"], "[nan, 0.0, 0.0]"),
+            (["qkd", "--protocol", "e91", "--abort-sigma", "nan"], "abort_sigma"),
+            (["qkd", "--protocol", "e91", "--test-fraction", "nan"], "test_fraction"),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_nan_tolerance_keeps_the_positivity_gate(self, capsys, tmp_path):
+        """A file state with eigenvalue -0.5 is rejected, never clipped into the cone."""
+        matrix = np.diag([0.5, 0.5, 0.5, -0.5])
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps([[[float(v), 0.0] for v in row] for row in matrix]))
+        for tolerance, message in (("1e-10", "violates positivity"), ("nan", "finite")):
+            code, out, err = run_cli(
+                capsys, "witness", "--state", str(path), "--tolerance", tolerance
+            )
+            assert code == 2
+            assert out == ""
+            assert message in err
 
     def test_internal_failure_exit_code(self, capsys, monkeypatch):
         def explode(args):

@@ -61,6 +61,9 @@ class TestConfigValidation:
     def test_abort_sigma_positive(self):
         with pytest.raises(ValueError, match="abort_sigma"):
             ProtocolConfig(protocol=Protocol.E91, rounds=1000, abort_sigma=0.0)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="abort_sigma must be positive and finite"):
+                ProtocolConfig(protocol=Protocol.E91, rounds=1000, abort_sigma=value)
 
     def test_protocol_enum_required(self):
         with pytest.raises(ValueError, match="Protocol"):
@@ -73,6 +76,8 @@ class TestEveStrategies:
             InterceptResend(basis="y-z")
         with pytest.raises(ValueError, match="norm"):
             InterceptResend(basis=(1.0, 1.0, 0.0))
+        with pytest.raises(ValueError, match=r"basis vector \[nan, 0.0, 0.0\] has norm nan"):
+            InterceptResend(basis=(float("nan"), 0.0, 0.0))
         custom = InterceptResend(basis=(0.6, 0.0, 0.8))
         assert custom.basis == pytest.approx((0.6, 0.0, 0.8))
 

@@ -66,6 +66,11 @@ class TestPureState:
         assert amp[1] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
         assert amp[2] == pytest.approx(np.exp(-1.0j * np.pi / 3) / np.sqrt(2.0), abs=1e-12)
 
+    def test_phase_must_be_finite(self):
+        for phase in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="phase must be a finite number"):
+                phase_epr_state(phase)
+
     def test_phase_zero_matches_triplet(self):
         """Zero relative phase reduces to the symmetric Bell state."""
         psi = phase_epr_state(0.0)
@@ -86,6 +91,12 @@ class TestTwoQubitState:
     def test_rejects_negative_eigenvalue(self):
         m = np.diag([0.6, 0.6, -0.1, -0.1]).astype(complex)
         with pytest.raises(ValueError, match="eigenvalue"):
+            TwoQubitState(m)
+
+    def test_rejects_non_finite_entries(self):
+        m = np.eye(4, dtype=complex) / 4.0
+        m[2, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
             TwoQubitState(m)
 
     def test_rejects_wrong_shape(self):

@@ -1,0 +1,189 @@
+"""Property tests: the correlation-tensor route against a Born-rule oracle.
+
+eprlab reads every statistic off (r_A, r_B, T).  The oracle here takes the
+other route: Kronecker products, projectors and traces of the 4x4 density
+matrix, with its own Pauli matrices, settings and Bell vectors.  The two
+routes must agree to 1e-12 on pure states, mixed states and product
+mixtures, along arbitrary unit directions.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from eprlab.hidden_variables import SeparableFunctional, separable_bound
+from eprlab.qstate import (
+    ProductEnsemble,
+    PureState,
+    SpinSetting,
+    TwoQubitState,
+    correlator,
+    density_from_pure,
+    outcome_distribution,
+    product_mixture,
+)
+from eprlab.witnesses import (
+    KSCase,
+    bbm_statistic,
+    bell_fidelities,
+    ekert_statistic,
+    ks_functional,
+)
+
+AGREE = 1e-12
+
+SIGMA = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+EYE = np.eye(2, dtype=complex)
+OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+R = 1.0 / np.sqrt(2.0)
+EKERT_TERMS = (  # (sign, Alice direction, Bob direction) at the default settings
+    (1.0, (1, 0, 0), (R, R, 0)),
+    (-1.0, (1, 0, 0), (-R, R, 0)),
+    (1.0, (0, 1, 0), (R, R, 0)),
+    (1.0, (0, 1, 0), (-R, R, 0)),
+)
+KS_SIGNS = {
+    KSCase.CASE_I: (1, 1, -1),
+    KSCase.CASE_II: (-1, -1, -1),
+    KSCase.CASE_III: (1, -1, 1),
+}
+BELL_VECTORS = {
+    "phi_plus": np.array([1, 0, 0, 1]) * R,
+    "phi_minus": np.array([1, 0, 0, -1]) * R,
+    "psi_plus": np.array([0, 1, 1, 0]) * R,
+    "psi_minus": np.array([0, 1, -1, 0]) * R,
+}
+AXES = np.eye(3)
+
+
+def spin(n) -> np.ndarray:
+    return sum(c * s for c, s in zip(n, SIGMA))
+
+
+def oracle_correlator(rho: np.ndarray, na, nb) -> float:
+    return float(np.trace(rho @ np.kron(spin(na), spin(nb))).real)
+
+
+def oracle_probabilities(rho: np.ndarray, na, nb) -> list[float]:
+    return [
+        float(np.trace(rho @ np.kron((EYE + a * spin(na)) / 2, (EYE + b * spin(nb)) / 2)).real)
+        for a, b in OUTCOMES
+    ]
+
+
+def oracle_statistics(rho: np.ndarray) -> dict:
+    same_axis = [oracle_correlator(rho, axis, axis) for axis in AXES]
+    stats = {
+        "S": sum(sign * oracle_correlator(rho, a, b) for sign, a, b in EKERT_TERMS),
+        "T": same_axis[0] + same_axis[2],
+    }
+    for case, signs in KS_SIGNS.items():
+        stats[case] = 1.0 + float(np.dot(signs, same_axis))
+    for name, vector in BELL_VECTORS.items():
+        stats[name] = float(np.vdot(vector, rho @ vector).real)
+    return stats
+
+
+def oracle_objective(functional: SeparableFunctional, u, v) -> float:
+    """The functional on the pure product state with Bloch vectors u and v."""
+    rho = np.kron((EYE + spin(u)) / 2, (EYE + spin(v)) / 2)
+    stats = oracle_statistics(rho)
+    if functional is SeparableFunctional.EKERT_S:
+        return abs(stats["S"])
+    if functional is SeparableFunctional.BBM_T:
+        return abs(stats["T"])
+    case = {
+        SeparableFunctional.KS_I: KSCase.CASE_I,
+        SeparableFunctional.KS_II: KSCase.CASE_II,
+        SeparableFunctional.KS_III: KSCase.CASE_III,
+    }[functional]
+    return stats[case]
+
+
+unit_floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+@st.composite
+def unit_vectors(draw) -> np.ndarray:
+    v = np.array(draw(st.tuples(unit_floats, unit_floats, unit_floats)))
+    norm = np.linalg.norm(v)
+    if norm < 1e-3:
+        v, norm = np.array([0.0, 0.0, 1.0]), 1.0
+    return v / norm
+
+
+@st.composite
+def ball_vectors(draw) -> np.ndarray:
+    v = np.array(draw(st.tuples(unit_floats, unit_floats, unit_floats)))
+    norm = np.linalg.norm(v)
+    return v / norm if norm > 1.0 else v
+
+
+@st.composite
+def pure_states(draw) -> TwoQubitState:
+    parts = np.array(draw(st.lists(unit_floats, min_size=8, max_size=8)))
+    amplitudes = parts[:4] + 1j * parts[4:]
+    norm = np.linalg.norm(amplitudes)
+    if norm < 1e-3:
+        amplitudes, norm = np.array([0.0, 1.0, -1.0, 0.0]), np.sqrt(2.0)
+    return density_from_pure(PureState(amplitudes / norm))
+
+
+@st.composite
+def mixed_states(draw) -> TwoQubitState:
+    parts = np.array(draw(st.lists(unit_floats, min_size=32, max_size=32)))
+    g = (parts[:16] + 1j * parts[16:]).reshape(4, 4) + 1e-3 * np.eye(4)
+    m = g @ g.conj().T
+    return TwoQubitState(m / m.trace())
+
+
+@st.composite
+def product_mixtures(draw) -> TwoQubitState:
+    n_terms = draw(st.integers(min_value=1, max_value=4))
+    weights = np.array(
+        draw(st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=n_terms, max_size=n_terms))
+    )
+    weights /= weights.sum()
+    terms = [(w, draw(ball_vectors()), draw(ball_vectors())) for w in weights]
+    return product_mixture(ProductEnsemble(terms))
+
+
+states = st.one_of(pure_states(), mixed_states(), product_mixtures())
+
+
+@settings(max_examples=150, deadline=None)
+@given(state=states, na=unit_vectors(), nb=unit_vectors())
+def test_tensor_route_matches_born_rule(state, na, nb):
+    rho = state.matrix
+    a, b = SpinSetting.alice(na), SpinSetting.bob(nb)
+    assert correlator(state, a, b) == pytest.approx(oracle_correlator(rho, na, nb), abs=AGREE)
+    probabilities = outcome_distribution(state, a, b).probabilities
+    assert probabilities == pytest.approx(oracle_probabilities(rho, na, nb), abs=AGREE)
+
+    oracle = oracle_statistics(rho)
+    assert ekert_statistic(state) == pytest.approx(oracle["S"], abs=AGREE)
+    assert bbm_statistic(state) == pytest.approx(oracle["T"], abs=AGREE)
+    for case in KSCase:
+        assert ks_functional(state, case) == pytest.approx(oracle[case], abs=AGREE)
+    fidelities = bell_fidelities(state)
+    for name in BELL_VECTORS:
+        assert getattr(fidelities, name) == pytest.approx(oracle[name], abs=AGREE)
+
+
+@pytest.mark.parametrize("functional", list(SeparableFunctional))
+def test_supremum_attained_at_reported_argmax(functional):
+    report = separable_bound(functional)
+    value = oracle_objective(functional, report.argmax_bloch_a, report.argmax_bloch_b)
+    assert value == pytest.approx(report.supremum, abs=AGREE)
+
+
+@settings(max_examples=100, deadline=None)
+@given(u=unit_vectors(), v=unit_vectors())
+def test_no_product_state_exceeds_supremum(u, v):
+    for functional in SeparableFunctional:
+        supremum = separable_bound(functional).supremum
+        assert oracle_objective(functional, u, v) <= supremum + AGREE
