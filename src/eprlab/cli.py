@@ -307,6 +307,8 @@ def cmd_fine(args: argparse.Namespace) -> dict[str, Any]:
         "chshValues": list(panel.values),
         "chshMax": panel.max_value,
         "chshPasses": panel.passes,
+        "minJointProbability": panel.min_joint_probability,
+        "finePasses": panel.fine_passes,
         "feasible": model is not None,
         "weights": list(model.weights) if model is not None else None,
         "strategyOrder": [",".join(f"{v:+d}" for v in s) for s in STRATEGIES],

@@ -8,9 +8,10 @@ Three classical constructions live here:
   functional at or below 2, while entangled states reach up to 4.
 - Local deterministic strategies for a two-setting, two-outcome
   experiment.  A convex mixture of the 16 strategies reproducing a given
-  correlator quad exists exactly when the eight CHSH combinations stay
-  at or below 2 (for vanishing marginals); existence is decided by a
-  linear-programming feasibility check.
+  correlator quad and marginals exists exactly when the eight CHSH
+  combinations stay at or below 2 and all 16 joint probabilities
+  (1 + a m_x + b m_y + ab c_xy)/4 are nonnegative (Fine's theorem);
+  existence is decided by a linear-programming feasibility check.
 - Product (separable) states.  A product mixture has correlation matrix
   T = sum_k w_k r_A,k r_B,k^T, so a witness offset + <W, T> is at most
   offset + sigma_max(W) on it, attained at the top singular vectors of W
@@ -30,6 +31,7 @@ import numpy as np
 
 from .qstate import (
     ATOL_ALARM,
+    OutcomeDistribution,
     ProductEnsemble,
     TwoQubitState,
     outcome_distribution,
@@ -186,26 +188,41 @@ def quad_from_state(state: TwoQubitState, settings: EkertSettings) -> Correlator
 
 @dataclass(frozen=True)
 class ChshPanel:
-    """The eight CHSH combinations of a correlator quad."""
+    """The eight CHSH combinations of a correlator quad, and its least joint probability.
+
+    passes is the CHSH test alone; fine_passes adds positivity of the 16
+    joint probabilities, which with it decides whether a local model exists.
+    """
 
     values: tuple[float, ...]
     max_value: float
     passes: bool
+    min_joint_probability: float
 
     def __post_init__(self) -> None:
         if len(self.values) != 8:
             raise ValueError(f"panel needs 8 values, got {len(self.values)}")
 
+    @property
+    def fine_passes(self) -> bool:
+        return self.passes and self.min_joint_probability >= -LP_FEAS_TOL
+
 
 def chsh_panel(quad: CorrelatorQuad) -> ChshPanel:
-    """Evaluate s1 c11 + s2 c13 + s3 c31 + s4 c33 over the odd sign patterns."""
+    """Evaluate s1 c11 + s2 c13 + s3 c31 + s4 c33 over the odd sign patterns, and
+    the least joint probability (1 + a m_x + b m_y + ab c_xy)/4 of the four pairs."""
     c = quad.correlators()
     values = tuple(
         float(s1 * c[0] + s2 * c[1] + s3 * c[2] + s4 * c[3])
         for s1, s2, s3, s4 in CHSH_SIGN_PATTERNS
     )
     max_value = max(values)
-    return ChshPanel(values=values, max_value=max_value, passes=max_value <= CHSH_BOUND + LP_FEAS_TOL)
+    pairs = ((quad.m_a1, quad.m_b1, quad.c11), (quad.m_a1, quad.m_b3, quad.c13),
+             (quad.m_a3, quad.m_b1, quad.c31), (quad.m_a3, quad.m_b3, quad.c33))
+    min_joint = min((1.0 + a * m_x + b * m_y + a * b * c_xy) / 4.0
+                    for m_x, m_y, c_xy in pairs for a, b in OutcomeDistribution.OUTCOMES)
+    return ChshPanel(values=values, max_value=max_value,
+                     passes=max_value <= CHSH_BOUND + LP_FEAS_TOL, min_joint_probability=min_joint)
 
 
 @dataclass(frozen=True)

@@ -1,25 +1,32 @@
 """Monte Carlo simulation of entanglement-based key distribution.
 
-Two protocol flavors share one engine:
+One engine runs both protocol flavors from a constant schedule table:
 
 - The four-correlator flavor: Alice measures along x, y, or a key
   direction; Bob along the two diagonal directions in the xy plane or
   the key direction.  The four test pairs estimate the statistic S
   (separable bound sqrt(2)); rounds where both parties chose the key
   direction feed the sifted key.
-- The two-basis flavor: both parties measure x or z.  Matched rounds
-  are split into a publicly compared test sample, which estimates
-  T = E(xx) + E(zz) (separable bound 1) and the error rates, and the
-  remaining key rounds.
+- The two-basis flavor: both parties measure x or z.  A test_fraction
+  coin splits matched rounds into a publicly compared test sample, which
+  estimates T = E(xx) + E(zz) (separable bound 1) and the error rates,
+  and the remaining key rounds.
+
+A run draws every Alice setting index, then every Bob setting index,
+then one uniform per round for the joint outcome and, for the split
+flavor, the test coin.  Each round packs into one small integer,
+4 * (n_pairs * coin + setting pair) + outcome (outcomes in
+OutcomeDistribution order): one bincount tallies the run, and key bits
+and error counts are table lookups on the packed code.
 
 The eavesdropper acts on Bob's wing of each pair before it reaches him.
-An intercept-resend attack with a fresh basis coin per round produces
-rounds that are independent draws from the coin-averaged channel output,
-so the simulation applies the averaged channel once.
+Intercept-resend along d, outcome forgotten, keeps Bob's spin component
+along d: r_B -> (r_B.d) d and T -> T d d^T.  A fresh basis coin per
+round makes rounds independent draws from the coin-averaged channel, so
+the simulation applies the averaged map once.
 
 Randomness comes from a counter-based generator keyed by the config
-seed, with a fixed draw schedule per flavor, so every report is
-reproducible bit for bit.
+seed, so every report is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .qstate import (
-    IDENTITY_2,
     X_AXIS,
     Y_AXIS,
     Z_AXIS,
@@ -41,11 +47,11 @@ from .qstate import (
     SpinSetting,
     TwoQubitState,
     bell_state,
-    bloch_qubit,
     correlator,
     density_from_pure,
     outcome_distribution,
     product_mixture,
+    state_from_bloch,
 )
 from .witnesses import BBM_BOUND, EKERT_BOUND
 
@@ -154,14 +160,7 @@ class ProtocolReport:
             raise ValueError("aborted flag inconsistent with the abort rule")
 
 
-def _measure_bob_wing(state: TwoQubitState, direction: np.ndarray) -> np.ndarray:
-    """Projective measurement of Bob's qubit along direction, outcome forgotten."""
-    rho = state.matrix
-    out = np.zeros_like(rho)
-    for projector in (bloch_qubit(direction), bloch_qubit(-direction)):
-        kron = np.kron(IDENTITY_2, projector)
-        out += kron @ rho @ kron
-    return out
+_INTERCEPT_AXES = {"x": (X_AXIS,), "z": (Z_AXIS,), "xz": (X_AXIS, Z_AXIS)}
 
 
 def effective_state(source: TwoQubitState, eve: EveStrategy) -> TwoQubitState:
@@ -169,15 +168,10 @@ def effective_state(source: TwoQubitState, eve: EveStrategy) -> TwoQubitState:
     if isinstance(eve, NoEve):
         return source
     if isinstance(eve, InterceptResend):
-        if eve.basis == "xz":
-            matrix = 0.5 * (_measure_bob_wing(source, X_AXIS) + _measure_bob_wing(source, Z_AXIS))
-        elif eve.basis == "x":
-            matrix = _measure_bob_wing(source, X_AXIS)
-        elif eve.basis == "z":
-            matrix = _measure_bob_wing(source, Z_AXIS)
-        else:
-            matrix = _measure_bob_wing(source, np.asarray(eve.basis))
-        return TwoQubitState(matrix)
+        axes = _INTERCEPT_AXES.get(eve.basis) or (np.asarray(eve.basis),)
+        # Coin-averaged projector onto the measured axis: r_B -> P r_B, T -> T P.
+        keep = sum(np.outer(d, d) for d in axes) / len(axes)
+        return state_from_bloch(source.bloch_a, keep @ source.bloch_b, source.correlations @ keep)
     if isinstance(eve, SeparableSubstitution):
         return product_mixture(eve.ensemble)
     raise ValueError(f"unknown eavesdropper strategy {eve!r}")
@@ -189,15 +183,47 @@ def qber(key_a: str, key_b: str) -> float:
         raise ValueError(f"key lengths differ: {len(key_a)} vs {len(key_b)}")
     if not key_a:
         raise ValueError("cannot compute an error rate on empty keys")
-    for key in (key_a, key_b):
-        if set(key) - {"0", "1"}:
+    # One byte per character; anything but '0' or '1' lands above 1 after the unsigned shift.
+    bits_a, bits_b = (np.frombuffer(key.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
+                      for key in (key_a, key_b))
+    for bits in (bits_a, bits_b):
+        if (bits > 1).any():
             raise ValueError("keys must contain only '0' and '1'")
-    return sum(a != b for a, b in zip(key_a, key_b)) / len(key_a)
+    return int(np.count_nonzero(bits_a != bits_b)) / len(key_a)
 
 
-# Test pairs and the sign each contributes to the protocol statistic.
-E91_TEST_PAIRS = (("a1:b1", 1.0), ("a1:b3", -1.0), ("a3:b1", 1.0), ("a3:b3", 1.0))
-BBM_TEST_PAIRS = (("x:x", 1.0), ("z:z", 1.0))
+@dataclass(frozen=True)
+class _Schedule:
+    """One flavor's measurement plan; setting indices address alice and bob."""
+
+    alice: tuple[np.ndarray, ...]
+    bob: tuple[np.ndarray, ...]
+    tests: tuple[tuple[str, int, int, float], ...]  # (label, i, j, sign in the statistic)
+    keys: tuple[tuple[str, int, int], ...]          # (basis label, i, j) of key rounds
+    split: bool  # matched rounds go to test or key by the test_fraction coin
+    bound: float
+
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_SCHEDULES = {
+    Protocol.E91: _Schedule(
+        alice=(X_AXIS, Y_AXIS, Y_AXIS),  # a1, a3, key
+        bob=(_INV_SQRT2 * (X_AXIS + Y_AXIS), _INV_SQRT2 * (Y_AXIS - X_AXIS), Y_AXIS),  # b1, b3, key
+        tests=(("a1:b1", 0, 0, 1.0), ("a1:b3", 0, 1, -1.0), ("a3:b1", 1, 0, 1.0),
+               ("a3:b3", 1, 1, 1.0)),
+        keys=(("y", 2, 2),),
+        split=False,
+        bound=EKERT_BOUND,
+    ),
+    Protocol.BBM92: _Schedule(
+        alice=(X_AXIS, Z_AXIS),
+        bob=(X_AXIS, Z_AXIS),
+        tests=(("x:x", 0, 0, 1.0), ("z:z", 1, 1, 1.0)),
+        keys=(("x", 0, 0), ("z", 1, 1)),
+        split=True,
+        bound=BBM_BOUND,
+    ),
+}
 
 
 def estimate_statistic(
@@ -209,10 +235,9 @@ def estimate_statistic(
     are estimated as mean outcome products; variances (1 - E^2)/n add
     across pairs since the samples are disjoint.
     """
-    pairs = E91_TEST_PAIRS if protocol is Protocol.E91 else BBM_TEST_PAIRS
     estimate = 0.0
     variance = 0.0
-    for label, sign in pairs:
+    for label, _, _, sign in _SCHEDULES[protocol].tests:
         if label not in tallies:
             raise ValueError(f"missing tally for setting pair {label}")
         counts = np.asarray(tallies[label], dtype=float)
@@ -230,173 +255,90 @@ def estimate_statistic(
     return float(estimate), float(np.sqrt(variance))
 
 
-def _sign_convention(source: TwoQubitState, direction: np.ndarray) -> int:
-    """Agreed key-correlation sign for a measurement axis, from the source state."""
-    value = correlator(source, SpinSetting.alice(direction), SpinSetting.bob(direction))
-    return -1 if value < 0.0 else 1
+def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
+    """Simulate one full run and return its report.
 
-
-def _sample_outcomes(
-    state: TwoQubitState,
-    alice_dirs: Sequence[np.ndarray],
-    bob_dirs: Sequence[np.ndarray],
-    a_idx: np.ndarray,
-    b_idx: np.ndarray,
-    u: np.ndarray,
-    used_pairs: Sequence[tuple[int, int]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw +-1 outcome pairs for every round whose setting pair is used."""
-    oa = np.zeros(a_idx.shape[0], dtype=np.int64)
-    ob = np.zeros(a_idx.shape[0], dtype=np.int64)
-    for i, j in used_pairs:
-        mask = (a_idx == i) & (b_idx == j)
-        if not mask.any():
-            continue
-        dist = outcome_distribution(
-            state, SpinSetting.alice(alice_dirs[i]), SpinSetting.bob(bob_dirs[j])
-        )
-        cdf = np.cumsum(dist.probabilities)
-        outcome_index = np.minimum(np.searchsorted(cdf, u[mask], side="right"), 3)
-        oa[mask] = np.where(outcome_index < 2, 1, -1)
-        ob[mask] = np.where(outcome_index % 2 == 0, 1, -1)
-    return oa, ob
-
-
-def _joint_counts(oa: np.ndarray, ob: np.ndarray, mask: np.ndarray) -> tuple[int, ...]:
-    return (
-        int(np.count_nonzero(mask & (oa == 1) & (ob == 1))),
-        int(np.count_nonzero(mask & (oa == 1) & (ob == -1))),
-        int(np.count_nonzero(mask & (oa == -1) & (ob == 1))),
-        int(np.count_nonzero(mask & (oa == -1) & (ob == -1))),
-    )
-
-
-def _bits(outcomes: np.ndarray) -> str:
-    """Map outcomes +1 -> '0' and -1 -> '1', preserving order."""
-    return "".join("0" if o == 1 else "1" for o in outcomes)
-
-
-def _run_e91(cfg: ProtocolConfig, rng: np.random.Generator) -> ProtocolReport:
+    The same config always yields the same report: the generator is
+    counter-based and keyed only by the seed, and the draws come in a
+    fixed order.
+    """
+    plan = _SCHEDULES[cfg.protocol]
     state = effective_state(cfg.source_state, cfg.eve)
-    inv = 1.0 / np.sqrt(2.0)
-    alice_dirs = (X_AXIS, Y_AXIS, Y_AXIS)           # a1, a3, key
-    bob_dirs = (inv * (X_AXIS + Y_AXIS), inv * (Y_AXIS - X_AXIS), Y_AXIS)  # b1, b3, key
+    n_b = len(plan.bob)
+    n_pairs = len(plan.alice) * n_b
+    tested = [i * n_b + j for _, i, j, _ in plan.tests]
+    keyed = [i * n_b + j for _, i, j in plan.keys]
+    used = sorted(set(tested + keyed))
 
-    a_idx = rng.integers(0, 3, size=cfg.rounds)
-    b_idx = rng.integers(0, 3, size=cfg.rounds)
+    # The first three cumulative outcome probabilities per setting pair.
+    # Unused pairs keep 2.0: their rounds all get outcome 0 and are never read.
+    cdf = np.full((3, n_pairs), 2.0)
+    for pair in used:
+        dist = outcome_distribution(
+            state, SpinSetting.alice(plan.alice[pair // n_b]), SpinSetting.bob(plan.bob[pair % n_b])
+        )
+        cdf[:, pair] = np.cumsum(dist.probabilities)[:3]
+
+    rng = np.random.Generator(np.random.Philox(key=int(cfg.seed)))
+    pair = rng.integers(0, len(plan.alice), size=cfg.rounds)
+    pair *= n_b
+    pair += rng.integers(0, n_b, size=cfg.rounds)
+    pair = pair.astype(np.uint8)
     u = rng.random(cfg.rounds)
+    code = pair << 2
+    for row in cdf:  # the outcome index counts the cumulative probabilities at or below u
+        code += row[pair] <= u
+    del pair, u
+    if plan.split:
+        code += np.uint8(4 * n_pairs) * (rng.random(cfg.rounds) < cfg.test_fraction)
+    counts = np.bincount(code, minlength=4 * n_pairs * (1 + plan.split)).reshape(-1, n_pairs, 4)
+    tests, key_rounds = counts[-1], counts[0]
 
-    test_pairs = {(0, 0): "a1:b1", (0, 1): "a1:b3", (1, 0): "a3:b1", (1, 1): "a3:b3"}
-    used = list(test_pairs) + [(2, 2)]
-    oa, ob = _sample_outcomes(state, alice_dirs, bob_dirs, a_idx, b_idx, u, used)
-
-    tallies = {}
-    rounds_used = {}
-    for (i, j), label in test_pairs.items():
-        mask = (a_idx == i) & (b_idx == j)
-        tallies[label] = _joint_counts(oa, ob, mask)
-        rounds_used[label] = int(np.count_nonzero(mask))
-
-    key_mask = (a_idx == 2) & (b_idx == 2)
-    n_key = int(np.count_nonzero(key_mask))
-    rounds_used["key"] = n_key
-    rounds_used["discarded"] = cfg.rounds - n_key - sum(
-        rounds_used[label] for label in tallies
-    )
-    if n_key == 0:
+    rounds_used = {label: int(counts[:, i * n_b + j].sum()) for label, i, j, _ in plan.tests}
+    if plan.split:
+        rounds_used["test"] = int(tests[tested].sum())
+    rounds_used["key"] = int(key_rounds[keyed].sum())
+    rounds_used["discarded"] = cfg.rounds - int(counts[:, used].sum())
+    if rounds_used["key"] == 0:
         raise ValueError("no rounds landed on the key settings; increase rounds")
+    statistic, stderr = estimate_statistic(
+        {label: tests[i * n_b + j] for label, i, j, _ in plan.tests}, cfg.protocol
+    )
 
-    statistic, stderr = estimate_statistic(tallies, Protocol.E91)
-    # Parties fix the key sign from the advertised source, not from what
-    # Eve actually delivers.
-    sign = _sign_convention(cfg.source_state, Y_AXIS)
-    key_a = _bits(oa[key_mask])
-    key_b = _bits(sign * ob[key_mask])
-    error_rate = qber(key_a, key_b)
+    # Parties fix each key basis's sign from the advertised source, not
+    # from what Eve actually delivers.  Alice's bit is 1 for outcome -1,
+    # Bob's for his sign-corrected outcome -1.
+    flip = np.zeros(n_pairs, dtype=bool)
+    for _, i, j in plan.keys:
+        setting_a, setting_b = SpinSetting.alice(plan.alice[i]), SpinSetting.bob(plan.bob[j])
+        flip[i * n_b + j] = correlator(cfg.source_state, setting_a, setting_b) < 0.0
+    codes = np.arange(counts.size)
+    bits = np.array([codes % 4 >= 2, (codes % 2 == 1) ^ flip[codes // 4 % n_pairs]])
+    in_key = np.isin(codes // 4, keyed)
+    key_codes = code[in_key[code]]
+    key_a, key_b = ((row.astype(np.uint8) + ord("0"))[key_codes].tobytes().decode() for row in bits)
 
-    aborted = bool((abs(statistic) - cfg.abort_sigma * stderr) <= EKERT_BOUND)
+    if plan.split:
+        wrong = (bits[0] != bits[1]).reshape(counts.shape)[-1]
+        n_test = {basis: int(tests[i * n_b + j].sum()) for basis, i, j in plan.keys}
+        n_err = {basis: int(tests[i * n_b + j] @ wrong[i * n_b + j]) for basis, i, j in plan.keys}
+        qber_by_basis = {basis: n_err[basis] / n_test[basis] for basis in n_test}
+        error_rate = sum(n_err.values()) / sum(n_test.values())
+    else:
+        qber_by_basis = None
+        error_rate = qber(key_a, key_b)
+
+    aborted = bool((abs(statistic) - cfg.abort_sigma * stderr) <= plan.bound)
     return ProtocolReport(
-        protocol=Protocol.E91,
+        protocol=cfg.protocol,
         statistic=statistic,
         stderr=stderr,
-        bound=EKERT_BOUND,
+        bound=plan.bound,
         abort_sigma=cfg.abort_sigma,
         aborted=aborted,
         qber=error_rate,
-        qber_by_basis=None,
-        sifted_key_a=key_a,
-        sifted_key_b=key_b,
-        rounds_used=rounds_used,
-    )
-
-
-def _run_bbm92(cfg: ProtocolConfig, rng: np.random.Generator) -> ProtocolReport:
-    state = effective_state(cfg.source_state, cfg.eve)
-    directions = (X_AXIS, Z_AXIS)
-    labels = ("x", "z")
-
-    a_idx = rng.integers(0, 2, size=cfg.rounds)
-    b_idx = rng.integers(0, 2, size=cfg.rounds)
-    u = rng.random(cfg.rounds)
-    test_tag = rng.random(cfg.rounds) < cfg.test_fraction
-
-    used = [(0, 0), (1, 1)]
-    oa, ob = _sample_outcomes(state, directions, directions, a_idx, b_idx, u, used)
-
-    signs = {label: _sign_convention(cfg.source_state, d) for label, d in zip(labels, directions)}
-    tallies = {}
-    qber_by_basis = {}
-    errors_total = 0
-    tests_total = 0
-    rounds_used = {}
-    key_mask = np.zeros(cfg.rounds, dtype=bool)
-    for index, label in enumerate(labels):
-        matched = (a_idx == index) & (b_idx == index)
-        rounds_used[f"{label}:{label}"] = int(np.count_nonzero(matched))
-        test_mask = matched & test_tag
-        key_mask |= matched & ~test_tag
-        tallies[f"{label}:{label}"] = _joint_counts(oa, ob, test_mask)
-        n_test = int(np.count_nonzero(test_mask))
-        n_err = int(np.count_nonzero(test_mask & (oa * ob == -signs[label])))
-        qber_by_basis[label] = n_err / n_test if n_test else 0.0
-        errors_total += n_err
-        tests_total += n_test
-
-    rounds_used["test"] = tests_total
-    rounds_used["key"] = int(np.count_nonzero(key_mask))
-    rounds_used["discarded"] = cfg.rounds - rounds_used["x:x"] - rounds_used["z:z"]
-    if rounds_used["key"] == 0:
-        raise ValueError("no matched rounds left for the key; increase rounds")
-
-    statistic, stderr = estimate_statistic(tallies, Protocol.BBM92)
-    round_sign = np.where(a_idx == 0, signs["x"], signs["z"])
-    key_a = _bits(oa[key_mask])
-    key_b = _bits((round_sign * ob)[key_mask])
-
-    aborted = bool((abs(statistic) - cfg.abort_sigma * stderr) <= BBM_BOUND)
-    return ProtocolReport(
-        protocol=Protocol.BBM92,
-        statistic=statistic,
-        stderr=stderr,
-        bound=BBM_BOUND,
-        abort_sigma=cfg.abort_sigma,
-        aborted=aborted,
-        qber=errors_total / tests_total if tests_total else 0.0,
         qber_by_basis=qber_by_basis,
         sifted_key_a=key_a,
         sifted_key_b=key_b,
         rounds_used=rounds_used,
     )
-
-
-def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
-    """Simulate one full run and return its report.
-
-    The same config always yields the same report: the generator is
-    counter-based and keyed only by the seed, and each flavor draws its
-    arrays in a fixed order.
-    """
-    rng = np.random.Generator(np.random.Philox(key=int(cfg.seed)))
-    if cfg.protocol is Protocol.E91:
-        return _run_e91(cfg, rng)
-    return _run_bbm92(cfg, rng)

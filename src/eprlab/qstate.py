@@ -269,6 +269,14 @@ def bloch_qubit(bloch: Sequence[float]) -> Array:
     return rho
 
 
+def state_from_bloch(bloch_a: Sequence[float], bloch_b: Sequence[float],
+                     correlations: Sequence[Sequence[float]]) -> TwoQubitState:
+    """State (I + r_A.sigma (x) I + I (x) r_B.sigma + sum_ij T_ij sigma_i (x) sigma_j)/4."""
+    table = np.block([[np.ones((1, 1)), np.reshape(bloch_b, (1, 3))],
+                      [np.reshape(bloch_a, (3, 1)), correlations]])
+    return TwoQubitState((table.ravel() @ _PAULI_PRODUCTS).reshape(4, 4).T / 4.0)
+
+
 def product_mixture(ensemble: ProductEnsemble) -> TwoQubitState:
     """Density matrix of a convex mixture of product states."""
     if not isinstance(ensemble, ProductEnsemble):

@@ -185,6 +185,17 @@ class TestFineCommand:
         assert doc["feasible"] is True
         assert doc["weights"][0] == pytest.approx(1.0, abs=1e-9)
 
+    def test_probability_panel_agrees_with_feasibility(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "fine", "1", "0", "0", "0", "--marginals", "0.5", "0", "-0.5", "0"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["chshPasses"] is True
+        assert doc["minJointProbability"] == -0.25
+        assert doc["finePasses"] is False
+        assert doc["feasible"] is False
+
     def test_out_of_range_correlator(self, capsys):
         code, _, err = run_cli(capsys, "fine", "1.5", "0", "0", "0")
         assert code == 2

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eprlab.hidden_variables import (
     ANALYTIC_BOUNDS,
@@ -152,7 +153,7 @@ class TestChshPanel:
 
     def test_needs_eight_values(self):
         with pytest.raises(ValueError, match="8"):
-            ChshPanel(values=(0.0,), max_value=0.0, passes=True)
+            ChshPanel(values=(0.0,), max_value=0.0, passes=True, min_joint_probability=0.0)
 
 
 class TestLocalModel:
@@ -227,6 +228,18 @@ class TestFineLocalModel:
             quad = CorrelatorQuad(*(rng.uniform(-1.0, 1.0, size=4)))
             feasible = fine_local_model(quad) is not None
             assert feasible == chsh_panel(quad).passes
+
+
+# Multiples of 1/16 in [-1, 1]: every CHSH value and joint probability is exact.
+sixteenths = st.integers(min_value=-16, max_value=16).map(lambda k: k / 16.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(sixteenths, min_size=8, max_size=8))
+def test_fine_panel_decides_local_model_existence(values):
+    """Fine's theorem: CHSH plus positivity holds exactly when the LP finds a model."""
+    quad = CorrelatorQuad(*values)
+    assert chsh_panel(quad).fine_passes == (fine_local_model(quad) is not None)
 
 
 class TestSeparableBound:

@@ -1,6 +1,7 @@
 """Property tests: the correlation-tensor route against a Born-rule oracle.
 
-eprlab reads every statistic off (r_A, r_B, T).  The oracle here takes the
+eprlab reads every statistic off (r_A, r_B, T), and applies Eve's
+intercept-resend channel as a map on them.  The oracle here takes the
 other route: Kronecker products, projectors and traces of the 4x4 density
 matrix, with its own Pauli matrices, settings and Bell vectors.  The two
 routes must agree to 1e-12 on pure states, mixed states and product
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eprlab.hidden_variables import SeparableFunctional, separable_bound
+from eprlab.protocol import InterceptResend, effective_state
 from eprlab.qstate import (
     ProductEnsemble,
     PureState,
@@ -86,6 +88,16 @@ def oracle_statistics(rho: np.ndarray) -> dict:
     for name, vector in BELL_VECTORS.items():
         stats[name] = float(np.vdot(vector, rho @ vector).real)
     return stats
+
+
+def oracle_intercept(rho: np.ndarray, axes) -> np.ndarray:
+    """sum_+- (I (x) P+-) rho (I (x) P+-) for Bob's projectors along each axis, averaged."""
+    out = np.zeros_like(rho)
+    for d in axes:
+        for sign in (1, -1):
+            kron = np.kron(EYE, (EYE + sign * spin(d)) / 2)
+            out += kron @ rho @ kron
+    return out / len(axes)
 
 
 def oracle_objective(functional: SeparableFunctional, u, v) -> float:
@@ -172,6 +184,17 @@ def test_tensor_route_matches_born_rule(state, na, nb):
     fidelities = bell_fidelities(state)
     for name in BELL_VECTORS:
         assert getattr(fidelities, name) == pytest.approx(oracle[name], abs=AGREE)
+
+
+@settings(max_examples=150, deadline=None)
+@given(state=states, basis=st.one_of(st.sampled_from(["x", "z", "xz"]), unit_vectors()))
+def test_intercept_resend_matches_projector_sandwich(state, basis):
+    if isinstance(basis, str):
+        axes = {"x": AXES[:1], "z": AXES[2:], "xz": AXES[::2]}[basis]
+    else:
+        axes, basis = [basis], tuple(basis)
+    got = effective_state(state, InterceptResend(basis=basis)).matrix
+    assert np.abs(got - oracle_intercept(state.matrix, axes)).max() <= AGREE
 
 
 @pytest.mark.parametrize("functional", list(SeparableFunctional))
