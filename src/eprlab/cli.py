@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -413,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="witness statistics and verdicts for a state",
     )
     p_witness.add_argument("--state", required=True, help="state descriptor or file")
-    p_witness.set_defaults(func=cmd_witness, flat_report=True)
+    p_witness.set_defaults(flat_report=True)
 
     p_ks = sub.add_parser(
         "ks", parents=[common, state_opts],
@@ -423,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ks.add_argument(
         "--assignments", action="store_true", help="list all 64 assignments in the report"
     )
-    p_ks.set_defaults(func=cmd_ks, flat_report=False)
+    p_ks.set_defaults(flat_report=False)
 
     p_fine = sub.add_parser(
         "fine", parents=[common],
@@ -435,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--marginals", type=float, nargs=4, default=None,
         metavar=("A1", "A3", "B1", "B3"), help="single-party expectations (default: zero)",
     )
-    p_fine.set_defaults(func=cmd_fine, flat_report=False)
+    p_fine.set_defaults(flat_report=False)
 
     p_bound = sub.add_parser(
         "bound", parents=[common],
@@ -445,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         "functional", choices=[f.value for f in SeparableFunctional],
         help="which statistic to maximize",
     )
-    p_bound.set_defaults(func=cmd_bound, flat_report=True)
+    p_bound.set_defaults(flat_report=True)
 
     p_qkd = sub.add_parser(
         "qkd", parents=[common, state_opts], help="simulate one key-distribution run"
@@ -461,16 +462,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_qkd.add_argument("--test-fraction", type=float, default=0.25)
     p_qkd.add_argument("--seed", type=int, default=0)
     p_qkd.add_argument("--abort-sigma", type=float, default=3.0)
-    p_qkd.set_defaults(func=cmd_qkd, flat_report=False)
+    p_qkd.set_defaults(flat_report=False)
 
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser_from(factory: Callable[[], argparse.ArgumentParser]) -> argparse.ArgumentParser:
+    """The parser, built on first use; keyed by the factory, so a replaced build_parser counts."""
+    return factory()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser_from(build_parser).parse_args(argv)
     try:
-        doc = args.func(args)
+        # Looked up per call, not stored in the cached parser, so a replaced handler counts.
+        doc = globals()[f"cmd_{args.command}"](args)
         sys.stdout.write(render(doc, args.format, args.flat_report))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

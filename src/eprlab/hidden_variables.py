@@ -21,6 +21,7 @@ Three classical constructions live here:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -111,8 +112,12 @@ class KSAssignment:
         object.__setattr__(self, "products", MappingProxyType(dict(self.products)))
 
 
+@functools.cache
 def enumerate_ks_assignments() -> tuple[KSAssignment, ...]:
-    """All 64 assignments, one per sign choice on the six singles."""
+    """All 64 assignments, one per sign choice on the six singles.
+
+    Built once per process; the assignments are frozen, so callers share them.
+    """
     assignments = []
     for values in itertools.product((1, -1), repeat=6):
         singles = dict(zip(SINGLE_KEYS, values))

@@ -16,8 +16,15 @@ A run draws every Alice setting index, then every Bob setting index,
 then one uniform per round for the joint outcome and, for the split
 flavor, the test coin.  Each round packs into one small integer,
 4 * (n_pairs * coin + setting pair) + outcome (outcomes in
-OutcomeDistribution order): one bincount tallies the run, and key bits
-and error counts are table lookups on the packed code.
+OutcomeDistribution order): a running bincount tallies the run, and key
+bits and error counts are table lookups on the packed code.
+
+The run streams that draw schedule in fixed-size chunks.  The first pass
+draws the setting indices into one byte per round; it has to finish
+before the second, because rejection sampling leaves where Bob's draws
+start unknown until Alice's end.  The second pass draws each chunk's
+uniforms, and its coins from a second generator placed exactly `rounds`
+draws ahead, so that the report does not depend on the chunk size.
 
 The eavesdropper acts on Bob's wing of each pair before it reaches him.
 Intercept-resend along d, outcome forgotten, keeps Bob's spin component
@@ -57,6 +64,7 @@ from .witnesses import BBM_BOUND, EKERT_BOUND
 
 MIN_SAMPLES_PER_PAIR = 30  # below this a correlator estimate is too noisy to trust
 MIN_ROUNDS = 100
+_CHUNK_ROUNDS = 1 << 14  # rounds drawn and tallied per step of run_protocol
 
 
 class Protocol(Enum):
@@ -235,9 +243,10 @@ def estimate_statistic(
     are estimated as mean outcome products; variances (1 - E^2)/n add
     across pairs since the samples are disjoint.
     """
+    plan = _SCHEDULES[protocol]
     estimate = 0.0
     variance = 0.0
-    for label, _, _, sign in _SCHEDULES[protocol].tests:
+    for label, _, _, sign in plan.tests:
         if label not in tallies:
             raise ValueError(f"missing tally for setting pair {label}")
         counts = np.asarray(tallies[label], dtype=float)
@@ -248,6 +257,7 @@ def estimate_statistic(
             raise ValueError(
                 f"setting pair {label} has {int(total)} samples, "
                 f"need {MIN_SAMPLES_PER_PAIR}; increase rounds"
+                + (" or raise the test fraction" if plan.split else "")
             )
         e_hat = (counts[0] - counts[1] - counts[2] + counts[3]) / total
         estimate += sign * e_hat
@@ -255,12 +265,27 @@ def estimate_statistic(
     return float(estimate), float(np.sqrt(variance))
 
 
+def _ahead(bitgen: np.random.Philox, words: int) -> np.random.Generator:
+    """A generator over bitgen's stream from `words` 64-bit draws past its position.
+
+    advance() moves the counter by whole blocks of four words and drops the
+    block buffered so far, so the words left in that buffer count toward
+    the skip and the remainder is drawn and dropped.
+    """
+    ahead = np.random.Philox(key=0)
+    ahead.state = bitgen.state
+    blocks, rest = divmod(words + ahead.state["buffer_pos"] - 4, 4)
+    ahead.advance(blocks)
+    ahead.random_raw(rest)
+    return np.random.Generator(ahead)
+
+
 def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
     """Simulate one full run and return its report.
 
     The same config always yields the same report: the generator is
     counter-based and keyed only by the seed, and the draws come in a
-    fixed order.
+    fixed order that the chunk size does not change.
     """
     plan = _SCHEDULES[cfg.protocol]
     state = effective_state(cfg.source_state, cfg.eve)
@@ -278,20 +303,36 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
             state, SpinSetting.alice(plan.alice[pair // n_b]), SpinSetting.bob(plan.bob[pair % n_b])
         )
         cdf[:, pair] = np.cumsum(dist.probabilities)[:3]
+    codes = np.arange(4 * n_pairs * (1 + plan.split))
+    in_key = np.isin(codes // 4, keyed)
 
-    rng = np.random.Generator(np.random.Philox(key=int(cfg.seed)))
-    pair = rng.integers(0, len(plan.alice), size=cfg.rounds)
-    pair *= n_b
-    pair += rng.integers(0, n_b, size=cfg.rounds)
-    pair = pair.astype(np.uint8)
-    u = rng.random(cfg.rounds)
-    code = pair << 2
-    for row in cdf:  # the outcome index counts the cumulative probabilities at or below u
-        code += row[pair] <= u
-    del pair, u
-    if plan.split:
-        code += np.uint8(4 * n_pairs) * (rng.random(cfg.rounds) < cfg.test_fraction)
-    counts = np.bincount(code, minlength=4 * n_pairs * (1 + plan.split)).reshape(-1, n_pairs, 4)
+    parts = [slice(start, min(start + _CHUNK_ROUNDS, cfg.rounds))
+             for start in range(0, cfg.rounds, _CHUNK_ROUNDS)]
+    bitgen = np.random.Philox(key=int(cfg.seed))
+    rng = np.random.Generator(bitgen)
+    pair = np.empty(cfg.rounds, dtype=np.uint8)
+    for part in parts:
+        pair[part] = rng.integers(0, len(plan.alice), size=part.stop - part.start)
+    for part in parts:
+        pair[part] = pair[part] * n_b + rng.integers(0, n_b, size=part.stop - part.start)
+    coins = _ahead(bitgen, cfg.rounds) if plan.split else None
+    counts = np.zeros(codes.size, dtype=np.int64)
+    n_key = 0
+    for part in parts:
+        setting = pair[part]
+        code = setting << 2
+        u = rng.random(len(code))
+        for row in cdf:  # the outcome index counts the cumulative probabilities at or below u
+            code += row[setting] <= u
+        if plan.split:
+            code += np.uint8(4 * n_pairs) * (coins.random(len(code)) < cfg.test_fraction)
+        counts += np.bincount(code, minlength=codes.size)
+        # Key codes move down into the part of `pair` already read, in round order.
+        key_part = code[in_key[code]]
+        pair[n_key:n_key + len(key_part)] = key_part
+        n_key += len(key_part)
+    key_codes = pair[:n_key]
+    counts = counts.reshape(-1, n_pairs, 4)
     tests, key_rounds = counts[-1], counts[0]
 
     rounds_used = {label: int(counts[:, i * n_b + j].sum()) for label, i, j, _ in plan.tests}
@@ -300,7 +341,8 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
     rounds_used["key"] = int(key_rounds[keyed].sum())
     rounds_used["discarded"] = cfg.rounds - int(counts[:, used].sum())
     if rounds_used["key"] == 0:
-        raise ValueError("no rounds landed on the key settings; increase rounds")
+        raise ValueError("no rounds landed on the key settings; increase rounds"
+                         + (" or lower the test fraction" if plan.split else ""))
     statistic, stderr = estimate_statistic(
         {label: tests[i * n_b + j] for label, i, j, _ in plan.tests}, cfg.protocol
     )
@@ -312,10 +354,7 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
     for _, i, j in plan.keys:
         setting_a, setting_b = SpinSetting.alice(plan.alice[i]), SpinSetting.bob(plan.bob[j])
         flip[i * n_b + j] = correlator(cfg.source_state, setting_a, setting_b) < 0.0
-    codes = np.arange(counts.size)
     bits = np.array([codes % 4 >= 2, (codes % 2 == 1) ^ flip[codes // 4 % n_pairs]])
-    in_key = np.isin(codes // 4, keyed)
-    key_codes = code[in_key[code]]
     key_a, key_b = ((row.astype(np.uint8) + ord("0"))[key_codes].tobytes().decode() for row in bits)
 
     if plan.split:

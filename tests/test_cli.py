@@ -263,6 +263,26 @@ class TestQkdCommand:
         assert code == 2
         assert "eavesdropper" in err
 
+    def test_starved_bbm92_run_names_the_test_fraction(self, capsys):
+        for fraction, message in (("0.999", "no rounds landed on the key settings"),
+                                  ("0.01", "setting pair x:x has")):
+            code, out, err = run_cli(
+                capsys, "qkd", "--protocol", "bbm92", "--rounds", "100",
+                "--test-fraction", fraction,
+            )
+            assert code == 2
+            assert out == ""
+            assert message in err
+            assert "increase rounds or" in err and "test fraction" in err
+
+    def test_starved_e91_run_keeps_its_message(self, capsys):
+        code, out, err = run_cli(
+            capsys, "qkd", "--protocol", "e91", "--rounds", "150", "--seed", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: setting pair a1:b1 has 18 samples, need 30; increase rounds\n"
+
     def test_custom_direction_eve(self, capsys):
         code, out, _ = run_cli(
             capsys, "qkd", "--protocol", "bbm92", "--rounds", "20000",
@@ -341,3 +361,39 @@ class TestFormatsAndCodes:
         a = run_cli(capsys, "witness", "--state", "phase:0.3")
         b = run_cli(capsys, "witness", "--state", "phase:0.3")
         assert a == b
+
+
+# The five invocations of acceptance criterion 10, and one the parser rejects.
+PARSER_REUSE_ARGV = [
+    ["witness", "--state", "psi-minus"],
+    ["witness", "--state", "phase:0.7853981633974483", "--format", "csv"],
+    ["fine", "0.5", "-0.5", "0.5", "0.5"],
+    ["qkd", "--protocol", "e91", "--rounds", "2000", "--seed", "77"],
+    ["qkd", "--protocol", "bbm92", "--rounds", "2000", "--seed", "77", "--eve", "intercept-xz"],
+    ["qkd", "--protocol", "bb84"],
+]
+
+
+class TestParserReuse:
+    @staticmethod
+    def call(capsys, argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects bad arguments by exiting
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_one_parser_serves_interleaved_calls(self, capsys):
+        """Calls through the cached parser match calls through a fresh one, byte for byte."""
+        invocations = PARSER_REUSE_ARGV * 2
+        fresh = []
+        for argv in invocations:
+            cli._parser_from.cache_clear()
+            fresh.append(self.call(capsys, argv))
+        cli._parser_from.cache_clear()
+        reused = [self.call(capsys, argv) for argv in invocations]
+        assert cli._parser_from.cache_info().misses == 1
+        assert reused == fresh
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 2] * 2
+        assert "invalid choice: 'bb84'" in fresh[5][2]

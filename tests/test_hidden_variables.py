@@ -1,5 +1,7 @@
 """Tests for assignments, local models, and product-state suprema."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +94,18 @@ class TestAssignments:
         a = enumerate_ks_assignments()[0]
         with pytest.raises(TypeError):
             a.singles["ax"] = -1
+
+    def test_enumeration_is_shared_and_stays_immutable(self):
+        """Repeated calls return the one cached tuple, and no caller can alter it."""
+        first = enumerate_ks_assignments()
+        assert enumerate_ks_assignments() is first
+        for a in first:
+            with pytest.raises(TypeError):
+                a.products["zz"] = -a.products["zz"]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                a.singles = {}
+        assert enumerate_ks_assignments() is first
+        assert len({tuple(sorted(a.singles.items())) for a in first}) == 64
 
 
 class TestCorrelatorQuad:

@@ -2,10 +2,13 @@
 
 import dataclasses
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from eprlab import protocol
 from eprlab.protocol import (
     InterceptResend,
     MIN_SAMPLES_PER_PAIR,
@@ -29,6 +32,7 @@ from eprlab.qstate import (
     bell_state,
     correlator,
     density_from_pure,
+    outcome_distribution,
     phase_epr_state,
 )
 from eprlab.witnesses import BBM_BOUND, EKERT_BOUND
@@ -328,6 +332,77 @@ GOLDEN_DIGESTS = {
 def test_seeded_report_digest_is_pinned(protocol, eve):
     cfg = ProtocolConfig(protocol=Protocol(protocol), rounds=3_000, eve=GOLDEN_EVES[eve], seed=7)
     assert report_digest(run_protocol(cfg)) == GOLDEN_DIGESTS[protocol, eve]
+
+
+def whole_array_reference(cfg: ProtocolConfig):
+    """The draw schedule drawn as whole arrays: (test tallies, keys, rounds_used)."""
+    plan = protocol._SCHEDULES[cfg.protocol]
+    state = effective_state(cfg.source_state, cfg.eve)
+    n_b = len(plan.bob)
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    pair = rng.integers(0, len(plan.alice), size=cfg.rounds) * n_b
+    pair += rng.integers(0, n_b, size=cfg.rounds)
+    u = rng.random(cfg.rounds)
+    test = rng.random(cfg.rounds) < cfg.test_fraction if plan.split else np.ones(cfg.rounds, bool)
+    outcome = np.zeros(cfg.rounds, dtype=int)
+    for p in np.unique(pair):
+        a, b = SpinSetting.alice(plan.alice[p // n_b]), SpinSetting.bob(plan.bob[p % n_b])
+        cdf = np.cumsum(outcome_distribution(state, a, b).probabilities)[:3]
+        outcome[pair == p] = (cdf[:, None] <= u[pair == p]).sum(axis=0)
+    tallies = {label: np.bincount(outcome[(pair == i * n_b + j) & test], minlength=4)
+               for label, i, j, _ in plan.tests}
+    rounds_used = {label: int(np.sum(pair == i * n_b + j)) for label, i, j, _ in plan.tests}
+    key, flip = np.zeros(cfg.rounds, bool), np.zeros(cfg.rounds, bool)
+    for _, i, j in plan.keys:
+        a, b = SpinSetting.alice(plan.alice[i]), SpinSetting.bob(plan.bob[j])
+        key |= (pair == i * n_b + j) & ~(test & plan.split)
+        flip |= (pair == i * n_b + j) & (correlator(cfg.source_state, a, b) < 0.0)
+    if plan.split:
+        rounds_used["test"] = int(sum(t.sum() for t in tallies.values()))
+    rounds_used["key"] = int(key.sum())
+    tested = np.isin(pair, [i * n_b + j for _, i, j, _ in plan.tests])
+    rounds_used["discarded"] = cfg.rounds - int(np.sum(tested | key))
+    bits = (outcome >= 2, (outcome % 2 == 1) ^ flip)
+    return tallies, ["".join(str(int(bit)) for bit in row[key]) for row in bits], rounds_used
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    protocol_name=st.sampled_from([p.value for p in Protocol]),
+    rounds=st.integers(100, 5000),
+    seed=st.integers(0, 2**64 - 1),
+    eve=st.sampled_from(["none", "xz"]),
+    test_fraction=st.floats(0.05, 0.95),
+    data=st.data(),
+)
+def test_streamed_run_matches_whole_array_reference(protocol_name, rounds, seed, eve, test_fraction,
+                                                    data):
+    """Any chunk size gives the tallies, keys, rounds_used and statistic of whole-array draws."""
+    chunk = data.draw(st.one_of(st.integers(5, 64), st.integers(5, rounds + 1)), label="chunk")
+    cfg = ProtocolConfig(protocol=Protocol(protocol_name), rounds=rounds, eve=GOLDEN_EVES[eve],
+                         test_fraction=test_fraction, seed=seed)
+    tallies, keys, rounds_used = whole_array_reference(cfg)
+    seen = []
+
+    def recording(tallies, flavour):
+        seen.append({label: list(counts) for label, counts in tallies.items()})
+        return estimate_statistic(tallies, flavour)
+
+    with mock.patch.object(protocol, "_CHUNK_ROUNDS", chunk), \
+            mock.patch.object(protocol, "estimate_statistic", recording):
+        try:
+            report = run_protocol(cfg)
+        except ValueError:
+            report = None
+    fewest = min(t.sum() for t in tallies.values())
+    starved = rounds_used["key"] == 0 or fewest < MIN_SAMPLES_PER_PAIR
+    assert (report is None) == starved
+    if rounds_used["key"]:
+        assert seen == [{label: list(counts) for label, counts in tallies.items()}]
+    if report is not None:
+        assert [report.sifted_key_a, report.sifted_key_b] == keys
+        assert list(report.rounds_used.items()) == list(rounds_used.items())
+        assert (report.statistic, report.stderr) == estimate_statistic(tallies, cfg.protocol)
 
 
 class TestReportInvariants:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linprog
 
 from eprlab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
@@ -103,3 +106,44 @@ class TestRandomProblems:
             assert result.status == OPTIMAL
             assert np.allclose(a @ result.x, b, atol=1e-8)
             assert result.x.min() >= -1e-9
+
+
+LINPROG_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+
+
+@st.composite
+def lp_systems(draw):
+    """(c, a_eq, b_eq) of full row rank, feasible or infeasible by construction."""
+    def small_ints(shape, low, high):
+        return draw(arrays(np.float64, shape, elements=st.integers(low, high).map(float)))
+
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(m, 10))
+    a = small_ints((m, n), -4, 4)
+    c = small_ints((n,), -5, 5)
+    if draw(st.booleans()):
+        # Feasible around a known x0 >= 0; a row of ones, when drawn, keeps the optimum finite.
+        if draw(st.booleans()):
+            a[0] = 1.0
+        b = a @ small_ints((n,), 0, 3)
+    else:
+        # Infeasible by Farkas: y.a = z >= 0 while y.b < 0, so no x >= 0 has a x = b.
+        y = small_ints((m,), -3, 3)
+        assume(y.any())
+        a += np.outer(y, small_ints((n,), 0, 3) - y @ a) / (y @ y)
+        b = small_ints((m,), -4, 4)
+        b -= y * (y @ b + draw(st.integers(1, 4))) / (y @ y)
+    assume(np.linalg.matrix_rank(a) == m)
+    return c, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp_systems())
+def test_agrees_with_linprog_oracle(system):
+    """Status and optimal objective match SciPy's HiGHS solver on random systems."""
+    c, a, b = system
+    ours = solve_lp(c, a, b)
+    oracle = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+    assert ours.status == LINPROG_STATUS[oracle.status], oracle.message
+    if ours.status == OPTIMAL:
+        assert abs(ours.objective - oracle.fun) <= 1e-7
