@@ -167,13 +167,15 @@ def resolve_state(
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
     name = descriptor.strip()
     base, _, argument = name.partition(":")
-    if base in ("psi-minus", "psi-plus", "phi-plus", "phi-minus"):
+    for flag, value, owner in (("--w", w, "werner"), ("--phi", phi, "phase")):
+        if value is not None and base != owner:
+            raise ValueError(f"{flag} parameterizes only {owner} states, not {name!r}")
+    if base in NAMED_STATES:
         if argument:
             raise ValueError(f"named state {base} takes no parameter")
-        label = BellLabel(base)
-        return density_from_pure(bell_state(label)), base
-    if base == "mixed":
-        return TwoQubitState(np.eye(4, dtype=complex) / 4.0), "mixed"
+        if base == "mixed":
+            return TwoQubitState(np.eye(4, dtype=complex) / 4.0), base
+        return density_from_pure(bell_state(BellLabel(base))), base
     if base == "werner":
         if argument and w is not None:
             raise ValueError("give the Werner parameter once, not twice")
@@ -272,6 +274,8 @@ def cmd_ks(args: argparse.Namespace) -> dict[str, Any]:
             for case in KSCase
         },
     }
+    if args.state is None and (args.phi, args.w) != (None, None):
+        raise ValueError("--phi and --w parameterize a state; give one with --state")
     if args.state is not None:
         state, label = resolve_state(args.state, args.phi, args.w, args.tolerance)
         doc["state"] = label

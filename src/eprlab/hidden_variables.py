@@ -32,9 +32,9 @@ import numpy as np
 
 from .qstate import (
     ATOL_ALARM,
-    OutcomeDistribution,
     ProductEnsemble,
     TwoQubitState,
+    joint_probabilities,
     outcome_distribution,
     product_mixture,
 )
@@ -71,6 +71,17 @@ CHSH_SIGN_PATTERNS = tuple(
 # Deterministic strategies (alpha_a1, alpha_a3, alpha_b1, alpha_b3),
 # lexicographic with +1 first; LocalModel weights follow this order.
 STRATEGIES = tuple(itertools.product((1, -1), repeat=4))
+# Row s is what strategy s predicts, in CorrelatorQuad field order.
+_FEATURES = np.array([(a1 * b1, a1 * b3, a3 * b1, a3 * b3, a1, a3, b1, b3)
+                      for a1, a3, b1, b3 in STRATEGIES], dtype=float)
+_FEATURES.flags.writeable = False
+
+
+def _products(singles: Mapping[str, int]) -> dict[str, int]:
+    """Product values the singles fix: x and y products factor, and zz = xx * yy."""
+    s = singles
+    xx, yy = s["ax"] * s["bx"], s["ay"] * s["by"]
+    return {"xx": xx, "yy": yy, "xy": s["ax"] * s["by"], "yx": s["ay"] * s["bx"], "zz": xx * yy}
 
 
 @dataclass(frozen=True)
@@ -80,7 +91,8 @@ class KSAssignment:
     Product observables factor over commuting single-party pieces, so the
     x and y products are fixed by the singles; the zz product is fixed by
     the commuting decompositions zz = xx * yy = xy * yx rather than by the
-    z singles.
+    z singles (the two decompositions agree identically once xx, yy, xy
+    and yx follow the singles).
     """
 
     singles: Mapping[str, int]
@@ -95,19 +107,9 @@ class KSAssignment:
             for key, value in mapping.items():
                 if value not in (1, -1):
                     raise ValueError(f"assignment value {key}={value!r} must be +1 or -1")
-        s, p = self.singles, self.products
-        rules = (
-            ("xx", s["ax"] * s["bx"]),
-            ("yy", s["ay"] * s["by"]),
-            ("xy", s["ax"] * s["by"]),
-            ("yx", s["ay"] * s["bx"]),
-            ("zz", p["xx"] * p["yy"]),
-        )
-        for key, expected in rules:
-            if p[key] != expected:
-                raise ValueError(f"product {key}={p[key]} breaks the product rule")
-        if p["zz"] != p["xy"] * p["yx"]:
-            raise ValueError("zz value differs between its two commuting decompositions")
+        for key, expected in _products(self.singles).items():
+            if self.products[key] != expected:
+                raise ValueError(f"product {key}={self.products[key]} breaks the product rule")
         object.__setattr__(self, "singles", MappingProxyType(dict(self.singles)))
         object.__setattr__(self, "products", MappingProxyType(dict(self.products)))
 
@@ -118,20 +120,8 @@ def enumerate_ks_assignments() -> tuple[KSAssignment, ...]:
 
     Built once per process; the assignments are frozen, so callers share them.
     """
-    assignments = []
-    for values in itertools.product((1, -1), repeat=6):
-        singles = dict(zip(SINGLE_KEYS, values))
-        xx = singles["ax"] * singles["bx"]
-        yy = singles["ay"] * singles["by"]
-        products = {
-            "xx": xx,
-            "yy": yy,
-            "xy": singles["ax"] * singles["by"],
-            "yx": singles["ay"] * singles["bx"],
-            "zz": xx * yy,
-        }
-        assignments.append(KSAssignment(singles=singles, products=products))
-    return tuple(assignments)
+    singles = (dict(zip(SINGLE_KEYS, values)) for values in itertools.product((1, -1), repeat=6))
+    return tuple(KSAssignment(singles=s, products=_products(s)) for s in singles)
 
 
 def ks_functional_value(assignment: KSAssignment, case: KSCase) -> float:
@@ -222,10 +212,9 @@ def chsh_panel(quad: CorrelatorQuad) -> ChshPanel:
         for s1, s2, s3, s4 in CHSH_SIGN_PATTERNS
     )
     max_value = max(values)
-    pairs = ((quad.m_a1, quad.m_b1, quad.c11), (quad.m_a1, quad.m_b3, quad.c13),
-             (quad.m_a3, quad.m_b1, quad.c31), (quad.m_a3, quad.m_b3, quad.c33))
-    min_joint = min((1.0 + a * m_x + b * m_y + a * b * c_xy) / 4.0
-                    for m_x, m_y, c_xy in pairs for a, b in OutcomeDistribution.OUTCOMES)
+    min_joint = float(joint_probabilities([quad.m_a1, quad.m_a1, quad.m_a3, quad.m_a3],
+                                          [quad.m_b1, quad.m_b3, quad.m_b1, quad.m_b3],
+                                          c).min())
     return ChshPanel(values=values, max_value=max_value,
                      passes=max_value <= CHSH_BOUND + LP_FEAS_TOL, min_joint_probability=min_joint)
 
@@ -247,18 +236,7 @@ class LocalModel:
 
     def predicted_quad(self) -> CorrelatorQuad:
         """Correlators and marginals generated by the strategy mixture."""
-        w = np.asarray(self.weights)
-        s = np.asarray(STRATEGIES, dtype=float)  # columns a1, a3, b1, b3
-        return CorrelatorQuad(
-            c11=float(w @ (s[:, 0] * s[:, 2])),
-            c13=float(w @ (s[:, 0] * s[:, 3])),
-            c31=float(w @ (s[:, 1] * s[:, 2])),
-            c33=float(w @ (s[:, 1] * s[:, 3])),
-            m_a1=float(w @ s[:, 0]),
-            m_a3=float(w @ s[:, 1]),
-            m_b1=float(w @ s[:, 2]),
-            m_b3=float(w @ s[:, 3]),
-        )
+        return CorrelatorQuad(*(np.asarray(self.weights) @ _FEATURES).tolist())
 
     def reproduces(self, quad: CorrelatorQuad, atol: float = MODEL_ATOL) -> bool:
         predicted = self.predicted_quad()
@@ -279,24 +257,10 @@ def fine_local_model(quad: CorrelatorQuad) -> Optional[LocalModel]:
     objective), which pins a canonical, deterministic representative;
     the all-zero quad yields exactly the uniform mixture.
     """
-    s = np.asarray(STRATEGIES, dtype=float)
-    columns = [
-        np.ones(16),
-        s[:, 0] * s[:, 2],
-        s[:, 0] * s[:, 3],
-        s[:, 1] * s[:, 2],
-        s[:, 1] * s[:, 3],
-        s[:, 0],
-        s[:, 1],
-        s[:, 2],
-        s[:, 3],
-    ]
+    rows = np.vstack([np.ones(16), _FEATURES.T])
+    # The last column is the coefficient of t in w_s = v_s + t: each row's sum.
+    a_eq = np.column_stack([rows, rows.sum(axis=1)])
     rhs = np.array([1.0, *quad.correlators(), *quad.marginals()])
-    a_eq = np.zeros((9, 17))
-    for row, column in enumerate(columns):
-        a_eq[row, :16] = column
-        # Coefficient of t in w_s = v_s + t: the row sum of the column.
-        a_eq[row, 16] = column.sum()
     cost = np.zeros(17)
     cost[16] = -1.0  # maximize the minimum weight t
     result = solve_lp(cost, a_eq, rhs)

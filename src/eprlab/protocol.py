@@ -49,6 +49,7 @@ from .qstate import (
     Y_AXIS,
     Z_AXIS,
     ATOL_CONSTRUCT,
+    ATOL_PSD,
     BellLabel,
     ProductEnsemble,
     SpinSetting,
@@ -56,7 +57,7 @@ from .qstate import (
     bell_state,
     correlator,
     density_from_pure,
-    outcome_distribution,
+    joint_probabilities,
     product_mixture,
     state_from_bloch,
 )
@@ -295,14 +296,16 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
     keyed = [i * n_b + j for _, i, j in plan.keys]
     used = sorted(set(tested + keyed))
 
-    # The first three cumulative outcome probabilities per setting pair.
-    # Unused pairs keep 2.0: their rounds all get outcome 0 and are never read.
-    cdf = np.full((3, n_pairs), 2.0)
-    for pair in used:
-        dist = outcome_distribution(
-            state, SpinSetting.alice(plan.alice[pair // n_b]), SpinSetting.bob(plan.bob[pair % n_b])
-        )
-        cdf[:, pair] = np.cumsum(dist.probabilities)[:3]
+    # The first three cumulative outcome probabilities per setting pair,
+    # read straight from (r_A, r_B, T); outcomes of unused pairs are never read.
+    # Each mean is the vector product outcome_distribution takes: a matrix
+    # product can round it differently in the last bit.
+    r_a, r_b, t = state.bloch_a, state.bloch_b, state.correlations
+    probs = joint_probabilities([[r_a @ a] for a in plan.alice], [r_b @ b for b in plan.bob],
+                                [[a @ t @ b for b in plan.bob] for a in plan.alice])
+    if probs.min() < -ATOL_PSD:
+        raise ValueError(f"negative probability {probs.min():.3e}; state not physical")
+    cdf = np.cumsum(np.clip(probs, 0.0, None), axis=-1).reshape(n_pairs, 4)[:, :3].T
     codes = np.arange(4 * n_pairs * (1 + plan.split))
     in_key = np.isin(codes // 4, keyed)
 

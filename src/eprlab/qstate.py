@@ -13,7 +13,8 @@ Conventions
   rho = (I + r_A.sigma (x) I + I (x) r_B.sigma + sum_ij T_ij sigma_i (x) sigma_j)/4:
   Alice's Bloch vector r_A, Bob's r_B, and the correlation matrix
   T_ij = tr(rho sigma_i (x) sigma_j).  A correlator is n_a.T.n_b and a
-  joint outcome probability is (1 + a r_A.n_a + b r_B.n_b + ab n_a.T.n_b)/4.
+  joint outcome probability is (1 + a r_A.n_a + b r_B.n_b + ab n_a.T.n_b)/4,
+  written once, in joint_probabilities.
 """
 
 from __future__ import annotations
@@ -319,18 +320,30 @@ def correlator(state: TwoQubitState, setting_a: SpinSetting, setting_b: SpinSett
     return float(setting_a.direction @ state.correlations @ setting_b.direction)
 
 
+_OUTCOME_SIGNS = np.array(OutcomeDistribution.OUTCOMES, dtype=float).T  # rows a and b
+
+
+def joint_probabilities(mean_a, mean_b, mean_ab) -> Array:
+    """Joint outcome probabilities (1 + a <A> + b <B> + ab <AB>)/4 of two spin measurements.
+
+    The means broadcast against each other; the result gains a last axis
+    of length 4 in OutcomeDistribution.OUTCOMES order.  Nothing is
+    validated: a negative entry means the means are not physical.
+    """
+    a, b = _OUTCOME_SIGNS
+    mean_a, mean_b, mean_ab = np.asarray(mean_a), np.asarray(mean_b), np.asarray(mean_ab)
+    return (1.0 + a * mean_a[..., None] + b * mean_b[..., None]
+            + a * b * mean_ab[..., None]) / 4.0
+
+
 def outcome_distribution(
     state: TwoQubitState, setting_a: SpinSetting, setting_b: SpinSetting
 ) -> OutcomeDistribution:
     """Joint outcome probabilities (1 + a r_A.n_a + b r_B.n_b + ab n_a.T.n_b)/4."""
     _require_pair(setting_a, setting_b)
-    mean_a = float(state.bloch_a @ setting_a.direction)
-    mean_b = float(state.bloch_b @ setting_b.direction)
-    mean_ab = correlator(state, setting_a, setting_b)
-    probs = [
-        (1.0 + a * mean_a + b * mean_b + a * b * mean_ab) / 4.0
-        for a, b in OutcomeDistribution.OUTCOMES
-    ]
-    if min(probs) < -ATOL_PSD:
-        raise ValueError(f"negative probability {min(probs):.3e}; state not physical")
+    probs = joint_probabilities(state.bloch_a @ setting_a.direction,
+                                state.bloch_b @ setting_b.direction,
+                                correlator(state, setting_a, setting_b))
+    if probs.min() < -ATOL_PSD:
+        raise ValueError(f"negative probability {probs.min():.3e}; state not physical")
     return OutcomeDistribution(np.clip(probs, 0.0, None))

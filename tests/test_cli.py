@@ -40,8 +40,9 @@ class TestResolveState:
         assert np.allclose(inline.matrix, flagged.matrix, atol=1e-15)
 
     def test_named_state_rejects_parameter(self):
-        with pytest.raises(ValueError, match="no parameter"):
-            cli.resolve_state("psi-minus:0.3")
+        for descriptor in ("psi-minus:0.3", "mixed:0.3"):
+            with pytest.raises(ValueError, match="no parameter"):
+                cli.resolve_state(descriptor)
 
     def test_missing_file(self):
         with pytest.raises(ValueError, match="cannot read"):
@@ -320,6 +321,21 @@ class TestFormatsAndCodes:
         ],
     )
     def test_non_finite_numbers_rejected(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["witness", "--state", "psi-minus", "--w", "0.3"], "--w parameterizes only werner"),
+            (["witness", "--state", "werner:0.3", "--phi", "1"], "--phi parameterizes only phase"),
+            (["qkd", "--protocol", "e91", "--rounds", "2000", "--w", "0.3"], "--w parameterizes"),
+            (["ks", "--phi", "0.5"], "--phi and --w parameterize a state"),
+        ],
+    )
+    def test_stray_state_flag_rejected(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""

@@ -5,7 +5,9 @@ intercept-resend channel as a map on them.  The oracle here takes the
 other route: Kronecker products, projectors and traces of the 4x4 density
 matrix, with its own Pauli matrices, settings and Bell vectors.  The two
 routes must agree to 1e-12 on pure states, mixed states and product
-mixtures, along arbitrary unit directions.
+mixtures, along arbitrary unit directions.  The batched joint-probability
+table must equal its scalar calls, and the per-pair distributions, bit for
+bit.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ from eprlab.qstate import (
     TwoQubitState,
     correlator,
     density_from_pure,
+    joint_probabilities,
     outcome_distribution,
     product_mixture,
 )
@@ -210,3 +213,36 @@ def test_no_product_state_exceeds_supremum(u, v):
     for functional in SeparableFunctional:
         supremum = separable_bound(functional).supremum
         assert oracle_objective(functional, u, v) <= supremum + AGREE
+
+
+means = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_a=st.integers(1, 3), n_b=st.integers(1, 3), data=st.data())
+def test_batched_joint_probabilities_match_scalar_calls(n_a, n_b, data):
+    mean_a = np.array(data.draw(st.lists(means, min_size=n_a, max_size=n_a)))[:, None]
+    mean_b = np.array(data.draw(st.lists(means, min_size=n_b, max_size=n_b)))
+    mean_ab = np.array(data.draw(st.lists(means, min_size=n_a * n_b, max_size=n_a * n_b)))
+    table = joint_probabilities(mean_a, mean_b, mean_ab.reshape(n_a, n_b))
+    assert table.shape == (n_a, n_b, 4)
+    for i in range(n_a):
+        for j in range(n_b):
+            scalar = joint_probabilities(float(mean_a[i, 0]), float(mean_b[j]),
+                                         float(mean_ab[i * n_b + j]))
+            assert scalar.shape == (4,)
+            assert table[i, j].tobytes() == scalar.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(state=states, alice=st.lists(unit_vectors(), min_size=1, max_size=3),
+       bob=st.lists(unit_vectors(), min_size=1, max_size=3))
+def test_probability_table_matches_outcome_distributions(state, alice, bob):
+    """The (r_A, r_B, T) table run_protocol reads equals each pair's distribution."""
+    table = joint_probabilities([[state.bloch_a @ a] for a in alice],
+                                [state.bloch_b @ b for b in bob],
+                                [[a @ state.correlations @ b for b in bob] for a in alice])
+    for i, a in enumerate(alice):
+        for j, b in enumerate(bob):
+            dist = outcome_distribution(state, SpinSetting.alice(a), SpinSetting.bob(b))
+            assert np.clip(table[i, j], 0.0, None).tobytes() == dist.probabilities.tobytes()
