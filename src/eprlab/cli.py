@@ -370,7 +370,11 @@ def cmd_qkd(args: argparse.Namespace) -> dict[str, Any]:
         seed=args.seed,
         abort_sigma=args.abort_sigma,
     )
-    report = run_protocol(cfg)
+    try:
+        report = run_protocol(cfg)
+    except MemoryError:
+        raise ValueError(f"the key of a {cfg.rounds}-round run does not fit in memory; "
+                         "lower --rounds") from None
     return {
         "protocol": report.protocol.value,
         "rounds": cfg.rounds,

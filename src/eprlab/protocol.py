@@ -12,19 +12,17 @@ One engine runs both protocol flavors from a constant schedule table:
   estimates T = E(xx) + E(zz) (separable bound 1) and the error rates,
   and the remaining key rounds.
 
-A run draws every Alice setting index, then every Bob setting index,
-then one uniform per round for the joint outcome and, for the split
-flavor, the test coin.  Each round packs into one small integer,
-4 * (n_pairs * coin + setting pair) + outcome (outcomes in
-OutcomeDistribution order): a running bincount tallies the run, and key
-bits and error counts are table lookups on the packed code.
-
-The run streams that draw schedule in fixed-size chunks.  The first pass
-draws the setting indices into one byte per round; it has to finish
-before the second, because rejection sampling leaves where Bob's draws
-start unknown until Alice's end.  The second pass draws each chunk's
-uniforms, and its coins from a second generator placed exactly `rounds`
-draws ahead, so that the report does not depend on the chunk size.
+Rounds are independent and identically distributed, so a run samples
+the law of a round, not its rounds.  Each round packs into one small
+integer, 4 * (n_pairs * coin + setting pair) + outcome (outcomes in
+OutcomeDistribution order), whose law is the test/key coin times the
+uniform setting-pair weight times the joint outcome table read from
+(r_A, r_B, T).  One multinomial draw gives every tally.  The key codes
+are the key-setting codes, each repeated by its count and shuffled:
+given the counts, the order of the key rounds is uniform, so the result
+has exactly the law of drawing the rounds one by one.  Key bits and
+error counts are table lookups on the packed code, and memory scales
+with the key, not with the round count.
 
 The eavesdropper acts on Bob's wing of each pair before it reaches him.
 Intercept-resend along d, outcome forgotten, keeps Bob's spin component
@@ -38,6 +36,7 @@ seed, so every report is reproducible bit for bit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Sequence, Union
@@ -65,7 +64,6 @@ from .witnesses import BBM_BOUND, EKERT_BOUND
 
 MIN_SAMPLES_PER_PAIR = 30  # below this a correlator estimate is too noisy to trust
 MIN_ROUNDS = 100
-_CHUNK_ROUNDS = 1 << 14  # rounds drawn and tallied per step of run_protocol
 
 
 class Protocol(Enum):
@@ -133,11 +131,19 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.protocol, Protocol):
             raise ValueError(f"protocol must be a Protocol member, got {self.protocol!r}")
+        for name in ("rounds", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
         if self.rounds < MIN_ROUNDS:
             raise ValueError(f"need at least {MIN_ROUNDS} rounds, got {self.rounds}")
+        if self.rounds >= 2**63:  # the multinomial draw counts in signed 64-bit integers
+            raise ValueError(f"rounds must be below 2**63, got {self.rounds}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must lie in (0, 1), got {self.test_fraction!r}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed!r}")
         if not 0.0 < self.abort_sigma < np.inf:
             raise ValueError(f"abort_sigma must be positive and finite, got {self.abort_sigma!r}")
@@ -266,27 +272,14 @@ def estimate_statistic(
     return float(estimate), float(np.sqrt(variance))
 
 
-def _ahead(bitgen: np.random.Philox, words: int) -> np.random.Generator:
-    """A generator over bitgen's stream from `words` 64-bit draws past its position.
-
-    advance() moves the counter by whole blocks of four words and drops the
-    block buffered so far, so the words left in that buffer count toward
-    the skip and the remainder is drawn and dropped.
-    """
-    ahead = np.random.Philox(key=0)
-    ahead.state = bitgen.state
-    blocks, rest = divmod(words + ahead.state["buffer_pos"] - 4, 4)
-    ahead.advance(blocks)
-    ahead.random_raw(rest)
-    return np.random.Generator(ahead)
-
-
 def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
     """Simulate one full run and return its report.
 
-    The same config always yields the same report: the generator is
-    counter-based and keyed only by the seed, and the draws come in a
-    fixed order that the chunk size does not change.
+    One multinomial draw over the packed round codes gives every tally;
+    the key codes, repeated by their counts and shuffled, give the key
+    rounds in order.  Time and memory scale with the key length, not the
+    round count.  The same config always yields the same report, bit for
+    bit: the generator is counter-based and keyed only by the seed.
     """
     plan = _SCHEDULES[cfg.protocol]
     state = effective_state(cfg.source_state, cfg.eve)
@@ -296,45 +289,23 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
     keyed = [i * n_b + j for _, i, j in plan.keys]
     used = sorted(set(tested + keyed))
 
-    # The first three cumulative outcome probabilities per setting pair,
-    # read straight from (r_A, r_B, T); outcomes of unused pairs are never read.
-    # Each mean is the vector product outcome_distribution takes: a matrix
-    # product can round it differently in the last bit.
+    # The joint outcome table of every setting pair, read straight from
+    # (r_A, r_B, T).  Each mean is the vector product outcome_distribution
+    # takes: a matrix product can round it differently in the last bit.
     r_a, r_b, t = state.bloch_a, state.bloch_b, state.correlations
     probs = joint_probabilities([[r_a @ a] for a in plan.alice], [r_b @ b for b in plan.bob],
                                 [[a @ t @ b for b in plan.bob] for a in plan.alice])
     if probs.min() < -ATOL_PSD:
         raise ValueError(f"negative probability {probs.min():.3e}; state not physical")
-    cdf = np.cumsum(np.clip(probs, 0.0, None), axis=-1).reshape(n_pairs, 4)[:, :3].T
-    codes = np.arange(4 * n_pairs * (1 + plan.split))
+    coin = [1.0 - cfg.test_fraction, cfg.test_fraction] if plan.split else [1.0]
+    law = np.multiply.outer(coin, np.clip(probs, 0.0, None)).ravel()
+    codes = np.arange(law.size, dtype=np.uint8)
     in_key = np.isin(codes // 4, keyed)
 
-    parts = [slice(start, min(start + _CHUNK_ROUNDS, cfg.rounds))
-             for start in range(0, cfg.rounds, _CHUNK_ROUNDS)]
-    bitgen = np.random.Philox(key=int(cfg.seed))
-    rng = np.random.Generator(bitgen)
-    pair = np.empty(cfg.rounds, dtype=np.uint8)
-    for part in parts:
-        pair[part] = rng.integers(0, len(plan.alice), size=part.stop - part.start)
-    for part in parts:
-        pair[part] = pair[part] * n_b + rng.integers(0, n_b, size=part.stop - part.start)
-    coins = _ahead(bitgen, cfg.rounds) if plan.split else None
-    counts = np.zeros(codes.size, dtype=np.int64)
-    n_key = 0
-    for part in parts:
-        setting = pair[part]
-        code = setting << 2
-        u = rng.random(len(code))
-        for row in cdf:  # the outcome index counts the cumulative probabilities at or below u
-            code += row[setting] <= u
-        if plan.split:
-            code += np.uint8(4 * n_pairs) * (coins.random(len(code)) < cfg.test_fraction)
-        counts += np.bincount(code, minlength=codes.size)
-        # Key codes move down into the part of `pair` already read, in round order.
-        key_part = code[in_key[code]]
-        pair[n_key:n_key + len(key_part)] = key_part
-        n_key += len(key_part)
-    key_codes = pair[:n_key]
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    counts = rng.multinomial(cfg.rounds, law / law.sum())
+    key_codes = np.repeat(codes[in_key], counts[in_key])
+    rng.shuffle(key_codes)
     counts = counts.reshape(-1, n_pairs, 4)
     tests, key_rounds = counts[-1], counts[0]
 

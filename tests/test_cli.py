@@ -282,7 +282,19 @@ class TestQkdCommand:
         )
         assert code == 2
         assert out == ""
-        assert err == "error: setting pair a1:b1 has 18 samples, need 30; increase rounds\n"
+        assert err == "error: setting pair a1:b1 has 15 samples, need 30; increase rounds\n"
+
+    def test_out_of_memory_run_names_its_rounds(self, capsys, monkeypatch):
+        def exhausted(cfg):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_protocol", exhausted)
+        code, out, err = run_cli(
+            capsys, "qkd", "--protocol", "e91", "--rounds", "5000000000000"
+        )
+        assert code == 2
+        assert out == ""
+        assert "5000000000000-round run does not fit in memory" in err
 
     def test_custom_direction_eve(self, capsys):
         code, out, _ = run_cli(

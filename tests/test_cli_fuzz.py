@@ -100,7 +100,7 @@ def invocations(draw):
         argv = [
             "qkd",
             "--protocol", draw(st.sampled_from(["e91", "bbm92"])),
-            "--rounds", draw(st.sampled_from(["50", "100", "600", "2000", "-1", "x"])),
+            "--rounds", draw(st.sampled_from(["50", "100", "600", "2000", "-1", "x", str(10**20)])),
             "--seed", draw(st.sampled_from(["0", "7", "-1", str(2**64)])),
             "--source", state,
             "--eve", eve,

@@ -7,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from eprlab import protocol
 from eprlab.protocol import (
@@ -58,6 +59,19 @@ class TestConfigValidation:
             ProtocolConfig(protocol=Protocol.BBM92, rounds=1000, test_fraction=0.0)
         with pytest.raises(ValueError, match="test_fraction"):
             ProtocolConfig(protocol=Protocol.BBM92, rounds=1000, test_fraction=1.0)
+
+    def test_rounds_ceiling(self):
+        ProtocolConfig(protocol=Protocol.E91, rounds=2**63 - 1)
+        with pytest.raises(ValueError, match=f"rounds must be below 2\\*\\*63, got {10**20}"):
+            ProtocolConfig(protocol=Protocol.E91, rounds=10**20)
+
+    def test_rounds_and_seed_are_integers(self):
+        for name, value in (("rounds", 2000.5), ("seed", 1.5), ("rounds", "2000")):
+            with pytest.raises(TypeError, match=f"{name} must be an integer, got {value!r}"):
+                ProtocolConfig(**{"protocol": Protocol.E91, "rounds": 1000, name: value})
+        cfg = ProtocolConfig(protocol=Protocol.E91, rounds=np.int64(1000), seed=np.uint64(2**63))
+        assert (type(cfg.rounds), type(cfg.seed)) == (int, int)
+        assert (cfg.rounds, cfg.seed) == (1000, 2**63)
 
     def test_seed_range(self):
         with pytest.raises(ValueError, match="seed"):
@@ -312,19 +326,19 @@ GOLDEN_EVES = {
                          (0.4, (0.6, 0.0, 0.8), (-1.0, 0.0, 0.0))])
     ),
 }
-# Recorded before E91 and BBM92 shared one engine: a seed must keep mapping
-# to the same report, bit for bit.
+# Recorded when the law sampler replaced the round-by-round draws: a seed
+# must keep mapping to the same report, bit for bit.
 GOLDEN_DIGESTS = {
-    ("e91", "none"): "78ea625924f9f3555be3122fa8e27b3862a4172210813635b1922695be57cd64",
-    ("e91", "x"): "9324dadaff2c0132407648ec3a888386fd79b5560d4686bbbfb404330290d1c0",
-    ("e91", "xz"): "beb4bab067974b12f0c35a87f556946ac863f727dce6a73b5801b3924ff446ab",
-    ("e91", "tilted"): "fdc2a49cb68ff145101b1bd2b7c537c02f9520457ffef73b95a9b826dc00645a",
-    ("e91", "substitution"): "7a092269b803c73a51a488a797f7ca6160da98b566cd993d9fcee6ce62c74642",
-    ("bbm92", "none"): "87f4237667c90001bf297a01fd38c9fa597e0e1775b1ef9bf2c71ba0ba48ca5d",
-    ("bbm92", "x"): "8ddedd82cfe22da08d123e9a5dfa2f1d315b7d57a2e787ca13e218e150f0d249",
-    ("bbm92", "xz"): "226726b3836db399cc81e48a3d487f46d24e4c46d78f6bbb5b290b8fae0b24d2",
-    ("bbm92", "tilted"): "ecaeb651ff511727b460aac179863268a5d0538b8bbdc9dc528180bc7a7eabf1",
-    ("bbm92", "substitution"): "d45a76f7fffee8354967dc98b4f5dc5dc1363fcab0d315687813508d09d7a6f3",
+    ("e91", "none"): "60b23e3f8579a7a44dd61a33d22c45695ea707860a0bcc68f7bde2bf1ac6f823",
+    ("e91", "x"): "5d2a38ca55885c36e12ab0971c76f1d073e8a59a862fabe32002c890f8dba081",
+    ("e91", "xz"): "c306de8b0f3bf56fb427735ca8b7bf4337f966eeba2f6b6ddc009d2fab2bb5c8",
+    ("e91", "tilted"): "e306b5369715a4bc56334ab7effa2eec92b1709a65325fdf6ba3893dffde93e3",
+    ("e91", "substitution"): "078ddc1a4d5f82a02e1a4f051e7569d97362ec3f470e718ff8e8ac6729afb5fa",
+    ("bbm92", "none"): "f3949bff291cd2e82327da7402de8340eca533c2870e94e17bb609b7fc776577",
+    ("bbm92", "x"): "7b95db5e89a430a74da340863c2fed9355f54435b607daea20ec61b4695404c1",
+    ("bbm92", "xz"): "2dc87215a5f1419e8a3c9fc33f0b248a236677bbf4f6a1e2a5bf7eb5f9911219",
+    ("bbm92", "tilted"): "75ba5b6fa3a63b797af4529532a8f12a0fa1d154a33da931c856a2b81cecda9f",
+    ("bbm92", "substitution"): "18c4372f91aba9590f50f0b0b533fe948d1a0cd7cf133d6bdfa7ff5e46b024ce",
 }
 
 
@@ -335,7 +349,7 @@ def test_seeded_report_digest_is_pinned(protocol, eve):
 
 
 def whole_array_reference(cfg: ProtocolConfig):
-    """The draw schedule drawn as whole arrays: (test tallies, keys, rounds_used)."""
+    """Round-by-round draws as whole arrays: (test tallies, keys, rounds_used)."""
     plan = protocol._SCHEDULES[cfg.protocol]
     state = effective_state(cfg.source_state, cfg.eve)
     n_b = len(plan.bob)
@@ -366,6 +380,86 @@ def whole_array_reference(cfg: ProtocolConfig):
     return tallies, ["".join(str(int(bit)) for bit in row[key]) for row in bits], rounds_used
 
 
+def recording_tallies(seen):
+    """estimate_statistic that first appends the tallies it is given to seen."""
+    def recording(tallies, flavour):
+        seen.append({label: np.asarray(counts) for label, counts in tallies.items()})
+        return estimate_statistic(tallies, flavour)
+    return recording
+
+
+def category_law(cfg: ProtocolConfig) -> np.ndarray:
+    """Exact probability of each category: test tallies, key bit pairs (ab), discarded."""
+    plan = protocol._SCHEDULES[cfg.protocol]
+    state = effective_state(cfg.source_state, cfg.eve)
+    weight = 1.0 / (len(plan.alice) * len(plan.bob))
+    test_share, key_share = (cfg.test_fraction, 1.0 - cfg.test_fraction) if plan.split else (1, 1)
+    law = []
+    for _, i, j, _ in plan.tests:
+        a, b = SpinSetting.alice(plan.alice[i]), SpinSetting.bob(plan.bob[j])
+        law += list(weight * test_share * outcome_distribution(state, a, b).probabilities)
+    key = np.zeros(4)
+    for _, i, j in plan.keys:
+        a, b = SpinSetting.alice(plan.alice[i]), SpinSetting.bob(plan.bob[j])
+        flip = correlator(cfg.source_state, a, b) < 0.0
+        for outcome, p in enumerate(outcome_distribution(state, a, b).probabilities):
+            key[2 * (outcome >= 2) + ((outcome % 2 == 1) ^ flip)] += weight * key_share * p
+    law += list(key)
+    return np.array(law + [1.0 - sum(law)])
+
+
+def key_bit_pairs(keys) -> np.ndarray:
+    """Each key position as 2a + b for Alice's bit a and Bob's bit b."""
+    bits_a, bits_b = (np.frombuffer(key.encode(), dtype=np.uint8) - ord("0") for key in keys)
+    return 2 * bits_a + bits_b
+
+
+DISTRIBUTION_SEEDS = range(20)
+DISTRIBUTION_ROUNDS = 5_000
+SIGNIFICANCE = 1e-6  # fixed before the first run; the panel is seeded, so each verdict is fixed
+
+
+@pytest.mark.parametrize("eve", ["none", "xz", "substitution"])
+@pytest.mark.parametrize("protocol_name", [p.value for p in Protocol])
+def test_law_sampler_and_round_reference_draw_the_exact_law(protocol_name, eve):
+    """Pooled over a seed panel, both engines' categories fit their exact expected counts.
+
+    The categories partition the rounds: test tallies, key bit pairs and
+    the discarded count.  A second test per engine checks the key's order:
+    the bit pairs of each key's first and second halves must be alike.
+    """
+    cfg = ProtocolConfig(protocol=Protocol(protocol_name), rounds=DISTRIBUTION_ROUNDS,
+                         eve=GOLDEN_EVES[eve])
+    law = category_law(cfg)
+    pooled = {"sampler": np.zeros(law.size), "reference": np.zeros(law.size)}
+    halves = {"sampler": np.zeros((2, 4)), "reference": np.zeros((2, 4))}
+    for seed in DISTRIBUTION_SEEDS:
+        run = dataclasses.replace(cfg, seed=seed)
+        seen = []
+        with mock.patch.object(protocol, "estimate_statistic", recording_tallies(seen)):
+            report = run_protocol(run)
+        tallies, keys, rounds_used = whole_array_reference(run)
+        for engine, tally, key, used in (
+            ("sampler", seen[0], (report.sifted_key_a, report.sifted_key_b), report.rounds_used),
+            ("reference", tallies, keys, rounds_used),
+        ):
+            pairs = key_bit_pairs(key)
+            pooled[engine] += np.concatenate(
+                [*tally.values(), np.bincount(pairs, minlength=4), [used["discarded"]]])
+            for half, part in enumerate(np.array_split(pairs, 2)):
+                halves[engine][half] += np.bincount(part, minlength=4)
+    expected = law * DISTRIBUTION_ROUNDS * len(DISTRIBUTION_SEEDS)
+    possible = law > 1e-12
+    for engine, observed in pooled.items():
+        assert observed.sum() == DISTRIBUTION_ROUNDS * len(DISTRIBUTION_SEEDS)
+        assert not observed[~possible].any(), engine
+        fit = stats.chisquare(observed[possible], expected[possible])
+        assert fit.pvalue >= SIGNIFICANCE, (engine, fit)
+        table = halves[engine][:, halves[engine].sum(axis=0) > 0]
+        order = stats.chi2_contingency(table, correction=False)
+        assert order.pvalue >= SIGNIFICANCE, (engine, order)
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     protocol_name=st.sampled_from([p.value for p in Protocol]),
@@ -373,36 +467,42 @@ def whole_array_reference(cfg: ProtocolConfig):
     seed=st.integers(0, 2**64 - 1),
     eve=st.sampled_from(["none", "xz"]),
     test_fraction=st.floats(0.05, 0.95),
-    data=st.data(),
 )
-def test_streamed_run_matches_whole_array_reference(protocol_name, rounds, seed, eve, test_fraction,
-                                                    data):
-    """Any chunk size gives the tallies, keys, rounds_used and statistic of whole-array draws."""
-    chunk = data.draw(st.one_of(st.integers(5, 64), st.integers(5, rounds + 1)), label="chunk")
+def test_run_raises_exactly_when_starved_and_keeps_its_books(protocol_name, rounds, seed, eve,
+                                                              test_fraction):
+    """A run names the starvation it hit, or returns a report whose counts add up."""
     cfg = ProtocolConfig(protocol=Protocol(protocol_name), rounds=rounds, eve=GOLDEN_EVES[eve],
                          test_fraction=test_fraction, seed=seed)
-    tallies, keys, rounds_used = whole_array_reference(cfg)
+    split = protocol._SCHEDULES[cfg.protocol].split
     seen = []
-
-    def recording(tallies, flavour):
-        seen.append({label: list(counts) for label, counts in tallies.items()})
-        return estimate_statistic(tallies, flavour)
-
-    with mock.patch.object(protocol, "_CHUNK_ROUNDS", chunk), \
-            mock.patch.object(protocol, "estimate_statistic", recording):
+    with mock.patch.object(protocol, "estimate_statistic", recording_tallies(seen)):
         try:
             report = run_protocol(cfg)
-        except ValueError:
-            report = None
-    fewest = min(t.sum() for t in tallies.values())
-    starved = rounds_used["key"] == 0 or fewest < MIN_SAMPLES_PER_PAIR
-    assert (report is None) == starved
-    if rounds_used["key"]:
-        assert seen == [{label: list(counts) for label, counts in tallies.items()}]
-    if report is not None:
-        assert [report.sifted_key_a, report.sifted_key_b] == keys
-        assert list(report.rounds_used.items()) == list(rounds_used.items())
-        assert (report.statistic, report.stderr) == estimate_statistic(tallies, cfg.protocol)
+        except ValueError as exc:
+            if not seen:  # the key count is checked before any tally is read
+                assert str(exc) == ("no rounds landed on the key settings; increase rounds"
+                                    + (" or lower the test fraction" if split else ""))
+                return
+            label, total = next((label, int(counts.sum())) for label, counts in seen[0].items()
+                                if counts.sum() < MIN_SAMPLES_PER_PAIR)
+            assert str(exc) == (f"setting pair {label} has {total} samples, "
+                                f"need {MIN_SAMPLES_PER_PAIR}; increase rounds"
+                                + (" or raise the test fraction" if split else ""))
+            return
+    totals = {label: int(counts.sum()) for label, counts in seen[0].items()}
+    used = report.rounds_used
+    assert min(totals.values()) >= MIN_SAMPLES_PER_PAIR
+    assert used["key"] > 0
+    assert len(report.sifted_key_a) == used["key"]
+    if split:
+        assert used["x:x"] + used["z:z"] + used["discarded"] == cfg.rounds
+        assert used["test"] + used["key"] == used["x:x"] + used["z:z"]
+        assert used["test"] == sum(totals.values())
+    else:
+        assert sum(used.values()) == cfg.rounds
+        assert all(used[label] == total for label, total in totals.items())
+        mismatches = sum(a != b for a, b in zip(report.sifted_key_a, report.sifted_key_b))
+        assert report.qber == mismatches / used["key"]
 
 
 class TestReportInvariants:
