@@ -94,28 +94,30 @@ def _load_json_file(path: str) -> Any:
         raise ValueError(f"state file {path} is not valid JSON: {exc}") from exc
 
 
+_ENSEMBLE_SHAPES = {"weight": (), "blochA": (3,), "blochB": (3,)}
+
+
 def _ensemble_from_json(data: Any, path: str) -> ProductEnsemble:
     terms = []
     for k, entry in enumerate(data):
-        if not isinstance(entry, dict) or set(entry) != {"weight", "blochA", "blochB"}:
+        if not isinstance(entry, dict) or entry.keys() != _ENSEMBLE_SHAPES.keys():
             raise ValueError(
                 f"ensemble entry {k} in {path} must have exactly the keys "
                 "weight, blochA, blochB"
             )
-        terms.append(
-            (
-                _numbers(entry["weight"], (), f"ensemble entry {k} weight in {path}"),
-                _numbers(entry["blochA"], (3,), f"ensemble entry {k} blochA in {path}"),
-                _numbers(entry["blochB"], (3,), f"ensemble entry {k} blochB in {path}"),
-            )
-        )
+        terms.append(tuple(_numbers(entry[key], shape, f"ensemble entry {k} {key} in {path}")
+                           for key, shape in _ENSEMBLE_SHAPES.items()))
     return ProductEnsemble(terms)
 
 
 def _numbers(data: Any, shape: tuple[int, ...], what: str) -> np.ndarray:
     """JSON numbers of the given shape as a finite float array; anything else is invalid."""
     try:
-        values = np.asarray(data, dtype=float)
+        cells = np.asarray(data, dtype=object)
+        for v in cells.flat:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise TypeError(f"{json.dumps(v)} is not a number")
+        values = cells.astype(float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{what} must hold only numbers: {exc}") from exc
     if values.shape != shape:
@@ -136,22 +138,22 @@ def _matrix_from_json(data: Any, path: str, tolerance: float) -> TwoQubitState:
         )
     matrix = 0.5 * (matrix + matrix.conj().T)
     trace = float(matrix.trace().real)
+    if not trace > 0.0:
+        raise ValueError(f"state file {path} has trace {trace!r}; a state's trace must be positive")
     if not abs(trace - 1.0) <= tolerance:
         raise ValueError(
             f"state file {path} violates unit trace (trace {trace!r}, "
             f"tolerance {tolerance:.3e})"
         )
     matrix = matrix / trace
-    eigmin = float(np.linalg.eigvalsh(matrix).min())
-    if not eigmin >= -tolerance:
+    eigvals, eigvecs = np.linalg.eigh(matrix)
+    if not eigvals[0] >= -tolerance:
         raise ValueError(
-            f"state file {path} violates positivity (eigenvalue {eigmin:.3e})"
+            f"state file {path} violates positivity (eigenvalue {eigvals[0]:.3e})"
         )
-    if eigmin < 0.0:
+    if eigvals[0] < 0.0:
         # Shift tiny negative eigenvalues inside tolerance back to the cone.
-        eigvals, eigvecs = np.linalg.eigh(matrix)
-        eigvals = np.clip(eigvals, 0.0, None)
-        matrix = (eigvecs * eigvals) @ eigvecs.conj().T
+        matrix = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.conj().T
         matrix = matrix / matrix.trace().real
     return TwoQubitState(matrix)
 
@@ -174,7 +176,7 @@ def resolve_state(
         if argument:
             raise ValueError(f"named state {base} takes no parameter")
         if base == "mixed":
-            return TwoQubitState(np.eye(4, dtype=complex) / 4.0), base
+            return werner_state(0.0), base  # I/4 is the Werner state at w = 0
         return density_from_pure(bell_state(BellLabel(base))), base
     if base == "werner":
         if argument and w is not None:
@@ -291,17 +293,8 @@ def cmd_ks(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_fine(args: argparse.Namespace) -> dict[str, Any]:
-    marginals = args.marginals if args.marginals is not None else [0.0, 0.0, 0.0, 0.0]
-    quad = CorrelatorQuad(
-        c11=args.c11,
-        c13=args.c13,
-        c31=args.c31,
-        c33=args.c33,
-        m_a1=marginals[0],
-        m_a3=marginals[1],
-        m_b1=marginals[2],
-        m_b3=marginals[3],
-    )
+    # --marginals A1 A3 B1 B3 fill m_a1, m_a3, m_b1, m_b3 in order; absent, they default to 0.
+    quad = CorrelatorQuad(args.c11, args.c13, args.c31, args.c33, *(args.marginals or ()))
     panel = chsh_panel(quad)
     model = fine_local_model(quad)
     return {

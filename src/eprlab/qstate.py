@@ -15,6 +15,9 @@ Conventions
   T_ij = tr(rho sigma_i (x) sigma_j).  A correlator is n_a.T.n_b and a
   joint outcome probability is (1 + a r_A.n_a + b r_B.n_b + ab n_a.T.n_b)/4,
   written once, in joint_probabilities.
+- Every state the package builds itself (product mixtures, Werner states,
+  channel images) is assembled once, from (r_A, r_B, T), in
+  state_from_bloch, and then passes every TwoQubitState check.
 """
 
 from __future__ import annotations
@@ -105,8 +108,8 @@ class TwoQubitState:
             raise ValueError(f"density matrix must be 4x4, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError("density matrix has non-finite entries")
-        if not np.allclose(m, m.conj().T, atol=ATOL_CONSTRUCT, rtol=0.0):
-            dev = np.abs(m - m.conj().T).max()
+        dev = np.abs(m - m.conj().T).max()
+        if dev > ATOL_CONSTRUCT:
             raise ValueError(f"density matrix not Hermitian (max deviation {dev:.3e})")
         tr = m.trace()
         if abs(tr - 1.0) > ATOL_CONSTRUCT:
@@ -273,28 +276,26 @@ def bloch_qubit(bloch: Sequence[float]) -> Array:
 def state_from_bloch(bloch_a: Sequence[float], bloch_b: Sequence[float],
                      correlations: Sequence[Sequence[float]]) -> TwoQubitState:
     """State (I + r_A.sigma (x) I + I (x) r_B.sigma + sum_ij T_ij sigma_i (x) sigma_j)/4."""
-    table = np.block([[np.ones((1, 1)), np.reshape(bloch_b, (1, 3))],
-                      [np.reshape(bloch_a, (3, 1)), correlations]])
+    table = np.ones((4, 4))  # Pauli coefficients [[1, r_B], [r_A, T]]
+    table[0, 1:], table[1:, 0], table[1:, 1:] = bloch_b, bloch_a, correlations
     return TwoQubitState((table.ravel() @ _PAULI_PRODUCTS).reshape(4, 4).T / 4.0)
 
 
 def product_mixture(ensemble: ProductEnsemble) -> TwoQubitState:
-    """Density matrix of a convex mixture of product states."""
+    """Mixture of product states: r_A = sum_k w_k r_A,k, r_B likewise, T = sum_k w_k r_A,k r_B,k^T."""
     if not isinstance(ensemble, ProductEnsemble):
         ensemble = ProductEnsemble(ensemble)
-    rho = np.zeros((4, 4), dtype=complex)
-    for weight, bloch_a, bloch_b in ensemble:
-        rho += weight * np.kron(bloch_qubit(bloch_a), bloch_qubit(bloch_b))
-    return TwoQubitState(rho)
+    weights, blochs_a, blochs_b = (np.array(column) for column in zip(*ensemble))
+    return state_from_bloch(weights @ blochs_a, weights @ blochs_b,
+                            np.einsum("k,ki,kj->ij", weights, blochs_a, blochs_b))
 
 
 def werner_state(w: float) -> TwoQubitState:
-    """Mixture w |Psi-><Psi-| + (1 - w) I/4 for 0 <= w <= 1."""
+    """Mixture w |Psi-><Psi-| + (1 - w) I/4 for 0 <= w <= 1: r_A = r_B = 0, T = -w I."""
     w = float(w)
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"Werner parameter must lie in [0, 1], got {w!r}")
-    singlet = density_from_pure(bell_state(BellLabel.PSI_MINUS)).matrix
-    return TwoQubitState(w * singlet + (1.0 - w) * np.eye(4, dtype=complex) / 4.0)
+    return state_from_bloch(0.0, 0.0, -w * np.eye(3))
 
 
 def spin_observable(setting: SpinSetting) -> Array:

@@ -5,12 +5,15 @@ the conftest terminal-summary hook prints all ten lines after the run,
 outside pytest's capture, so a plain `pytest -v` shows them.
 """
 
+import os
 import subprocess
 import sys
 
 import numpy as np
 
 from conftest import record_verdict
+
+import eprlab
 
 from eprlab.hidden_variables import (
     CorrelatorQuad,
@@ -353,6 +356,9 @@ def test_criterion_10_cli_determinism():
         ["qkd", "--protocol", "bbm92", "--rounds", "2000", "--seed", "77",
          "--eve", "intercept-xz"],
     ]
+    # The child runs the eprlab package this suite imported, installed or not.
+    package_root = os.path.dirname(os.path.dirname(eprlab.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     mismatches = []
     for argv in invocations:
         outputs = []
@@ -361,6 +367,7 @@ def test_criterion_10_cli_determinism():
                 [sys.executable, "-m", "eprlab", *argv],
                 capture_output=True,
                 check=True,
+                env=dict(os.environ, PYTHONPATH=path),
             )
             outputs.append(proc.stdout)
         if outputs[0] != outputs[1]:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -365,6 +366,33 @@ class TestFormatsAndCodes:
             assert code == 2
             assert out == ""
             assert message in err
+
+    @pytest.mark.parametrize(
+        "payload, tolerance, message",
+        [
+            ([[[-0.25 * (i == j), 0.0] for j in range(4)] for i in range(4)], "3",
+             "trace -1.0; a state's trace must be positive"),
+            ([[[0.0, 0.0]] * 4] * 4, "2", "trace 0.0; a state's trace must be positive"),
+            ([{"weight": True, "blochA": [0, 0, 1], "blochB": [0, 0, -1]}], "1e-10",
+             "weight in FILE must hold only numbers: true is not a number"),
+            ([[[float(i == j), False] for j in range(4)] for i in range(4)], "1e-10",
+             "must hold only numbers: false is not a number"),
+        ],
+        ids=["negative-trace", "zero-matrix", "boolean-weight", "boolean-entry"],
+    )
+    def test_invalid_state_file_rejected(self, capsys, tmp_path, payload, tolerance, message):
+        """Exit 2 with a message naming the file, and no NumPy warning on the way."""
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(payload))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "witness", "--state", str(path), "--tolerance", tolerance
+            )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message.replace("FILE", str(path)) in err
+        assert str(path) in err and "Warning" not in err
 
     def test_internal_failure_exit_code(self, capsys, monkeypatch):
         def explode(args):

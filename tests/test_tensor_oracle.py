@@ -5,9 +5,11 @@ intercept-resend channel as a map on them.  The oracle here takes the
 other route: Kronecker products, projectors and traces of the 4x4 density
 matrix, with its own Pauli matrices, settings and Bell vectors.  The two
 routes must agree to 1e-12 on pure states, mixed states and product
-mixtures, along arbitrary unit directions.  The batched joint-probability
-table must equal its scalar calls, and the per-pair distributions, bit for
-bit.
+mixtures, along arbitrary unit directions.  The states eprlab assembles
+from (r_A, r_B, T) must equal their Kronecker-product or mixed-matrix
+construction to 1e-12 and pass the public TwoQubitState checks.  The
+batched joint-probability table must equal its scalar calls, and the
+per-pair distributions, bit for bit.
 """
 
 import numpy as np
@@ -26,6 +28,8 @@ from eprlab.qstate import (
     joint_probabilities,
     outcome_distribution,
     product_mixture,
+    state_from_bloch,
+    werner_state,
 )
 from eprlab.witnesses import (
     KSCase,
@@ -157,17 +161,26 @@ def mixed_states(draw) -> TwoQubitState:
 
 
 @st.composite
-def product_mixtures(draw) -> TwoQubitState:
+def ensemble_terms(draw) -> list:
+    """1-4 (weight, r_A, r_B) terms; ball_vectors gives interior and unit vectors alike."""
     n_terms = draw(st.integers(min_value=1, max_value=4))
     weights = np.array(
         draw(st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=n_terms, max_size=n_terms))
     )
     weights /= weights.sum()
-    terms = [(w, draw(ball_vectors()), draw(ball_vectors())) for w in weights]
-    return product_mixture(ProductEnsemble(terms))
+    return [(w, draw(ball_vectors()), draw(ball_vectors())) for w in weights]
 
 
-states = st.one_of(pure_states(), mixed_states(), product_mixtures())
+product_mixtures = ensemble_terms().map(lambda terms: product_mixture(ProductEnsemble(terms)))
+states = st.one_of(pure_states(), mixed_states(), product_mixtures)
+intercept_bases = st.one_of(st.sampled_from(["x", "z", "xz"]), unit_vectors())
+
+
+def intercept_axes(basis) -> np.ndarray:
+    """Eve's measurement axes for a named basis or one direction."""
+    if isinstance(basis, str):
+        return {"x": AXES[:1], "z": AXES[2:], "xz": AXES[::2]}[basis]
+    return np.array([basis])
 
 
 @settings(max_examples=150, deadline=None)
@@ -190,14 +203,33 @@ def test_tensor_route_matches_born_rule(state, na, nb):
 
 
 @settings(max_examples=150, deadline=None)
-@given(state=states, basis=st.one_of(st.sampled_from(["x", "z", "xz"]), unit_vectors()))
+@given(state=states, basis=intercept_bases)
 def test_intercept_resend_matches_projector_sandwich(state, basis):
-    if isinstance(basis, str):
-        axes = {"x": AXES[:1], "z": AXES[2:], "xz": AXES[::2]}[basis]
-    else:
-        axes, basis = [basis], tuple(basis)
-    got = effective_state(state, InterceptResend(basis=basis)).matrix
+    axes = intercept_axes(basis)
+    eve = InterceptResend(basis=basis if isinstance(basis, str) else tuple(basis))
+    got = effective_state(state, eve).matrix
     assert np.abs(got - oracle_intercept(state.matrix, axes)).max() <= AGREE
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms=ensemble_terms(), w=st.floats(min_value=0.0, max_value=1.0), state=states,
+       basis=intercept_bases)
+def test_states_built_from_bloch_match_matrix_oracle(terms, w, state, basis):
+    """Product mixtures, Werner states and intercept-resend images, each against its
+    Kronecker-product or mixed-matrix construction, and each accepted by the public check."""
+    singlet = np.outer(BELL_VECTORS["psi_minus"], BELL_VECTORS["psi_minus"])
+    axes = intercept_axes(basis)
+    keep = sum(np.outer(d, d) for d in axes) / len(axes)
+    built = [
+        (product_mixture(ProductEnsemble(terms)),
+         sum(wk * np.kron((EYE + spin(a)) / 2, (EYE + spin(b)) / 2) for wk, a, b in terms)),
+        (werner_state(w), w * singlet + (1.0 - w) * np.eye(4) / 4.0),
+        (state_from_bloch(state.bloch_a, keep @ state.bloch_b, state.correlations @ keep),
+         oracle_intercept(state.matrix, axes)),
+    ]
+    for got, oracle in built:
+        assert np.abs(got.matrix - oracle).max() <= AGREE
+        assert np.array_equal(TwoQubitState(got.matrix).matrix, got.matrix)
 
 
 @pytest.mark.parametrize("functional", list(SeparableFunctional))
