@@ -75,6 +75,11 @@ STRATEGIES = tuple(itertools.product((1, -1), repeat=4))
 _FEATURES = np.array([(a1 * b1, a1 * b3, a3 * b1, a3 * b3, a1, a3, b1, b3)
                       for a1, a3, b1, b3 in STRATEGIES], dtype=float)
 _FEATURES.flags.writeable = False
+# Fine's LP in w_s = v_s + t: rows are normalization then the eight features;
+# the last column is t's coefficient, each row's sum.
+_FINE_A_EQ = np.vstack([np.ones(16), _FEATURES.T])
+_FINE_A_EQ = np.column_stack([_FINE_A_EQ, _FINE_A_EQ.sum(axis=1)])
+_FINE_A_EQ.flags.writeable = False
 
 
 def _products(singles: Mapping[str, int]) -> dict[str, int]:
@@ -257,13 +262,10 @@ def fine_local_model(quad: CorrelatorQuad) -> Optional[LocalModel]:
     objective), which pins a canonical, deterministic representative;
     the all-zero quad yields exactly the uniform mixture.
     """
-    rows = np.vstack([np.ones(16), _FEATURES.T])
-    # The last column is the coefficient of t in w_s = v_s + t: each row's sum.
-    a_eq = np.column_stack([rows, rows.sum(axis=1)])
     rhs = np.array([1.0, *quad.correlators(), *quad.marginals()])
     cost = np.zeros(17)
     cost[16] = -1.0  # maximize the minimum weight t
-    result = solve_lp(cost, a_eq, rhs)
+    result = solve_lp(cost, _FINE_A_EQ, rhs)
     if result.status == INFEASIBLE:
         return None
     if result.status != OPTIMAL:

@@ -2,12 +2,18 @@
 
 Solves min c . x subject to A x = b, x >= 0 with Bland's entering and
 leaving rules, which guarantee termination without cycling and make the
-returned vertex deterministic.  Sized for problems with tens of variables;
-basis systems are re-solved each iteration rather than updated.
+returned vertex deterministic.  Sized for problems with tens of variables.
+Each phase solves its starting basis once into a dense tableau
+B^-1 [A | b] with a reduced-cost row beneath it, then moves between
+vertices by rank-one pivots on that tableau.  The phase-one feasibility
+test, the drive-out of leftover artificials and the returned point are
+read from fresh solves on the final basis, so the answer depends on the
+tableau only through the sequence of pivots it chose.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,12 +32,16 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True)
 class LPResult:
-    """Solver outcome: status plus the optimal point when one exists."""
+    """Solver outcome: status plus the optimal point when one exists.
+
+    iterations counts both phases; phase_one_iterations is phase one's share.
+    """
 
     status: str
     x: Optional[Array]
     objective: Optional[float]
     iterations: int
+    phase_one_iterations: int
 
 
 def _bland_iterate(
@@ -48,33 +58,30 @@ def _bland_iterate(
     phase two).  Returns (status, iterations).
     """
     m, n = tableau_a.shape
-    in_basis = np.zeros(n, dtype=bool)
-    in_basis[basis] = True
+    can_enter = allowed.copy()
+    can_enter[basis] = False
+    # Rows 0..m-1 hold B^-1 [A | b]; row m holds the reduced costs c - c_B B^-1 A.
+    tab = np.linalg.solve(tableau_a[:, basis], np.column_stack([tableau_a, b]))
+    tab = np.vstack([tab, np.append(c, 0.0) - c[basis] @ tab])
+    reduced = tab[m, :n]
     for iteration in range(1, max_iterations + 1):
-        basis_matrix = tableau_a[:, basis]
-        x_basic = np.linalg.solve(basis_matrix, b)
-        dual = np.linalg.solve(basis_matrix.T, c[basis])
-        reduced = c - dual @ tableau_a
-        entering = -1
-        for j in range(n):
-            if allowed[j] and not in_basis[j] and reduced[j] < -PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
+        eligible = can_enter & (reduced < -PIVOT_TOL)
+        entering = int(eligible.argmax())  # Bland: the first eligible column
+        if not eligible[entering]:
             return OPTIMAL, iteration
-        direction = np.linalg.solve(basis_matrix, tableau_a[:, entering])
-        ratios = [
-            (x_basic[i] / direction[i], basis[i], i)
-            for i in range(m)
-            if direction[i] > PIVOT_TOL
-        ]
+        direction = tab[:m, entering].tolist()
+        ratios = [(x / d, i) for i, (x, d) in enumerate(zip(tab[:m, n].tolist(), direction))
+                  if d > PIVOT_TOL]
         if not ratios:
             return UNBOUNDED, iteration
-        min_ratio = min(r for r, _, _ in ratios)
+        min_ratio = min(ratios)[0]
         # Bland's leaving rule: among minimal ratios, lowest variable index.
-        _, row = min((var, i) for r, var, i in ratios if r <= min_ratio + 1e-12)
-        in_basis[basis[row]] = False
-        in_basis[entering] = True
+        row = min((i for r, i in ratios if r <= min_ratio + 1e-12), key=basis.__getitem__)
+        pivot_row = tab[row] / direction[row]
+        tab -= tab[:, entering, None] * pivot_row
+        tab[row] = pivot_row
+        can_enter[basis[row]] = allowed[basis[row]]
+        can_enter[entering] = False
         basis[row] = entering
     raise RuntimeError(f"simplex failed to converge within {max_iterations} iterations")
 
@@ -89,7 +96,9 @@ def solve_lp(
 
     Phase one minimizes the sum of artificial variables from the identity
     basis; phase two re-optimizes the original objective with artificials
-    barred from entering.  Assumes a_eq has full row rank.
+    barred from entering.  Assumes a_eq has full row rank.  Raises
+    ValueError on non-finite data or max_iterations below 1, and TypeError
+    when max_iterations is not an integer.
     """
     a = np.asarray(a_eq, dtype=float)
     b = np.asarray(b_eq, dtype=float).copy()
@@ -99,6 +108,15 @@ def solve_lp(
     m, n = a.shape
     if b.shape != (m,) or cost.shape != (n,):
         raise ValueError("objective or right-hand side shape mismatch")
+    for name, values in (("c", cost), ("a_eq", a), ("b_eq", b)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} holds a non-finite value")
+    try:
+        max_iterations = operator.index(max_iterations)
+    except TypeError:
+        raise TypeError(f"max_iterations must be an integer, got {max_iterations!r}") from None
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
 
     # Orient rows so the identity basis of artificials is feasible.
     a = a.copy()
@@ -115,7 +133,8 @@ def solve_lp(
         raise RuntimeError("phase one cannot be unbounded; inputs corrupted")
     x_basic = np.linalg.solve(full_a[:, basis], b)
     if float(phase1_cost[basis] @ x_basic) > FEAS_TOL:
-        return LPResult(status=INFEASIBLE, x=None, objective=None, iterations=iters1)
+        return LPResult(status=INFEASIBLE, x=None, objective=None, iterations=iters1,
+                        phase_one_iterations=iters1)
 
     # Pivot any artificial still in the basis out onto an original column.
     for row in range(m):
@@ -137,7 +156,8 @@ def solve_lp(
     status, iters2 = _bland_iterate(full_a, b, phase2_cost, basis, allowed, max_iterations)
     iterations = iters1 + iters2
     if status == UNBOUNDED:
-        return LPResult(status=UNBOUNDED, x=None, objective=None, iterations=iterations)
+        return LPResult(status=UNBOUNDED, x=None, objective=None, iterations=iterations,
+                        phase_one_iterations=iters1)
     x = np.zeros(n + m)
     x[basis] = np.linalg.solve(full_a[:, basis], b)
     solution = np.clip(x[:n], 0.0, None)
@@ -146,4 +166,5 @@ def solve_lp(
         x=solution,
         objective=float(cost @ solution),
         iterations=iterations,
+        phase_one_iterations=iters1,
     )

@@ -1,6 +1,7 @@
 """Tests for the command-line interface and its report schemas."""
 
 import csv
+import hashlib
 import io
 import json
 import warnings
@@ -202,6 +203,41 @@ class TestFineCommand:
         code, _, err = run_cli(capsys, "fine", "1.5", "0", "0", "0")
         assert code == 2
         assert "outside" in err
+
+
+    def test_golden_panel_digest_is_pinned(self, capsys):
+        """Every `fine` report over a fixed panel, weights included, stays byte-identical."""
+        outputs = [run_cli(capsys, "fine", *argv)[:2] for argv in FINE_PANEL]
+        assert {json.loads(out)["feasible"] for _, out in outputs} == {True, False}
+        text = "".join(f"{code}\n{out}" for code, out in outputs)
+        assert hashlib.sha256(text.encode()).hexdigest() == FINE_PANEL_DIGEST
+
+
+def _fine_grid_panel(count, seed):
+    """`fine` argv on the 1/16 grid: correlators in [-1, 1], half with marginals in [-1/2, 1/2]."""
+    rng = np.random.default_rng(seed)
+    panel = []
+    for k in range(count):
+        argv = [f"{v / 16:g}" for v in rng.integers(-16, 17, 4)]
+        if k % 2:
+            argv += ["--marginals", *(f"{v / 16:g}" for v in rng.integers(-8, 9, 4))]
+        panel.append(argv)
+    return panel
+
+
+FINE_PANEL = [
+    ["0", "0", "0", "0"],
+    ["1", "1", "1", "-1"],
+    ["0.5", "0.5", "0.5", "-0.5"],
+    ["0.5", "-0.5", "0.5", "0.5"],
+    ["-0.7071067811865476", "-0.7071067811865476", "-0.7071067811865476", "0.7071067811865476"],
+    ["1", "1", "1", "1", "--marginals", "1", "1", "1", "1"],
+    ["1", "0", "0", "0", "--marginals", "0.5", "0", "-0.5", "0"],
+    ["0.3", "0.1", "-0.2", "0.45", "--marginals", "0.1", "-0.2", "0.3", "0"],
+] + _fine_grid_panel(32, seed=8)
+# Recorded before the simplex kept its tableau between pivots: the LP's
+# vertex, and so every printed weight, must not move.
+FINE_PANEL_DIGEST = "a437106ddeeaaf9ee0d76ba3cc9063847a175fe59606e642539267fa62328dc2"
 
 
 class TestBoundCommand:

@@ -6,7 +6,10 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
+import reference_simplex
+from eprlab import hidden_variables
 from eprlab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from test_hidden_variables import sixteenths
 
 
 class TestBasicSolves:
@@ -60,6 +63,36 @@ class TestStatuses:
             solve_lp([1.0], [1.0, 2.0], [1.0])
         with pytest.raises(ValueError, match="mismatch"):
             solve_lp([1.0, 2.0, 3.0], [[1.0, 1.0]], [1.0])
+
+    @pytest.mark.parametrize("name, c, a, b", [
+        ("c", [np.nan, 0.0], [[1.0, 1.0]], [1.0]),
+        ("c", [-np.inf, 0.0], [[1.0, 1.0]], [1.0]),
+        ("a_eq", [0.0, 0.0], [[np.nan, 1.0]], [1.0]),
+        ("a_eq", [0.0, 0.0], [[1.0, np.inf]], [1.0]),
+        ("b_eq", [0.0, 0.0], [[1.0, 1.0]], [np.inf]),
+        ("b_eq", [0.0, 0.0], [[1.0, 1.0]], [np.nan]),
+    ])
+    def test_non_finite_input_rejected(self, name, c, a, b):
+        with pytest.raises(ValueError, match=f"^{name} holds a non-finite value"):
+            solve_lp(c, a, b)
+
+    @pytest.mark.parametrize("max_iterations, error, message", [
+        (0, ValueError, "at least 1, got 0"),
+        (-1, ValueError, "at least 1, got -1"),
+        (2.0, TypeError, "must be an integer, got 2.0"),
+        ("10", TypeError, "must be an integer, got '10'"),
+    ])
+    def test_max_iterations_validated(self, max_iterations, error, message):
+        with pytest.raises(error, match=message):
+            solve_lp([1.0, 1.0], [[1.0, 1.0]], [1.0], max_iterations=max_iterations)
+
+    def test_iteration_cap_counts_pivots(self):
+        """An integer-like cap is accepted; one too small to finish still raises."""
+        c, a, b = [1.0, 1.0], [[1.0, 2.0], [3.0, 1.0]], [4.0, 7.0]
+        full = solve_lp(c, a, b)
+        assert solve_lp(c, a, b, max_iterations=np.int64(full.iterations)).status == OPTIMAL
+        with pytest.raises(RuntimeError, match="within 1 iterations"):
+            solve_lp(c, a, b, max_iterations=1)
 
 
 class TestDeterminism:
@@ -147,3 +180,35 @@ def test_agrees_with_linprog_oracle(system):
     assert ours.status == LINPROG_STATUS[oracle.status], oracle.message
     if ours.status == OPTIMAL:
         assert abs(ours.objective - oracle.fun) <= 1e-7
+
+
+def fine_system(values):
+    """Fine's LP for a quad (four correlators, four marginals), as fine_local_model poses it."""
+    cost = np.zeros(17)
+    cost[16] = -1.0
+    return cost, hidden_variables._FINE_A_EQ, np.array([1.0, *values])
+
+
+def assert_same_solve(system):
+    """The tableau solver and the re-solving reference agree bit for bit."""
+    ours, reference = solve_lp(*system), reference_simplex.solve_lp(*system)
+    assert (ours.status, ours.iterations, ours.phase_one_iterations) == (
+        reference.status, reference.iterations, reference.phase_one_iterations)
+    assert 1 <= ours.phase_one_iterations <= ours.iterations
+    if reference.x is None:
+        assert ours.x is None and ours.objective is None
+    else:
+        assert ours.x.tobytes() == reference.x.tobytes()
+        assert ours.objective.hex() == reference.objective.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp_systems())
+def test_pivots_match_resolving_reference(system):
+    assert_same_solve(system)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(sixteenths, min_size=8, max_size=8))
+def test_fine_pivots_match_resolving_reference(values):
+    assert_same_solve(fine_system(values))
