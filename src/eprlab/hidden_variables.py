@@ -237,7 +237,7 @@ class LocalModel:
         if w.min() < -LP_FEAS_TOL:
             raise ValueError(f"negative weight {w.min():.3e}")
         if abs(w.sum() - 1.0) > LP_FEAS_TOL:
-            raise ValueError(f"weights sum to {w.sum()!r}, not 1")
+            raise ValueError(f"weights sum to {float(w.sum())!r}, not 1")
 
     def predicted_quad(self) -> CorrelatorQuad:
         """Correlators and marginals generated by the strategy mixture."""

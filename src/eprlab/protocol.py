@@ -60,7 +60,7 @@ from .qstate import (
     product_mixture,
     state_from_bloch,
 )
-from .witnesses import BBM_BOUND, EKERT_BOUND
+from .witnesses import BBM_BOUND, EKERT_BOUND, default_ekert_settings
 
 MIN_SAMPLES_PER_PAIR = 30  # below this a correlator estimate is too noisy to trust
 MIN_ROUNDS = 100
@@ -219,11 +219,11 @@ class _Schedule:
     bound: float
 
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_EKERT = default_ekert_settings()
 _SCHEDULES = {
     Protocol.E91: _Schedule(
-        alice=(X_AXIS, Y_AXIS, Y_AXIS),  # a1, a3, key
-        bob=(_INV_SQRT2 * (X_AXIS + Y_AXIS), _INV_SQRT2 * (Y_AXIS - X_AXIS), Y_AXIS),  # b1, b3, key
+        alice=(_EKERT.a1.direction, _EKERT.a3.direction, Y_AXIS),  # a1, a3, key
+        bob=(_EKERT.b1.direction, _EKERT.b3.direction, Y_AXIS),  # b1, b3, key
         tests=(("a1:b1", 0, 0, 1.0), ("a1:b3", 0, 1, -1.0), ("a3:b1", 1, 0, 1.0),
                ("a3:b3", 1, 1, 1.0)),
         keys=(("y", 2, 2),),
@@ -246,9 +246,9 @@ def estimate_statistic(
 ) -> tuple[float, float]:
     """Statistic estimate and standard error from joint-outcome tallies.
 
-    Each tally is (n++, n+-, n-+, n--) for one setting pair.  Correlators
-    are estimated as mean outcome products; variances (1 - E^2)/n add
-    across pairs since the samples are disjoint.
+    Each tally is (n++, n+-, n-+, n--) for one setting pair, in whole
+    non-negative counts.  Correlators are estimated as mean outcome
+    products; variances (1 - E^2)/n add across pairs (disjoint samples).
     """
     plan = _SCHEDULES[protocol]
     estimate = 0.0
@@ -259,6 +259,8 @@ def estimate_statistic(
         counts = np.asarray(tallies[label], dtype=float)
         if counts.shape != (4,):
             raise ValueError(f"tally for {label} must have 4 entries")
+        if not (np.isfinite(counts).all() and counts.min() >= 0 and (counts % 1 == 0).all()):
+            raise ValueError(f"tally for {label} must hold counts, got {counts.tolist()}")
         total = counts.sum()
         if total < MIN_SAMPLES_PER_PAIR:
             raise ValueError(

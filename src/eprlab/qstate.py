@@ -86,7 +86,7 @@ class PureState:
         amp = np.asarray(amplitudes, dtype=complex)
         if amp.shape != (4,):
             raise ValueError(f"pure state needs 4 amplitudes, got shape {amp.shape}")
-        norm = np.linalg.norm(amp)
+        norm = float(np.linalg.norm(amp))
         if not abs(norm - 1.0) <= ATOL_CONSTRUCT:
             raise ValueError(f"pure state norm {norm!r} deviates from 1 beyond {ATOL_CONSTRUCT}")
         self.amplitudes = _read_only(amp.copy())
@@ -111,7 +111,7 @@ class TwoQubitState:
         dev = np.abs(m - m.conj().T).max()
         if dev > ATOL_CONSTRUCT:
             raise ValueError(f"density matrix not Hermitian (max deviation {dev:.3e})")
-        tr = m.trace()
+        tr = complex(m.trace())
         if abs(tr - 1.0) > ATOL_CONSTRUCT:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1 beyond {ATOL_CONSTRUCT}")
         eigmin = float(np.linalg.eigvalsh(m).min())
@@ -140,7 +140,7 @@ class SpinSetting:
         d = np.asarray(direction, dtype=float)
         if d.shape != (3,):
             raise ValueError(f"spin direction must be a 3-vector, got shape {d.shape}")
-        norm = np.linalg.norm(d)
+        norm = float(np.linalg.norm(d))
         if not abs(norm - 1.0) <= ATOL_CONSTRUCT:
             raise ValueError(f"spin direction norm {norm!r} deviates from 1 beyond {ATOL_CONSTRUCT}")
         if not isinstance(party, Party):
@@ -167,6 +167,8 @@ class ProductEnsemble:
         parsed = []
         for k, (weight, bloch_a, bloch_b) in enumerate(terms):
             w = float(weight)
+            if not np.isfinite(w):
+                raise ValueError(f"ensemble weight at index {k} is not finite, got {w!r}")
             if not w >= -ATOL_CONSTRUCT:
                 raise ValueError(f"ensemble weight {w!r} at index {k} is negative")
             na = np.asarray(bloch_a, dtype=float)
@@ -174,9 +176,11 @@ class ProductEnsemble:
             for name, n in (("blochA", na), ("blochB", nb)):
                 if n.shape != (3,):
                     raise ValueError(f"{name} at index {k} must be a 3-vector, got shape {n.shape}")
+                if not np.isfinite(n).all():
+                    raise ValueError(f"{name} at index {k} is not finite, got {n.tolist()}")
                 if not np.linalg.norm(n) <= 1.0 + ATOL_CONSTRUCT:
                     raise ValueError(
-                        f"{name} at index {k} has norm {np.linalg.norm(n)!r} above 1"
+                        f"{name} at index {k} has norm {float(np.linalg.norm(n))!r} above 1"
                     )
             parsed.append((max(w, 0.0), _read_only(na.copy()), _read_only(nb.copy())))
         if not parsed:
@@ -208,7 +212,7 @@ class OutcomeDistribution:
         if p.min() < -ATOL_CONSTRUCT:
             raise ValueError(f"negative probability {p.min():.3e}")
         if abs(p.sum() - 1.0) > ATOL_DERIVED:
-            raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
+            raise ValueError(f"probabilities sum to {float(p.sum())!r}, not 1")
         self.probabilities = _read_only(np.clip(p, 0.0, None))
 
     def probability(self, outcome_a: int, outcome_b: int) -> float:
@@ -268,7 +272,7 @@ def bloch_qubit(bloch: Sequence[float]) -> Array:
     if n.shape != (3,):
         raise ValueError(f"Bloch vector must be a 3-vector, got shape {n.shape}")
     if not np.linalg.norm(n) <= 1.0 + ATOL_CONSTRUCT:
-        raise ValueError(f"Bloch vector norm {np.linalg.norm(n)!r} above 1")
+        raise ValueError(f"Bloch vector norm {float(np.linalg.norm(n))!r} above 1")
     rho = 0.5 * (IDENTITY_2 + n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
     return rho
 

@@ -3,11 +3,11 @@
 Solves min c . x subject to A x = b, x >= 0 with Bland's entering and
 leaving rules, which guarantee termination without cycling and make the
 returned vertex deterministic.  Sized for problems with tens of variables.
-Each phase solves its starting basis once into a dense tableau
-B^-1 [A | b] with a reduced-cost row beneath it, then moves between
-vertices by rank-one pivots on that tableau.  The phase-one feasibility
-test, the drive-out of leftover artificials and the returned point are
-read from fresh solves on the final basis, so the answer depends on the
+One dense tableau lives from the first pivot to the end: phase one starts
+from [A | I | b], already the tableau of the identity basis of
+artificials, and phase two continues on it with the artificial columns
+deleted.  Feasibility is read from its objective cell.  Only the returned
+point is solved afresh on the final basis, so the answer depends on the
 tableau only through the sequence of pivots it chose.
 """
 
@@ -44,25 +44,22 @@ class LPResult:
     phase_one_iterations: int
 
 
-def _bland_iterate(
-    tableau_a: Array,
-    b: Array,
-    c: Array,
-    basis: list[int],
-    allowed: Array,
-    max_iterations: int,
-) -> tuple[str, int]:
-    """Run simplex iterations in place on the basis list.
+def _pivot(tab: Array, row: int, col: int) -> None:
+    """Pivot the tableau in place so column col becomes basic in row."""
+    pivot_row = tab[row] / tab[row, col]
+    tab -= tab[:, col, None] * pivot_row
+    tab[row] = pivot_row
 
-    allowed masks the columns eligible to enter (artificials are barred in
-    phase two).  Returns (status, iterations).
+
+def _bland_iterate(tab: Array, basis: list[int], max_iterations: int) -> tuple[str, int]:
+    """Run simplex iterations in place on the tableau and the basis list.
+
+    Rows 0..m-1 of tab hold B^-1 [A | b]; row m holds the reduced costs,
+    with minus the objective in its last cell.  Returns (status, iterations).
     """
-    m, n = tableau_a.shape
-    can_enter = allowed.copy()
+    m, n = len(basis), tab.shape[1] - 1
+    can_enter = np.ones(n, dtype=bool)
     can_enter[basis] = False
-    # Rows 0..m-1 hold B^-1 [A | b]; row m holds the reduced costs c - c_B B^-1 A.
-    tab = np.linalg.solve(tableau_a[:, basis], np.column_stack([tableau_a, b]))
-    tab = np.vstack([tab, np.append(c, 0.0) - c[basis] @ tab])
     reduced = tab[m, :n]
     for iteration in range(1, max_iterations + 1):
         eligible = can_enter & (reduced < -PIVOT_TOL)
@@ -77,10 +74,8 @@ def _bland_iterate(
         min_ratio = min(ratios)[0]
         # Bland's leaving rule: among minimal ratios, lowest variable index.
         row = min((i for r, i in ratios if r <= min_ratio + 1e-12), key=basis.__getitem__)
-        pivot_row = tab[row] / direction[row]
-        tab -= tab[:, entering, None] * pivot_row
-        tab[row] = pivot_row
-        can_enter[basis[row]] = allowed[basis[row]]
+        _pivot(tab, row, entering)
+        can_enter[basis[row]] = True
         can_enter[entering] = False
         basis[row] = entering
     raise RuntimeError(f"simplex failed to converge within {max_iterations} iterations")
@@ -95,8 +90,8 @@ def solve_lp(
     """Minimize c . x subject to a_eq x = b_eq, x >= 0.
 
     Phase one minimizes the sum of artificial variables from the identity
-    basis; phase two re-optimizes the original objective with artificials
-    barred from entering.  Assumes a_eq has full row rank.  Raises
+    basis; phase two re-optimizes the original objective with the
+    artificial columns deleted.  Assumes a_eq has full row rank.  Raises
     ValueError on non-finite data or max_iterations below 1, and TypeError
     when max_iterations is not an integer.
     """
@@ -124,43 +119,41 @@ def solve_lp(
     a[negative] *= -1.0
     b[negative] *= -1.0
 
-    full_a = np.hstack([a, np.eye(m)])
-    phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
+    # Phase one: [A | I | b] is already the tableau of the identity basis of
+    # artificials, and the reduced costs of their sum are minus A's column sums.
+    rows = np.hstack([a, np.eye(m), b[:, None]])
+    tab = np.vstack([rows, -rows.sum(axis=0)])
+    tab[m, n:n + m] = 0.0
     basis = list(range(n, n + m))
-    allowed = np.ones(n + m, dtype=bool)
-    status, iters1 = _bland_iterate(full_a, b, phase1_cost, basis, allowed, max_iterations)
+    status, iters1 = _bland_iterate(tab, basis, max_iterations)
     if status != OPTIMAL:
         raise RuntimeError("phase one cannot be unbounded; inputs corrupted")
-    x_basic = np.linalg.solve(full_a[:, basis], b)
-    if float(phase1_cost[basis] @ x_basic) > FEAS_TOL:
+    if -tab[m, -1] > FEAS_TOL:
         return LPResult(status=INFEASIBLE, x=None, objective=None, iterations=iters1,
                         phase_one_iterations=iters1)
 
     # Pivot any artificial still in the basis out onto an original column.
+    # Basic columns are unit vectors, so their entry in this row is zero.
     for row in range(m):
         if basis[row] < n:
             continue
-        inverse_row = np.linalg.solve(full_a[:, basis].T, np.eye(m)[row])
-        candidates = inverse_row @ a
-        replacement = -1
-        for j in range(n):
-            if j not in basis and abs(candidates[j]) > PIVOT_TOL:
-                replacement = j
-                break
-        if replacement < 0:
+        candidates = np.flatnonzero(np.abs(tab[row, :n]) > PIVOT_TOL)
+        if not candidates.size:
             raise RuntimeError("constraint matrix is rank deficient")
-        basis[row] = replacement
+        basis[row] = int(candidates[0])
+        _pivot(tab, row, basis[row])
 
-    allowed[n:] = False
-    phase2_cost = np.concatenate([cost, np.zeros(m)])
-    status, iters2 = _bland_iterate(full_a, b, phase2_cost, basis, allowed, max_iterations)
+    # Phase two drops the artificial columns and prices the real costs.
+    tab = tab[:, np.r_[:n, n + m]]
+    tab[m] = np.append(cost, 0.0) - cost[basis] @ tab[:m]
+    status, iters2 = _bland_iterate(tab, basis, max_iterations)
     iterations = iters1 + iters2
     if status == UNBOUNDED:
         return LPResult(status=UNBOUNDED, x=None, objective=None, iterations=iterations,
                         phase_one_iterations=iters1)
-    x = np.zeros(n + m)
-    x[basis] = np.linalg.solve(full_a[:, basis], b)
-    solution = np.clip(x[:n], 0.0, None)
+    x = np.zeros(n)
+    x[basis] = np.linalg.solve(a[:, basis], b)
+    solution = np.clip(x, 0.0, None)
     return LPResult(
         status=OPTIMAL,
         x=solution,

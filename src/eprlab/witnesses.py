@@ -228,9 +228,9 @@ def ekert_statistic(state: TwoQubitState, settings: Optional[EkertSettings] = No
     return value
 
 
-def ekert_verdict(state: TwoQubitState, settings: Optional[EkertSettings] = None) -> WitnessVerdict:
-    """Compare |S| at the default settings against the separable bound sqrt(2)."""
-    return _verdict(ekert_statistic(state, settings), EKERT_BOUND)
+def ekert_verdict(state: TwoQubitState) -> WitnessVerdict:
+    """Compare |S| against sqrt(2), the separable bound at the default settings only."""
+    return _verdict(ekert_statistic(state), EKERT_BOUND)
 
 
 def bbm_statistic(state: TwoQubitState) -> float:

@@ -1,9 +1,11 @@
 """Reference two-phase simplex that re-solves its basis systems every iteration.
 
 Test-only oracle for eprlab.simplex: the same Bland's rules, tolerances,
-phase-one check, drive-out loop and final solve, but each iteration solves
-for the basic solution, the duals and the entering direction afresh with
-np.linalg.solve instead of updating a tableau.  Inputs are trusted.
+drive-out order and final solve, but each iteration solves for the basic
+solution, the duals and the entering direction afresh with np.linalg.solve,
+and the phase-one feasibility test and the drive-out solve on the basis
+too, where eprlab.simplex reads all of them from one pivoted tableau.
+Inputs are trusted.
 """
 
 from __future__ import annotations

@@ -430,6 +430,14 @@ class TestFormatsAndCodes:
         assert err.startswith("error: ") and message.replace("FILE", str(path)) in err
         assert str(path) in err and "Warning" not in err
 
+    def test_long_bloch_vector_reported_in_plain_numbers(self, capsys, tmp_path):
+        path = tmp_path / "ensemble.json"
+        path.write_text(json.dumps([{"weight": 1.0, "blochA": [1, 0, 0.5], "blochB": [0, 0, 1]}]))
+        code, out, err = run_cli(capsys, "witness", "--state", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: blochA at index 0 has norm 1.118033988749895 above 1\n"
+
     def test_internal_failure_exit_code(self, capsys, monkeypatch):
         def explode(args):
             raise RuntimeError("cross-check failed")

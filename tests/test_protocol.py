@@ -36,7 +36,7 @@ from eprlab.qstate import (
     outcome_distribution,
     phase_epr_state,
 )
-from eprlab.witnesses import BBM_BOUND, EKERT_BOUND
+from eprlab.witnesses import BBM_BOUND, BBM_FUNCTIONAL, EKERT_BOUND, EKERT_FUNCTIONAL
 
 
 def singlet():
@@ -173,6 +173,22 @@ class TestEstimator:
                 {"a1:b1": (40, 0, 0, 0), "a1:b3": (40, 0, 0, 0), "a3:b1": (40, 0, 0, 0)},
                 Protocol.E91,
             )
+
+    @pytest.mark.parametrize("tally", [(100, -50, 0, 0), (np.nan, 40, 0, 0), (np.inf, 40, 0, 0),
+                                       (30.5, 0.25, 0, 0)],
+                             ids=["negative", "nan", "inf", "fractional"])
+    def test_non_count_tally_rejected(self, tally):
+        tallies = {"x:x": (30, 10, 10, 30), "z:z": tally}
+        with pytest.raises(ValueError, match=r"^tally for z:z must hold counts, got \["):
+            estimate_statistic(tallies, Protocol.BBM92)
+
+    @pytest.mark.parametrize("flavour, functional", [(Protocol.E91, EKERT_FUNCTIONAL),
+                                                     (Protocol.BBM92, BBM_FUNCTIONAL)])
+    def test_test_pairs_spell_the_witness(self, flavour, functional):
+        """The signed test pairs of each schedule sum to the weights of its statistic."""
+        plan = protocol._SCHEDULES[flavour]
+        weights = sum(sign * np.outer(plan.alice[i], plan.bob[j]) for _, i, j, sign in plan.tests)
+        assert np.array_equal(weights, functional.weights)
 
     def test_minimum_is_thirty(self):
         assert MIN_SAMPLES_PER_PAIR == 30

@@ -152,6 +152,35 @@ class TestProductEnsemble:
         assert rho.matrix.trace().real == pytest.approx(1.0, abs=1e-12)
 
 
+class TestErrorMessages:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: PureState([1.0, 1.0, 0.0, 0.0]),
+             "pure state norm 1.4142135623730951 deviates from 1"),
+            (lambda: SpinSetting.alice([1.0, 1.0, 0.0]),
+             "spin direction norm 1.4142135623730951 deviates from 1"),
+            (lambda: bloch_qubit([1.0, 0.0, 0.5]), "Bloch vector norm 1.118033988749895 above 1"),
+            (lambda: ProductEnsemble([(1.0, (1.0, 0.0, 0.5), Z_AXIS)]),
+             "blochA at index 0 has norm 1.118033988749895 above 1"),
+            (lambda: ProductEnsemble([(1.0, X_AXIS, Z_AXIS), (np.nan, X_AXIS, Z_AXIS)]),
+             "ensemble weight at index 1 is not finite, got nan"),
+            (lambda: ProductEnsemble([(1.0, X_AXIS, (np.nan, 0.0, 1.0))]),
+             "blochB at index 0 is not finite, got [nan, 0.0, 1.0]"),
+            (lambda: TwoQubitState(np.eye(4) / 2.0), "density matrix trace (2+0j) deviates from 1"),
+            (lambda: OutcomeDistribution([0.5, 0.5, 0.5, 0.0]), "probabilities sum to 1.5, not 1"),
+        ],
+        ids=["pure-norm", "spin-norm", "bloch-qubit-norm", "ensemble-norm", "ensemble-nan-weight",
+             "ensemble-nan-bloch", "trace", "distribution-sum"],
+    )
+    def test_messages_name_the_fault_in_plain_numbers(self, build, message):
+        """Non-finite input is named as such, and no NumPy repr leaks into a message."""
+        with pytest.raises(ValueError) as error:
+            build()
+        assert message in str(error.value)
+        assert "np." not in str(error.value)
+
+
 class TestObservables:
     def test_spin_observable_squares_to_identity(self):
         obs = spin_observable(SpinSetting.alice([0.6, 0.0, 0.8]))

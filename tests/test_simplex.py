@@ -95,6 +95,20 @@ class TestStatuses:
             solve_lp(c, a, b, max_iterations=1)
 
 
+    def test_leftover_artificial_is_driven_out(self):
+        """Phase one ends with an artificial basic at zero; it is pivoted onto x1."""
+        system = ([-2.0, 2.0], [[-2.0, -2.0], [0.0, 2.0]], [-2.0, 2.0])
+        result = solve_lp(*system)
+        assert result.status == OPTIMAL
+        assert result.x.tolist() == [0.0, 1.0]
+        assert_same_solve(system)
+
+    def test_rank_deficient_constraints_raise(self):
+        """A redundant row leaves an artificial that no original column can replace."""
+        with pytest.raises(RuntimeError, match="^constraint matrix is rank deficient$"):
+            solve_lp([0.0, 0.0], [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0])
+
+
 class TestDeterminism:
     def test_degenerate_problem_repeats_identically(self):
         """A degenerate vertex is resolved the same way every run."""

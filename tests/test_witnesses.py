@@ -94,6 +94,15 @@ class TestEkertVerdict:
     def test_weak_werner_does_not_violate(self):
         assert not ekert_verdict(werner_state(0.4)).violated
 
+    def test_verdict_takes_no_settings(self):
+        """With a3 = a1 a product state reaches S = 2 > sqrt(2), so the bound needs the defaults."""
+        d = default_ekert_settings()
+        collinear = EkertSettings(a1=d.a1, a3=d.a1, b1=d.b1, b3=d.b3)
+        product = product_mixture([(1.0, X_AXIS, d.b1.direction)])
+        assert ekert_statistic(product, collinear) == pytest.approx(2.0, abs=1e-12)
+        with pytest.raises(TypeError):
+            ekert_verdict(product, collinear)
+
     def test_boundary_is_not_a_violation(self):
         verdict = WitnessVerdict(
             statistic=EKERT_BOUND, bound=EKERT_BOUND, violated=False, margin=0.0
