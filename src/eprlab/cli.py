@@ -13,7 +13,10 @@ Subcommands
 States are named (psi-minus, psi-plus, phi-plus, phi-minus, mixed),
 parametric (werner:W, phase:PHI), or read from a JSON file holding
 either a 4x4 matrix of [re, im] pairs or a product ensemble
-[{"weight": w, "blochA": [...], "blochB": [...]}, ...].
+[{"weight": w, "blochA": [...], "blochB": [...]}, ...].  File states are
+checked against --tolerance, which only witness, ks and qkd take.  Every
+subcommand prints json or plain; the flat reports of witness and bound
+may also be csv.
 
 Exit codes: 0 on success, 2 on invalid input (NaN and infinite numbers
 included), 3 on an internal consistency failure.  Output is deterministic
@@ -82,6 +85,11 @@ _BELL_JSON_NAMES = {
 }
 
 _CASE_JSON_NAMES = {KSCase.CASE_I: "caseI", KSCase.CASE_II: "caseII", KSCase.CASE_III: "caseIII"}
+
+
+def _by_case(value: Callable[[KSCase], Any]) -> dict[str, Any]:
+    """One JSON object with an entry per value-assignment case."""
+    return {_CASE_JSON_NAMES[case]: value(case) for case in KSCase}
 
 
 def _load_json_file(path: str) -> Any:
@@ -158,6 +166,11 @@ def _matrix_from_json(data: Any, path: str, tolerance: float) -> TwoQubitState:
     return TwoQubitState(matrix)
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not 0.0 <= tolerance < np.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
+
+
 def resolve_state(
     descriptor: str,
     phi: Optional[float] = None,
@@ -165,8 +178,7 @@ def resolve_state(
     tolerance: float = 1e-10,
 ) -> tuple[TwoQubitState, str]:
     """Turn a state descriptor into a density matrix and a display label."""
-    if not 0.0 <= tolerance < np.inf:
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
+    _check_tolerance(tolerance)
     name = descriptor.strip()
     base, _, argument = name.partition(":")
     for flag, value, owner in (("--w", w, "werner"), ("--phi", phi, "phase")):
@@ -199,19 +211,16 @@ def resolve_state(
 
 
 def _flatten(doc: Any, prefix: str = "") -> list[tuple[str, Any]]:
-    items: list[tuple[str, Any]] = []
     if isinstance(doc, dict):
-        for key, value in doc.items():
-            items.extend(_flatten(value, f"{prefix}{key}."))
+        children = doc.items()
     elif isinstance(doc, (list, tuple)):
-        for index, value in enumerate(doc):
-            items.extend(_flatten(value, f"{prefix}{index}."))
+        children = enumerate(doc)
     else:
-        items.append((prefix[:-1], doc))
-    return items
+        return [(prefix[:-1], doc)]
+    return [item for key, value in children for item in _flatten(value, f"{prefix}{key}.")]
 
 
-def render(doc: dict[str, Any], fmt: str, flat_report: bool = True) -> str:
+def render(doc: dict[str, Any], fmt: str) -> str:
     """Serialize a report dict deterministically in the requested format."""
     if fmt == "json":
         return json.dumps(doc, indent=2, allow_nan=False) + "\n"
@@ -219,8 +228,6 @@ def render(doc: dict[str, Any], fmt: str, flat_report: bool = True) -> str:
     if fmt == "plain":
         return "".join(f"{key} = {value}\n" for key, value in flat)
     if fmt == "csv":
-        if not flat_report:
-            raise ValueError("this report is structured; use json or plain")
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow([key for key, _ in flat])
@@ -231,34 +238,20 @@ def render(doc: dict[str, Any], fmt: str, flat_report: bool = True) -> str:
 
 def cmd_witness(args: argparse.Namespace) -> dict[str, Any]:
     state, label = resolve_state(args.state, args.phi, args.w, args.tolerance)
-    ekert = ekert_verdict(state)
-    bbm = bbm_verdict(state)
     fidelities = bell_fidelities(state)
     distill = distillable_witness(state)
-    doc: dict[str, Any] = {
-        "state": label,
-        "S": ekert.statistic,
-        "ekertBound": ekert.bound,
-        "ekertViolated": ekert.violated,
-        "ekertMargin": ekert.margin,
-        "T": bbm.statistic,
-        "bbmBound": bbm.bound,
-        "bbmViolated": bbm.violated,
-        "bbmMargin": bbm.margin,
-    }
+    doc: dict[str, Any] = {"state": label}
+    for statistic, name, verdict in (("S", "ekert", ekert_verdict(state)),
+                                     ("T", "bbm", bbm_verdict(state))):
+        doc.update({statistic: verdict.statistic, f"{name}Bound": verdict.bound,
+                    f"{name}Violated": verdict.violated, f"{name}Margin": verdict.margin})
     for case, short in ((KSCase.CASE_I, "U1"), (KSCase.CASE_II, "U2"), (KSCase.CASE_III, "U3")):
         doc[short] = ks_functional(state, case)
     doc["ksBound"] = KS_BOUND
-    doc["ksViolated"] = {
-        _CASE_JSON_NAMES[case]: ks_verdict(state, case).violated for case in KSCase
-    }
-    doc["fidelities"] = {
-        _BELL_JSON_NAMES[lbl]: value for lbl, value in fidelities.by_label().items()
-    }
+    doc["ksViolated"] = _by_case(lambda case: ks_verdict(state, case).violated)
+    doc["fidelities"] = {_BELL_JSON_NAMES[lbl]: v for lbl, v in fidelities.by_label().items()}
     doc["distillable"] = distill.distillable
-    doc["distillableBellState"] = (
-        _BELL_JSON_NAMES[distill.bell_label] if distill.bell_label is not None else None
-    )
+    doc["distillableBellState"] = _BELL_JSON_NAMES.get(distill.bell_label)
     doc["maxFidelity"] = distill.fidelity
     return doc
 
@@ -268,23 +261,18 @@ def cmd_ks(args: argparse.Namespace) -> dict[str, Any]:
     doc: dict[str, Any] = {
         "bound": KS_BOUND,
         "assignmentCount": len(assignments),
-        "maxima": {
-            _CASE_JSON_NAMES[case]: ks_classical_bound(case) for case in KSCase
-        },
-        "valueSets": {
-            _CASE_JSON_NAMES[case]: sorted({ks_functional_value(a, case) for a in assignments})
-            for case in KSCase
-        },
+        "maxima": _by_case(ks_classical_bound),
+        "valueSets": _by_case(lambda c: sorted({ks_functional_value(a, c) for a in assignments})),
     }
-    if args.state is None and (args.phi, args.w) != (None, None):
-        raise ValueError("--phi and --w parameterize a state; give one with --state")
-    if args.state is not None:
+    if args.state is None:
+        if (args.phi, args.w) != (None, None):
+            raise ValueError("--phi and --w parameterize a state; give one with --state")
+        _check_tolerance(args.tolerance)
+    else:
         state, label = resolve_state(args.state, args.phi, args.w, args.tolerance)
         doc["state"] = label
-        doc["values"] = {_CASE_JSON_NAMES[c]: ks_functional(state, c) for c in KSCase}
-        doc["violated"] = {
-            _CASE_JSON_NAMES[c]: ks_verdict(state, c).violated for c in KSCase
-        }
+        doc["values"] = _by_case(lambda case: ks_functional(state, case))
+        doc["violated"] = _by_case(lambda case: ks_verdict(state, case).violated)
     if args.assignments:
         doc["assignments"] = [
             {"singles": dict(a.singles), "products": dict(a.products)} for a in assignments
@@ -298,10 +286,8 @@ def cmd_fine(args: argparse.Namespace) -> dict[str, Any]:
     panel = chsh_panel(quad)
     model = fine_local_model(quad)
     return {
-        "quad": {"c11": quad.c11, "c13": quad.c13, "c31": quad.c31, "c33": quad.c33},
-        "marginals": {
-            "a1": quad.m_a1, "a3": quad.m_a3, "b1": quad.m_b1, "b3": quad.m_b3
-        },
+        "quad": dict(zip(("c11", "c13", "c31", "c33"), quad.correlators())),
+        "marginals": dict(zip(("a1", "a3", "b1", "b3"), quad.marginals())),
         "chshValues": list(panel.values),
         "chshMax": panel.max_value,
         "chshPasses": panel.passes,
@@ -389,18 +375,23 @@ def cmd_qkd(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
+def _format_options(*choices: str) -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--format", choices=choices, default="json",
+                        help="output format (default: json)")
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "csv", "plain"), default="json",
-        help="output format (default: json)",
-    )
-    common.add_argument(
+    # Only the flat reports (witness, bound) keep their keys from run to run, so only they fit CSV.
+    flat_format = _format_options("json", "csv", "plain")
+    structured_format = _format_options("json", "plain")
+
+    state_opts = argparse.ArgumentParser(add_help=False)
+    state_opts.add_argument(
         "--tolerance", type=float, default=1e-10,
         help="acceptance tolerance for states loaded from files (default: 1e-10)",
     )
-
-    state_opts = argparse.ArgumentParser(add_help=False)
     state_opts.add_argument("--phi", type=float, default=None, help="phase for phase states")
     state_opts.add_argument("--w", type=float, default=None, help="Werner mixing parameter")
 
@@ -411,24 +402,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_witness = sub.add_parser(
-        "witness", parents=[common, state_opts],
+        "witness", parents=[flat_format, state_opts],
         help="witness statistics and verdicts for a state",
     )
     p_witness.add_argument("--state", required=True, help="state descriptor or file")
-    p_witness.set_defaults(flat_report=True)
 
     p_ks = sub.add_parser(
-        "ks", parents=[common, state_opts],
+        "ks", parents=[structured_format, state_opts],
         help="value-assignment enumeration, bound, and optional state evaluation",
     )
     p_ks.add_argument("--state", default=None, help="optional state descriptor or file")
     p_ks.add_argument(
         "--assignments", action="store_true", help="list all 64 assignments in the report"
     )
-    p_ks.set_defaults(flat_report=False)
 
     p_fine = sub.add_parser(
-        "fine", parents=[common],
+        "fine", parents=[structured_format],
         help="CHSH panel and local-model construction for a correlator quad",
     )
     for name in ("c11", "c13", "c31", "c33"):
@@ -437,20 +426,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--marginals", type=float, nargs=4, default=None,
         metavar=("A1", "A3", "B1", "B3"), help="single-party expectations (default: zero)",
     )
-    p_fine.set_defaults(flat_report=False)
 
     p_bound = sub.add_parser(
-        "bound", parents=[common],
+        "bound", parents=[flat_format],
         help="exact product-state supremum of a witness statistic",
     )
     p_bound.add_argument(
         "functional", choices=[f.value for f in SeparableFunctional],
         help="which statistic to maximize",
     )
-    p_bound.set_defaults(flat_report=True)
 
     p_qkd = sub.add_parser(
-        "qkd", parents=[common, state_opts], help="simulate one key-distribution run"
+        "qkd", parents=[structured_format, state_opts], help="simulate one key-distribution run"
     )
     p_qkd.add_argument("--protocol", choices=[p.value for p in Protocol], required=True)
     p_qkd.add_argument("--rounds", type=int, default=20_000)
@@ -463,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_qkd.add_argument("--test-fraction", type=float, default=0.25)
     p_qkd.add_argument("--seed", type=int, default=0)
     p_qkd.add_argument("--abort-sigma", type=float, default=3.0)
-    p_qkd.set_defaults(flat_report=False)
 
     return parser
 
@@ -479,7 +465,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         # Looked up per call, not stored in the cached parser, so a replaced handler counts.
         doc = globals()[f"cmd_{args.command}"](args)
-        sys.stdout.write(render(doc, args.format, args.flat_report))
+        sys.stdout.write(render(doc, args.format))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

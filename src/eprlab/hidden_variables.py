@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -48,7 +49,6 @@ from .witnesses import (
     KSCase,
     LinearFunctional,
     bbm_statistic,
-    default_ekert_settings,
     ekert_functional,
     ekert_statistic,
 )
@@ -169,21 +169,10 @@ class CorrelatorQuad:
 
 def quad_from_state(state: TwoQubitState, settings: EkertSettings) -> CorrelatorQuad:
     """Measure all four correlators and the four marginals of a state."""
-    dists = {
-        (i, j): outcome_distribution(state, a, b)
-        for i, a in (("1", settings.a1), ("3", settings.a3))
-        for j, b in (("1", settings.b1), ("3", settings.b3))
-    }
-    return CorrelatorQuad(
-        c11=dists[("1", "1")].correlator,
-        c13=dists[("1", "3")].correlator,
-        c31=dists[("3", "1")].correlator,
-        c33=dists[("3", "3")].correlator,
-        m_a1=dists[("1", "1")].marginal_a,
-        m_a3=dists[("3", "3")].marginal_a,
-        m_b1=dists[("1", "1")].marginal_b,
-        m_b3=dists[("3", "3")].marginal_b,
-    )
+    d11, d13, d31, d33 = (outcome_distribution(state, a, b)
+                          for a in (settings.a1, settings.a3) for b in (settings.b1, settings.b3))
+    return CorrelatorQuad(d11.correlator, d13.correlator, d31.correlator, d33.correlator,
+                          d11.marginal_a, d33.marginal_a, d11.marginal_b, d33.marginal_b)
 
 
 @dataclass(frozen=True)
@@ -234,6 +223,8 @@ class LocalModel:
         if len(self.weights) != 16:
             raise ValueError(f"need 16 weights, got {len(self.weights)}")
         w = np.asarray(self.weights, dtype=float)
+        if not np.isfinite(w).all():
+            raise ValueError(f"weights must be finite, got {w.tolist()}")
         if w.min() < -LP_FEAS_TOL:
             raise ValueError(f"negative weight {w.min():.3e}")
         if abs(w.sum() - 1.0) > LP_FEAS_TOL:
@@ -243,13 +234,13 @@ class LocalModel:
         """Correlators and marginals generated by the strategy mixture."""
         return CorrelatorQuad(*(np.asarray(self.weights) @ _FEATURES).tolist())
 
-    def reproduces(self, quad: CorrelatorQuad, atol: float = MODEL_ATOL) -> bool:
+    def reproduces(self, quad: CorrelatorQuad) -> bool:
         predicted = self.predicted_quad()
         pairs = zip(
             predicted.correlators() + predicted.marginals(),
             quad.correlators() + quad.marginals(),
         )
-        return all(abs(p - q) <= atol for p, q in pairs)
+        return all(abs(p - q) <= MODEL_ATOL for p, q in pairs)
 
 
 def fine_local_model(quad: CorrelatorQuad) -> Optional[LocalModel]:
@@ -287,20 +278,13 @@ class SeparableFunctional(Enum):
     KS_III = "ks-iii"
 
 
-ANALYTIC_BOUNDS = {
-    SeparableFunctional.EKERT_S: EKERT_BOUND,
-    SeparableFunctional.BBM_T: BBM_BOUND,
-    SeparableFunctional.KS_I: KS_BOUND,
-    SeparableFunctional.KS_II: KS_BOUND,
-    SeparableFunctional.KS_III: KS_BOUND,
-}
-
-_FUNCTIONALS = {
-    SeparableFunctional.EKERT_S: EKERT_FUNCTIONAL,
-    SeparableFunctional.BBM_T: BBM_FUNCTIONAL,
-    SeparableFunctional.KS_I: KSCase.CASE_I.functional,
-    SeparableFunctional.KS_II: KSCase.CASE_II.functional,
-    SeparableFunctional.KS_III: KSCase.CASE_III.functional,
+# Each functional, offset + <W, T>, with its analytic bound on product states.
+SEPARABLE_WITNESSES = {
+    SeparableFunctional.EKERT_S: (EKERT_FUNCTIONAL, EKERT_BOUND),
+    SeparableFunctional.BBM_T: (BBM_FUNCTIONAL, BBM_BOUND),
+    SeparableFunctional.KS_I: (KSCase.CASE_I.functional, KS_BOUND),
+    SeparableFunctional.KS_II: (KSCase.CASE_II.functional, KS_BOUND),
+    SeparableFunctional.KS_III: (KSCase.CASE_III.functional, KS_BOUND),
 }
 
 
@@ -316,6 +300,9 @@ class BoundReport:
     analytic_bound: float
 
     def __post_init__(self) -> None:
+        for name in ("supremum", "analytic_bound"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.supremum > self.analytic_bound + BOUND_SLACK:
             raise RuntimeError(
                 f"supremum {self.supremum!r} lies above the analytic bound "
@@ -333,7 +320,7 @@ def separable_bound(functional: SeparableFunctional) -> BoundReport:
     singular vectors; mixing product states cannot exceed that.  The
     report counts the one singular value decomposition as one evaluation.
     """
-    linear = _FUNCTIONALS[functional]
+    linear, analytic_bound = SEPARABLE_WITNESSES[functional]
     left, singular_values, right = np.linalg.svd(linear.weights)
     return BoundReport(
         functional=functional,
@@ -341,7 +328,7 @@ def separable_bound(functional: SeparableFunctional) -> BoundReport:
         argmax_bloch_a=tuple(float(x) for x in left[:, 0]),
         argmax_bloch_b=tuple(float(x) for x in right[0]),
         evaluations=1,
-        analytic_bound=ANALYTIC_BOUNDS[functional],
+        analytic_bound=analytic_bound,
     )
 
 
@@ -363,14 +350,14 @@ def separable_expansion_check(
     of nA.W.nB terms over the ensemble.  Raises if the routes disagree
     beyond ATOL_ALARM.
     """
-    s = settings if settings is not None else default_ekert_settings()
+    ekert_linear = EKERT_FUNCTIONAL if settings is None else ekert_functional(settings)
     state = product_mixture(ensemble)
 
     def expansion(linear: LinearFunctional) -> float:
         return sum(w * (bloch_a @ linear.weights @ bloch_b) for w, bloch_a, bloch_b in ensemble)
 
     residuals = ExpansionResiduals(
-        ekert=abs(ekert_statistic(state, s) - expansion(ekert_functional(s))),
+        ekert=abs(ekert_statistic(state, settings) - expansion(ekert_linear)),
         bbm=abs(bbm_statistic(state) - expansion(BBM_FUNCTIONAL)),
     )
     if residuals.ekert > ATOL_ALARM or residuals.bbm > ATOL_ALARM:

@@ -78,6 +78,10 @@ class NoEve:
     """Pairs reach Bob untouched."""
 
 
+# The axes Eve measures along for each named basis; "xz" tosses a fair coin between them.
+_INTERCEPT_AXES = {"x": (X_AXIS,), "z": (Z_AXIS,), "xz": (X_AXIS, Z_AXIS)}
+
+
 @dataclass(frozen=True)
 class InterceptResend:
     """Eve measures Bob's qubit and forwards the matching eigenstate.
@@ -90,7 +94,7 @@ class InterceptResend:
 
     def __post_init__(self) -> None:
         if isinstance(self.basis, str):
-            if self.basis not in ("x", "z", "xz"):
+            if self.basis not in _INTERCEPT_AXES:
                 raise ValueError(f"basis must be 'x', 'z', 'xz', or a 3-vector, got {self.basis!r}")
             return
         direction = tuple(float(x) for x in self.basis)
@@ -173,9 +177,6 @@ class ProtocolReport:
         expected = (abs(self.statistic) - self.abort_sigma * self.stderr) <= self.bound
         if self.aborted != expected:
             raise ValueError("aborted flag inconsistent with the abort rule")
-
-
-_INTERCEPT_AXES = {"x": (X_AXIS,), "z": (Z_AXIS,), "xz": (X_AXIS, Z_AXIS)}
 
 
 def effective_state(source: TwoQubitState, eve: EveStrategy) -> TwoQubitState:

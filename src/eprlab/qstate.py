@@ -22,6 +22,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -209,10 +210,13 @@ class OutcomeDistribution:
         p = np.asarray(probabilities, dtype=float)
         if p.shape != (4,):
             raise ValueError(f"need 4 joint probabilities, got shape {p.shape}")
+        total = float(p.sum())
+        if not math.isfinite(total):  # a NaN or infinite entry, or a sum that overflows
+            raise ValueError(f"probabilities must be finite and sum to 1, got {p.tolist()}")
         if p.min() < -ATOL_CONSTRUCT:
             raise ValueError(f"negative probability {p.min():.3e}")
-        if abs(p.sum() - 1.0) > ATOL_DERIVED:
-            raise ValueError(f"probabilities sum to {float(p.sum())!r}, not 1")
+        if abs(total - 1.0) > ATOL_DERIVED:
+            raise ValueError(f"probabilities sum to {total!r}, not 1")
         self.probabilities = _read_only(np.clip(p, 0.0, None))
 
     def probability(self, outcome_a: int, outcome_b: int) -> float:

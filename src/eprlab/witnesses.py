@@ -19,6 +19,7 @@ defined once, as a LinearFunctional (offset, W):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -30,6 +31,7 @@ from .qstate import (
     X_AXIS,
     Y_AXIS,
     BellLabel,
+    Party,
     SpinSetting,
     TwoQubitState,
     bell_state,
@@ -53,6 +55,11 @@ class LinearFunctional:
 
     def __post_init__(self) -> None:
         weights = np.array(self.weights, dtype=float)
+        if weights.shape != (3, 3):
+            raise ValueError(f"weights must be 3x3, got shape {weights.shape}")
+        if not (math.isfinite(self.offset) and np.isfinite(weights).all()):
+            raise ValueError(f"offset and weights must be finite, got {self.offset!r} and "
+                             f"{weights.tolist()}")
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
 
@@ -111,10 +118,10 @@ class EkertSettings:
 
     def __post_init__(self) -> None:
         for name in ("a1", "a3"):
-            if getattr(self, name).party.value != "alice":
+            if getattr(self, name).party is not Party.ALICE:
                 raise ValueError(f"setting {name} must belong to Alice")
         for name in ("b1", "b3"):
-            if getattr(self, name).party.value != "bob":
+            if getattr(self, name).party is not Party.BOB:
                 raise ValueError(f"setting {name} must belong to Bob")
 
 
@@ -149,6 +156,9 @@ class WitnessVerdict:
     margin: float
 
     def __post_init__(self) -> None:
+        for name in ("statistic", "bound", "margin"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"verdict {name} must be finite, got {getattr(self, name)!r}")
         expected = abs(self.statistic) > self.bound + VERDICT_SLACK
         if self.violated != expected:
             raise ValueError("verdict flag inconsistent with statistic and bound")
@@ -167,7 +177,7 @@ def _verdict(statistic: float, bound: float) -> WitnessVerdict:
 
 @dataclass(frozen=True)
 class BellFidelities:
-    """Overlaps of a state with the four Bell states; they sum to 1."""
+    """Overlaps of a state with the four Bell states, in BellLabel order; they sum to 1."""
 
     phi_plus: float
     phi_minus: float
@@ -186,12 +196,7 @@ class BellFidelities:
         return (self.phi_plus, self.phi_minus, self.psi_plus, self.psi_minus)
 
     def by_label(self) -> dict[BellLabel, float]:
-        return {
-            BellLabel.PHI_PLUS: self.phi_plus,
-            BellLabel.PHI_MINUS: self.phi_minus,
-            BellLabel.PSI_PLUS: self.psi_plus,
-            BellLabel.PSI_MINUS: self.psi_minus,
-        }
+        return dict(zip(BellLabel, self.as_tuple()))
 
 
 @dataclass(frozen=True)
@@ -262,13 +267,7 @@ def ks_verdict(state: TwoQubitState, case: KSCase) -> WitnessVerdict:
 
 def bell_fidelities(state: TwoQubitState) -> BellFidelities:
     """All four Bell fidelities, f(bell) = (1 + s . diag(T))/4 with s its correlators."""
-    f = {label: functional(state) / 4.0 for label, functional in BELL_FUNCTIONALS.items()}
-    return BellFidelities(
-        phi_plus=f[BellLabel.PHI_PLUS],
-        phi_minus=f[BellLabel.PHI_MINUS],
-        psi_plus=f[BellLabel.PSI_PLUS],
-        psi_minus=f[BellLabel.PSI_MINUS],
-    )
+    return BellFidelities(*(BELL_FUNCTIONALS[label](state) / 4.0 for label in BellLabel))
 
 
 def fidelity_identities_check(state: TwoQubitState) -> tuple[float, float]:

@@ -19,6 +19,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def call_cli(capsys, argv):
+    """Like run_cli, but an argv the parser rejects returns argparse's exit code."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 class TestResolveState:
     def test_named_states(self):
         for name in ("psi-minus", "psi-plus", "phi-plus", "phi-minus", "mixed"):
@@ -89,6 +99,12 @@ class TestResolveState:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and str(path) in err
+
+    def test_invalid_json_file(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text("[[1, 2")
+        with pytest.raises(ValueError, match="is not valid JSON"):
+            cli.resolve_state(str(path))
 
     def test_ensemble_file_strict_keys(self, tmp_path):
         payload = [{"weight": 1.0, "blochA": [0, 0, 1], "bloch_b": [0, 0, 1]}]
@@ -240,6 +256,50 @@ FINE_PANEL = [
 FINE_PANEL_DIGEST = "a437106ddeeaaf9ee0d76ba3cc9063847a175fe59606e642539267fa62328dc2"
 
 
+# A fixed mixed state with complex coherences, as [re, im] pairs, and a
+# two-term product ensemble, both written out by hand.
+REPORT_MATRIX = [
+    [[0.075, 0.0], [0.0, 0.0], [0.0, 0.0], [0.05, 0.0]],
+    [[0.0, 0.0], [0.425, 0.0], [0.0, -0.35], [0.0, 0.0]],
+    [[0.0, 0.0], [0.0, 0.35], [0.425, 0.0], [0.0, 0.0]],
+    [[0.05, 0.0], [0.0, 0.0], [0.0, 0.0], [0.075, 0.0]],
+]
+REPORT_ENSEMBLE = [
+    {"weight": 0.25, "blochA": [0.6, 0.0, 0.8], "blochB": [0.0, 1.0, 0.0]},
+    {"weight": 0.75, "blochA": [0.0, 0.0, -1.0], "blochB": [0.36, 0.48, 0.8]},
+]
+REPORT_STATES = ["psi-minus", "psi-plus", "phi-plus", "phi-minus", "mixed", "werner:0.4",
+                 "phase:0.7853981633974483", "matrix.json", "ensemble.json"]
+REPORT_PANEL = (
+    [["witness", "--state", s, "--format", f]
+     for s in REPORT_STATES for f in ("json", "plain", "csv")]
+    + [["witness", "--state", "werner", "--w", "0.3"],
+       ["witness", "--state", "phase", "--phi", "1.2", "--format", "csv"],
+       ["witness", "--state", "matrix.json", "--tolerance", "1e-6", "--format", "plain"]]
+    + [["ks", *extra, "--format", f]
+       for extra in ([], ["--assignments"]) for f in ("json", "plain")]
+    + [["ks", "--state", s, "--format", f] for s in REPORT_STATES for f in ("json", "plain")]
+    + [["ks", "--state", "phase", "--phi", "0.4", "--assignments"]]
+    + [["bound", name, "--format", f]
+       for name in ("ekert-s", "bbm-t", "ks-i", "ks-ii", "ks-iii")
+       for f in ("json", "plain", "csv")]
+)
+# Recorded before the witness, fidelity and bound tables were merged: every
+# report, key order included, must not move.
+REPORT_PANEL_DIGEST = "b155ea99b1577a4caa32d148838b544a3ba70d469596a89ab82b240c25b395b1"
+
+
+def test_golden_report_digest_is_pinned(capsys, tmp_path, monkeypatch):
+    """Every witness, ks and bound report over a fixed panel stays byte-identical."""
+    monkeypatch.chdir(tmp_path)  # file labels are the relative names, wherever tmp_path is
+    (tmp_path / "matrix.json").write_text(json.dumps(REPORT_MATRIX))
+    (tmp_path / "ensemble.json").write_text(json.dumps(REPORT_ENSEMBLE))
+    outputs = [run_cli(capsys, *argv)[:2] for argv in REPORT_PANEL]
+    assert {code for code, _ in outputs} == {0}
+    text = "".join(f"{code}\n{out}" for code, out in outputs)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_PANEL_DIGEST
+
+
 class TestBoundCommand:
     def test_bbm_bound(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "bbm-t")
@@ -344,9 +404,28 @@ class TestQkdCommand:
 
 class TestFormatsAndCodes:
     def test_structured_report_refuses_csv(self, capsys):
-        code, _, err = run_cli(capsys, "fine", "0", "0", "0", "0", "--format", "csv")
+        code, out, err = call_cli(capsys, ["fine", "0", "0", "0", "0", "--format", "csv"])
         assert code == 2
-        assert "structured" in err
+        assert out == ""
+        assert "invalid choice: 'csv'" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["ks", "--format", "csv"], "invalid choice: 'csv'"),
+            (["qkd", "--protocol", "bbm92", "--rounds", "100000000", "--format", "csv"],
+             "invalid choice: 'csv'"),
+            (["fine", "0", "0", "0", "0", "--tolerance", "1e-3"],
+             "unrecognized arguments: --tolerance 1e-3"),
+            (["bound", "bbm-t", "--tolerance", "1e-3"], "unrecognized arguments: --tolerance 1e-3"),
+        ],
+    )
+    def test_parser_refuses_options_the_subcommand_lacks(self, capsys, argv, message):
+        """The parser, not the report, decides where --format csv and --tolerance apply."""
+        code, out, err = call_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_invalid_state_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "witness", "--state", "werner:1.5")
@@ -382,6 +461,10 @@ class TestFormatsAndCodes:
             (["witness", "--state", "werner:0.3", "--phi", "1"], "--phi parameterizes only phase"),
             (["qkd", "--protocol", "e91", "--rounds", "2000", "--w", "0.3"], "--w parameterizes"),
             (["ks", "--phi", "0.5"], "--phi and --w parameterize a state"),
+            (["ks", "--tolerance", "nan"], "tolerance must be finite and nonnegative, got nan"),
+            (["ks", "--tolerance", "-1"], "tolerance must be finite and nonnegative, got -1.0"),
+            (["witness", "--state", "phase:1", "--phi", "1"], "give the phase once, not twice"),
+            (["witness", "--state", "phase"], "phase state needs a parameter"),
         ],
     )
     def test_stray_state_flag_rejected(self, capsys, argv, message):
@@ -413,8 +496,13 @@ class TestFormatsAndCodes:
              "weight in FILE must hold only numbers: true is not a number"),
             ([[[float(i == j), False] for j in range(4)] for i in range(4)], "1e-10",
              "must hold only numbers: false is not a number"),
+            ([[[float("nan") if i == j == 0 else 0.0, 0.0] for j in range(4)] for i in range(4)],
+             "1e-10", "FILE (a 4x4 matrix of [re, im] pairs) holds a NaN or infinite number"),
+            ([[[0.3 * (i == j), 0.0] for j in range(4)] for i in range(4)], "0.1",
+             "FILE violates unit trace"),
         ],
-        ids=["negative-trace", "zero-matrix", "boolean-weight", "boolean-entry"],
+        ids=["negative-trace", "zero-matrix", "boolean-weight", "boolean-entry", "nan-literal",
+             "trace-off"],
     )
     def test_invalid_state_file_rejected(self, capsys, tmp_path, payload, tolerance, message):
         """Exit 2 with a message naming the file, and no NumPy warning on the way."""
@@ -429,6 +517,23 @@ class TestFormatsAndCodes:
         assert out == ""
         assert err.startswith("error: ") and message.replace("FILE", str(path)) in err
         assert str(path) in err and "Warning" not in err
+
+    @pytest.mark.parametrize(
+        "eve, contents, message",
+        [
+            ("intercept:", None, "intercept takes a direction"),
+            ("substitute:", None, "substitute takes an ensemble file"),
+            ("substitute:FILE", {"weight": 1.0}, "ensemble file FILE must hold a JSON list"),
+        ],
+    )
+    def test_bad_eve_descriptor_rejected(self, capsys, tmp_path, eve, contents, message):
+        path = tmp_path / "eve.json"
+        path.write_text(json.dumps(contents))
+        code, out, err = run_cli(capsys, "qkd", "--protocol", "e91",
+                                 "--eve", eve.replace("FILE", str(path)))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message.replace("FILE", str(path)) in err
 
     def test_long_bloch_vector_reported_in_plain_numbers(self, capsys, tmp_path):
         path = tmp_path / "ensemble.json"
@@ -475,24 +580,15 @@ PARSER_REUSE_ARGV = [
 
 
 class TestParserReuse:
-    @staticmethod
-    def call(capsys, argv):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse rejects bad arguments by exiting
-            code = exc.code
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-
     def test_one_parser_serves_interleaved_calls(self, capsys):
         """Calls through the cached parser match calls through a fresh one, byte for byte."""
         invocations = PARSER_REUSE_ARGV * 2
         fresh = []
         for argv in invocations:
             cli._parser_from.cache_clear()
-            fresh.append(self.call(capsys, argv))
+            fresh.append(call_cli(capsys, argv))
         cli._parser_from.cache_clear()
-        reused = [self.call(capsys, argv) for argv in invocations]
+        reused = [call_cli(capsys, argv) for argv in invocations]
         assert cli._parser_from.cache_info().misses == 1
         assert reused == fresh
         assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 2] * 2

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eprlab.hidden_variables import (
-    ANALYTIC_BOUNDS,
     CHSH_SIGN_PATTERNS,
     STRATEGIES,
     BoundReport,
@@ -67,6 +66,20 @@ class TestAssignments:
         bad = dict(good, xx=-1)
         with pytest.raises(ValueError, match="product rule"):
             KSAssignment(singles=singles, products=bad)
+
+    @pytest.mark.parametrize(
+        "singles, message",
+        [
+            ({"ax": 1, "ay": 1, "az": 1, "bx": 1, "by": 1}, "singles must have keys"),
+            ({"ax": 0, "ay": 1, "az": 1, "bx": 1, "by": 1, "bz": 1},
+             r"assignment value ax=0 must be \+1 or -1"),
+        ],
+        ids=["missing-key", "zero-value"],
+    )
+    def test_malformed_assignment_rejected(self, singles, message):
+        products = {"xx": 1, "yy": 1, "xy": 1, "yx": 1, "zz": 1}
+        with pytest.raises(ValueError, match=message):
+            KSAssignment(singles=singles, products=products)
 
     def test_zz_follows_xy_products_not_z_singles(self):
         """The zz value is pinned by the x/y products; z singles are free."""
@@ -256,11 +269,22 @@ def test_fine_panel_decides_local_model_existence(values):
     assert chsh_panel(quad).fine_passes == (fine_local_model(quad) is not None)
 
 
+# The analytic product-state bounds, written out apart from the package's table.
+EXPECTED_BOUNDS = {
+    SeparableFunctional.EKERT_S: np.sqrt(2.0),
+    SeparableFunctional.BBM_T: 1.0,
+    SeparableFunctional.KS_I: 2.0,
+    SeparableFunctional.KS_II: 2.0,
+    SeparableFunctional.KS_III: 2.0,
+}
+
+
 class TestSeparableBound:
     @pytest.mark.parametrize("functional", list(SeparableFunctional))
     def test_supremum_matches_analytic_bound(self, functional):
         report = separable_bound(functional)
-        assert report.supremum == pytest.approx(ANALYTIC_BOUNDS[functional], abs=1e-4)
+        assert report.supremum == pytest.approx(EXPECTED_BOUNDS[functional], abs=1e-4)
+        assert report.analytic_bound == EXPECTED_BOUNDS[functional]
         assert np.linalg.norm(report.argmax_bloch_a) == pytest.approx(1.0, abs=1e-9)
         assert np.linalg.norm(report.argmax_bloch_b) == pytest.approx(1.0, abs=1e-9)
 
@@ -283,6 +307,14 @@ class TestExpansionCheck:
             residuals = separable_expansion_check(random_ensemble(rng))
             assert residuals.ekert <= 1e-8
             assert residuals.bbm <= 1e-8
+
+    def test_default_settings_match_no_settings_bit_for_bit(self):
+        rng = np.random.default_rng(83)
+        for _ in range(20):
+            ensemble = random_ensemble(rng)
+            assert separable_expansion_check(ensemble) == separable_expansion_check(
+                ensemble, default_ekert_settings()
+            )
 
     def test_pure_product_case(self):
         ens = ProductEnsemble([(1.0, X_AXIS, X_AXIS)])

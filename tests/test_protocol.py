@@ -99,6 +99,8 @@ class TestEveStrategies:
             InterceptResend(basis=(1.0, 1.0, 0.0))
         with pytest.raises(ValueError, match=r"basis vector \[nan, 0.0, 0.0\] has norm nan"):
             InterceptResend(basis=(float("nan"), 0.0, 0.0))
+        with pytest.raises(ValueError, match="basis vector must have 3 components, got 2"):
+            InterceptResend(basis=(1.0, 0.0))
         custom = InterceptResend(basis=(0.6, 0.0, 0.8))
         assert custom.basis == pytest.approx((0.6, 0.0, 0.8))
 

@@ -169,9 +169,17 @@ class TestErrorMessages:
              "blochB at index 0 is not finite, got [nan, 0.0, 1.0]"),
             (lambda: TwoQubitState(np.eye(4) / 2.0), "density matrix trace (2+0j) deviates from 1"),
             (lambda: OutcomeDistribution([0.5, 0.5, 0.5, 0.0]), "probabilities sum to 1.5, not 1"),
+            (lambda: SpinSetting.alice([1.0, 0.0]),
+             "spin direction must be a 3-vector, got shape (2,)"),
+            (lambda: ProductEnsemble([(1.0, (1.0, 0.0), Z_AXIS)]),
+             "blochA at index 0 must be a 3-vector, got shape (2,)"),
+            (lambda: OutcomeDistribution([0.5, 0.5]), "need 4 joint probabilities, got shape (2,)"),
+            (lambda: bell_state("psi-minus"), "label must be a BellLabel, got 'psi-minus'"),
+            (lambda: bloch_qubit([1.0, 0.0]), "Bloch vector must be a 3-vector, got shape (2,)"),
         ],
         ids=["pure-norm", "spin-norm", "bloch-qubit-norm", "ensemble-norm", "ensemble-nan-weight",
-             "ensemble-nan-bloch", "trace", "distribution-sum"],
+             "ensemble-nan-bloch", "trace", "distribution-sum", "spin-shape", "ensemble-shape",
+             "distribution-shape", "bell-label", "bloch-qubit-shape"],
     )
     def test_messages_name_the_fault_in_plain_numbers(self, build, message):
         """Non-finite input is named as such, and no NumPy repr leaks into a message."""

@@ -1,10 +1,14 @@
 """Tests for the witness statistics, fidelities, and verdicts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from eprlab.hidden_variables import BoundReport, LocalModel, SeparableFunctional
 from eprlab.qstate import (
     BellLabel,
+    OutcomeDistribution,
     SpinSetting,
     TwoQubitState,
     X_AXIS,
@@ -25,6 +29,7 @@ from eprlab.witnesses import (
     CorrelatorAxes,
     EkertSettings,
     KSCase,
+    LinearFunctional,
     WitnessVerdict,
     bbm_statistic,
     bbm_verdict,
@@ -210,6 +215,17 @@ class TestBellFidelities:
         with pytest.raises(ValueError, match="outside"):
             BellFidelities(phi_plus=1.5, phi_minus=-0.5, psi_plus=0.0, psi_minus=0.0)
 
+    def test_fields_follow_bell_label_order(self):
+        """by_label pairs the fields with BellLabel in declaration order."""
+        assert [f.name for f in dataclasses.fields(BellFidelities)] == [
+            label.name.lower() for label in BellLabel
+        ]
+        fidelities = BellFidelities(0.1, 0.2, 0.3, 0.4)
+        assert fidelities.by_label() == {
+            BellLabel.PHI_PLUS: 0.1, BellLabel.PHI_MINUS: 0.2,
+            BellLabel.PSI_PLUS: 0.3, BellLabel.PSI_MINUS: 0.4,
+        }
+
 
 class TestDistillability:
     def test_werner_above_threshold(self):
@@ -262,3 +278,31 @@ class TestBoundsExposed:
         assert EKERT_BOUND == pytest.approx(np.sqrt(2.0), abs=1e-15)
         assert BBM_BOUND == 1.0
         assert KS_BOUND == 2.0
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: OutcomeDistribution([NAN, 0.0, 0.0, 1.0]), "probabilities must be finite"),
+        (lambda: LocalModel((NAN,) * 16), "weights must be finite"),
+        (lambda: WitnessVerdict(NAN, 1.0, False, NAN), "verdict statistic must be finite, got nan"),
+        (lambda: WitnessVerdict(INF, 1.0, True, INF), "verdict statistic must be finite, got inf"),
+        (lambda: WitnessVerdict(0.5, 1.0, False, NAN), "verdict margin must be finite, got nan"),
+        (lambda: BoundReport(SeparableFunctional.BBM_T, NAN, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0),
+                             1, 1.0), "supremum must be finite, got nan"),
+        (lambda: LinearFunctional(NAN, np.eye(3)), "offset and weights must be finite, got nan"),
+        (lambda: LinearFunctional(0.0, np.diag([1.0, INF, 1.0])), "offset and weights must be finite"),
+        (lambda: LinearFunctional(0.0, np.eye(2)), "weights must be 3x3, got shape (2, 2)"),
+    ],
+    ids=["distribution", "local-model", "verdict-nan", "verdict-inf", "verdict-margin",
+         "bound-report", "functional-offset", "functional-weights", "functional-shape"],
+)
+def test_non_finite_or_misshapen_values_rejected(build, message):
+    """Each comparison a NaN would make False is preceded by a check that names the field."""
+    with pytest.raises(ValueError) as error:
+        build()
+    assert message in str(error.value)
