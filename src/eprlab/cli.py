@@ -47,6 +47,7 @@ from .hidden_variables import (
     separable_bound,
 )
 from .protocol import (
+    _INTERCEPT_AXES,
     InterceptResend,
     NoEve,
     Protocol,
@@ -75,21 +76,18 @@ from .witnesses import (
     ks_verdict,
 )
 
-NAMED_STATES = ("psi-minus", "psi-plus", "phi-plus", "phi-minus", "mixed")
+NAMED_STATES = (*(label.value for label in BellLabel), "mixed")
 
-_BELL_JSON_NAMES = {
-    BellLabel.PHI_PLUS: "phiPlus",
-    BellLabel.PHI_MINUS: "phiMinus",
-    BellLabel.PSI_PLUS: "psiPlus",
-    BellLabel.PSI_MINUS: "psiMinus",
-}
 
-_CASE_JSON_NAMES = {KSCase.CASE_I: "caseI", KSCase.CASE_II: "caseII", KSCase.CASE_III: "caseIII"}
+def _json_name(label: BellLabel) -> str:
+    """A Bell state's JSON name: phi-plus -> phiPlus."""
+    head, tail = label.value.split("-")
+    return head + tail.capitalize()
 
 
 def _by_case(value: Callable[[KSCase], Any]) -> dict[str, Any]:
-    """One JSON object with an entry per value-assignment case."""
-    return {_CASE_JSON_NAMES[case]: value(case) for case in KSCase}
+    """One JSON object with an entry per value-assignment case: CASE_II -> caseII."""
+    return {"case" + case.name.partition("_")[2]: value(case) for case in KSCase}
 
 
 def _load_json_file(path: str) -> Any:
@@ -109,10 +107,8 @@ def _ensemble_from_json(data: Any, path: str) -> ProductEnsemble:
     terms = []
     for k, entry in enumerate(data):
         if not isinstance(entry, dict) or entry.keys() != _ENSEMBLE_SHAPES.keys():
-            raise ValueError(
-                f"ensemble entry {k} in {path} must have exactly the keys "
-                "weight, blochA, blochB"
-            )
+            raise ValueError(f"ensemble entry {k} in {path} must have exactly the keys "
+                             f"{', '.join(_ENSEMBLE_SHAPES)}")
         terms.append(tuple(_numbers(entry[key], shape, f"ensemble entry {k} {key} in {path}")
                            for key, shape in _ENSEMBLE_SHAPES.items()))
     return ProductEnsemble(terms)
@@ -171,6 +167,13 @@ def _check_tolerance(tolerance: float) -> None:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
 
 
+# Parametric states: name -> (flag, builder, what the parameter is called, an example value).
+_PARAMETRIC_STATES = {
+    "werner": ("--w", werner_state, "the Werner parameter", "0.4"),
+    "phase": ("--phi", lambda phi: density_from_pure(phase_epr_state(phi)), "the phase", "0.7854"),
+}
+
+
 def resolve_state(
     descriptor: str,
     phi: Optional[float] = None,
@@ -181,8 +184,9 @@ def resolve_state(
     _check_tolerance(tolerance)
     name = descriptor.strip()
     base, _, argument = name.partition(":")
-    for flag, value, owner in (("--w", w, "werner"), ("--phi", phi, "phase")):
-        if value is not None and base != owner:
+    given = {"werner": w, "phase": phi}
+    for owner, (flag, _, _, _) in _PARAMETRIC_STATES.items():
+        if given[owner] is not None and base != owner:
             raise ValueError(f"{flag} parameterizes only {owner} states, not {name!r}")
     if base in NAMED_STATES:
         if argument:
@@ -190,20 +194,15 @@ def resolve_state(
         if base == "mixed":
             return werner_state(0.0), base  # I/4 is the Werner state at w = 0
         return density_from_pure(bell_state(BellLabel(base))), base
-    if base == "werner":
-        if argument and w is not None:
-            raise ValueError("give the Werner parameter once, not twice")
-        value = float(argument) if argument else w
+    if base in _PARAMETRIC_STATES:
+        flag, build, parameter, example = _PARAMETRIC_STATES[base]
+        if argument and given[base] is not None:
+            raise ValueError(f"give {parameter} once, not twice")
+        value = float(argument) if argument else given[base]
         if value is None:
-            raise ValueError("werner state needs a parameter, e.g. werner:0.4 or --w 0.4")
-        return werner_state(value), f"werner:{value:g}"
-    if base == "phase":
-        if argument and phi is not None:
-            raise ValueError("give the phase once, not twice")
-        value = float(argument) if argument else phi
-        if value is None:
-            raise ValueError("phase state needs a parameter, e.g. phase:0.7854 or --phi 0.7854")
-        return density_from_pure(phase_epr_state(value)), f"phase:{value:g}"
+            raise ValueError(f"{base} state needs a parameter, e.g. "
+                             f"{base}:{example} or {flag} {example}")
+        return build(value), f"{base}:{value:g}"
     data = _load_json_file(name)
     if isinstance(data, list) and data and isinstance(data[0], dict):
         return product_mixture(_ensemble_from_json(data, name)), f"ensemble:{name}"
@@ -245,13 +244,12 @@ def cmd_witness(args: argparse.Namespace) -> dict[str, Any]:
                                      ("T", "bbm", bbm_verdict(state))):
         doc.update({statistic: verdict.statistic, f"{name}Bound": verdict.bound,
                     f"{name}Violated": verdict.violated, f"{name}Margin": verdict.margin})
-    for case, short in ((KSCase.CASE_I, "U1"), (KSCase.CASE_II, "U2"), (KSCase.CASE_III, "U3")):
-        doc[short] = ks_functional(state, case)
+    doc.update({f"U{n}": ks_functional(state, case) for n, case in enumerate(KSCase, 1)})
     doc["ksBound"] = KS_BOUND
     doc["ksViolated"] = _by_case(lambda case: ks_verdict(state, case).violated)
-    doc["fidelities"] = {_BELL_JSON_NAMES[lbl]: v for lbl, v in fidelities.by_label().items()}
+    doc["fidelities"] = {_json_name(lbl): v for lbl, v in fidelities.by_label().items()}
     doc["distillable"] = distill.distillable
-    doc["distillableBellState"] = _BELL_JSON_NAMES.get(distill.bell_label)
+    doc["distillableBellState"] = _json_name(distill.bell_label) if distill.bell_label else None
     doc["maxFidelity"] = distill.fidelity
     return doc
 
@@ -313,12 +311,18 @@ def cmd_bound(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
+def _eve_choices() -> str:
+    named = ", ".join(f"intercept-{basis}" for basis in _INTERCEPT_AXES)
+    return f"none, {named}, intercept:DX,DY,DZ, or substitute:FILE"
+
+
 def _parse_eve(descriptor: str):
     name, _, argument = descriptor.partition(":")
     if name == "none":
         return NoEve()
-    if name in ("intercept-x", "intercept-z", "intercept-xz"):
-        return InterceptResend(basis=name.split("-", 1)[1])
+    kind, _, basis = name.partition("-")
+    if kind == "intercept" and basis in _INTERCEPT_AXES:
+        return InterceptResend(basis=basis)
     if name == "intercept":
         if not argument:
             raise ValueError("intercept takes a direction, e.g. intercept:0.6,0,0.8")
@@ -331,10 +335,7 @@ def _parse_eve(descriptor: str):
         if not isinstance(data, list):
             raise ValueError(f"ensemble file {argument} must hold a JSON list")
         return SeparableSubstitution(_ensemble_from_json(data, argument))
-    raise ValueError(
-        f"unknown eavesdropper {descriptor!r}; expected none, intercept-x, intercept-z, "
-        "intercept-xz, intercept:DX,DY,DZ, or substitute:FILE"
-    )
+    raise ValueError(f"unknown eavesdropper {descriptor!r}; expected {_eve_choices()}")
 
 
 def cmd_qkd(args: argparse.Namespace) -> dict[str, Any]:
@@ -442,11 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qkd.add_argument("--protocol", choices=[p.value for p in Protocol], required=True)
     p_qkd.add_argument("--rounds", type=int, default=20_000)
     p_qkd.add_argument("--source", default="psi-minus", help="source state descriptor")
-    p_qkd.add_argument(
-        "--eve", default="none",
-        help="none, intercept-x, intercept-z, intercept-xz, intercept:DX,DY,DZ, "
-        "or substitute:FILE",
-    )
+    p_qkd.add_argument("--eve", default="none", help=_eve_choices())
     p_qkd.add_argument("--test-fraction", type=float, default=0.25)
     p_qkd.add_argument("--seed", type=int, default=0)
     p_qkd.add_argument("--abort-sigma", type=float, default=3.0)

@@ -47,7 +47,6 @@ from .witnesses import (
     KS_BOUND,
     EkertSettings,
     KSCase,
-    LinearFunctional,
     bbm_statistic,
     ekert_functional,
     ekert_statistic,
@@ -282,9 +281,8 @@ class SeparableFunctional(Enum):
 SEPARABLE_WITNESSES = {
     SeparableFunctional.EKERT_S: (EKERT_FUNCTIONAL, EKERT_BOUND),
     SeparableFunctional.BBM_T: (BBM_FUNCTIONAL, BBM_BOUND),
-    SeparableFunctional.KS_I: (KSCase.CASE_I.functional, KS_BOUND),
-    SeparableFunctional.KS_II: (KSCase.CASE_II.functional, KS_BOUND),
-    SeparableFunctional.KS_III: (KSCase.CASE_III.functional, KS_BOUND),
+    **{SeparableFunctional["KS_" + case.name.partition("_")[2]]: (case.functional, KS_BOUND)
+       for case in KSCase},
 }
 
 
@@ -352,14 +350,11 @@ def separable_expansion_check(
     """
     ekert_linear = EKERT_FUNCTIONAL if settings is None else ekert_functional(settings)
     state = product_mixture(ensemble)
-
-    def expansion(linear: LinearFunctional) -> float:
-        return sum(w * (bloch_a @ linear.weights @ bloch_b) for w, bloch_a, bloch_b in ensemble)
-
-    residuals = ExpansionResiduals(
-        ekert=abs(ekert_statistic(state, settings) - expansion(ekert_linear)),
-        bbm=abs(bbm_statistic(state) - expansion(BBM_FUNCTIONAL)),
-    )
+    expanded_s, expanded_t = np.einsum(
+        "k,ki,fij,kj->f", ensemble.weights, ensemble.blochs_a,
+        np.array([ekert_linear.weights, BBM_FUNCTIONAL.weights]), ensemble.blochs_b)
+    residuals = ExpansionResiduals(ekert=abs(ekert_statistic(state, settings) - expanded_s),
+                                   bbm=abs(bbm_statistic(state) - expanded_t))
     if residuals.ekert > ATOL_ALARM or residuals.bbm > ATOL_ALARM:
         raise RuntimeError(
             f"expansion routes disagree (S residual {residuals.ekert:.3e}, "

@@ -95,7 +95,8 @@ class InterceptResend:
     def __post_init__(self) -> None:
         if isinstance(self.basis, str):
             if self.basis not in _INTERCEPT_AXES:
-                raise ValueError(f"basis must be 'x', 'z', 'xz', or a 3-vector, got {self.basis!r}")
+                named = ", ".join(repr(basis) for basis in _INTERCEPT_AXES)
+                raise ValueError(f"basis must be {named}, or a 3-vector, got {self.basis!r}")
             return
         direction = tuple(float(x) for x in self.basis)
         if len(direction) != 3:

@@ -1,4 +1,4 @@
-"""Exact two-qubit states, spin observables, and outcome statistics.
+"""Exact two-qubit states, spin settings, and outcome statistics.
 
 Conventions
 -----------
@@ -18,13 +18,16 @@ Conventions
 - Every state the package builds itself (product mixtures, Werner states,
   channel images) is assembled once, from (r_A, r_B, T), in
   state_from_bloch, and then passes every TwoQubitState check.
+- BELL_CORRELATORS, the Bell states' same-axis correlators (c_x, c_y, c_z),
+  is the one table of Bell-state data; the amplitudes are read off it:
+  (|++> + c_x |-->)/sqrt 2 if c_z = +1, else (|+-> + c_x |-+>)/sqrt 2.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -46,9 +49,7 @@ PAULI_VECTOR = (PAULI_X, PAULI_Y, PAULI_Z)
 _PAULI_BASIS = (IDENTITY_2, *PAULI_VECTOR)
 _PAULI_PRODUCTS = np.array([np.kron(a, b).T.ravel() for a in _PAULI_BASIS for b in _PAULI_BASIS])
 
-X_AXIS = np.array([1.0, 0.0, 0.0])
-Y_AXIS = np.array([0.0, 1.0, 0.0])
-Z_AXIS = np.array([0.0, 0.0, 1.0])
+X_AXIS, Y_AXIS, Z_AXIS = np.eye(3)
 
 
 class Party(Enum):
@@ -67,17 +68,24 @@ class BellLabel(Enum):
     PSI_MINUS = "psi-minus"
 
 
-_BELL_AMPLITUDES = {
-    BellLabel.PHI_PLUS: np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0),
-    BellLabel.PHI_MINUS: np.array([1.0, 0.0, 0.0, -1.0], dtype=complex) / np.sqrt(2.0),
-    BellLabel.PSI_PLUS: np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0),
-    BellLabel.PSI_MINUS: np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0),
+# Same-axis correlators (E(xx), E(yy), E(zz)) of each Bell state; see the module docstring.
+BELL_CORRELATORS = {
+    BellLabel.PHI_PLUS: (1.0, -1.0, 1.0),
+    BellLabel.PHI_MINUS: (-1.0, 1.0, 1.0),
+    BellLabel.PSI_PLUS: (1.0, 1.0, -1.0),
+    BellLabel.PSI_MINUS: (-1.0, -1.0, -1.0),
 }
 
 
 def _read_only(a: Array) -> Array:
     a.flags.writeable = False
     return a
+
+
+# Row k holds the amplitudes of the k-th BellLabel, read off its correlators.
+_BELL_AMPLITUDES = _read_only(np.array(
+    [[1.0, 0.0, 0.0, c_x] if c_z > 0 else [0.0, 1.0, c_x, 0.0]
+     for c_x, _, c_z in map(BELL_CORRELATORS.get, BellLabel)], dtype=complex) / np.sqrt(2.0))
 
 
 class PureState:
@@ -161,35 +169,54 @@ class SpinSetting:
         return f"SpinSetting({self.direction.tolist()}, {self.party})"
 
 
+def _require(passed: Array, message: Callable[[int], str]) -> None:
+    """Raise ValueError(message(i)) for the first entry i of passed that is False."""
+    flags = passed.tolist()
+    if not all(flags):
+        raise ValueError(message(flags.index(False)))
+
+
+def _bloch_rows(vectors: Sequence[Sequence[float]]) -> Array:
+    """Alice's n Bloch vectors, then Bob's, as one read-only (2, n, 3) array; a bad one is named."""
+    n = len(vectors) // 2
+
+    def term(i: int) -> str:
+        return f"{('blochA', 'blochB')[i // n]} at index {i % n}"
+
+    try:
+        rows = np.array(vectors, dtype=float)
+    except ValueError:  # ragged: some vector is not a 3-vector
+        rows = None
+    if rows is None or rows.shape != (2 * n, 3):
+        shapes = [np.asarray(v, dtype=float).shape for v in vectors]
+        i = next(i for i, shape in enumerate(shapes) if shape != (3,))
+        raise ValueError(f"{term(i)} must be a 3-vector, got shape {shapes[i]}")
+    _require(np.isfinite(rows).all(axis=1),
+             lambda i: f"{term(i)} is not finite, got {rows[i].tolist()}")
+    norms = np.sqrt(np.einsum("ki,ki->k", rows, rows))  # inf, not an overflow warning, if huge
+    _require(norms <= 1.0 + ATOL_CONSTRUCT,
+             lambda i: f"{term(i)} has norm {float(norms[i])!r} above 1")
+    return _read_only(rows).reshape(2, n, 3)
+
+
 class ProductEnsemble:
-    """Convex mixture of product states, one (weight, Bloch A, Bloch B) per term."""
+    """Product-state mixture, one term per row of weights (k,), blochs_a and blochs_b (k, 3)."""
 
     def __init__(self, terms: Iterable[tuple[float, Sequence[float], Sequence[float]]]) -> None:
-        parsed = []
-        for k, (weight, bloch_a, bloch_b) in enumerate(terms):
-            w = float(weight)
-            if not np.isfinite(w):
-                raise ValueError(f"ensemble weight at index {k} is not finite, got {w!r}")
-            if not w >= -ATOL_CONSTRUCT:
-                raise ValueError(f"ensemble weight {w!r} at index {k} is negative")
-            na = np.asarray(bloch_a, dtype=float)
-            nb = np.asarray(bloch_b, dtype=float)
-            for name, n in (("blochA", na), ("blochB", nb)):
-                if n.shape != (3,):
-                    raise ValueError(f"{name} at index {k} must be a 3-vector, got shape {n.shape}")
-                if not np.isfinite(n).all():
-                    raise ValueError(f"{name} at index {k} is not finite, got {n.tolist()}")
-                if not np.linalg.norm(n) <= 1.0 + ATOL_CONSTRUCT:
-                    raise ValueError(
-                        f"{name} at index {k} has norm {float(np.linalg.norm(n))!r} above 1"
-                    )
-            parsed.append((max(w, 0.0), _read_only(na.copy()), _read_only(nb.copy())))
-        if not parsed:
+        columns = tuple(zip(*((float(w), a, b) for w, a, b in terms)))
+        if not columns:
             raise ValueError("ensemble must contain at least one term")
-        total = sum(w for w, _, _ in parsed)
+        weights = np.array(columns[0])
+        _require(np.isfinite(weights),
+                 lambda k: f"ensemble weight at index {k} is not finite, got {columns[0][k]!r}")
+        _require(weights >= -ATOL_CONSTRUCT,
+                 lambda k: f"ensemble weight {columns[0][k]!r} at index {k} is negative")
+        self.blochs_a, self.blochs_b = _bloch_rows(columns[1] + columns[2])
+        self.weights = _read_only(np.maximum(weights, 0.0))
+        total = sum(self.weights.tolist())
         if not abs(total - 1.0) <= ATOL_CONSTRUCT:
             raise ValueError(f"ensemble weights sum to {total!r}, not 1")
-        self.terms = tuple(parsed)
+        self.terms = tuple(zip(self.weights.tolist(), self.blochs_a, self.blochs_b))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -250,7 +277,7 @@ def bell_state(label: BellLabel) -> PureState:
     """Return the requested maximally entangled state."""
     if not isinstance(label, BellLabel):
         raise ValueError(f"label must be a BellLabel, got {label!r}")
-    return PureState(_BELL_AMPLITUDES[label])
+    return PureState(_BELL_AMPLITUDES[list(BellLabel).index(label)])
 
 
 def phase_epr_state(phase: float) -> PureState:
@@ -258,27 +285,13 @@ def phase_epr_state(phase: float) -> PureState:
     phase = float(phase)
     if not np.isfinite(phase):
         raise ValueError(f"phase must be a finite number, got {phase!r}")
-    amp = np.zeros(4, dtype=complex)
-    amp[1] = 1.0 / np.sqrt(2.0)
-    amp[2] = np.exp(-1.0j * phase) / np.sqrt(2.0)
-    return PureState(amp)
+    return PureState(np.array([0.0, 1.0, np.exp(-1.0j * phase), 0.0]) / np.sqrt(2.0))
 
 
 def density_from_pure(state: PureState) -> TwoQubitState:
     """Rank-one density matrix |psi><psi|."""
     amp = state.amplitudes
     return TwoQubitState(np.outer(amp, amp.conj()))
-
-
-def bloch_qubit(bloch: Sequence[float]) -> Array:
-    """Single-qubit density matrix (I + n . sigma)/2 for |n| <= 1."""
-    n = np.asarray(bloch, dtype=float)
-    if n.shape != (3,):
-        raise ValueError(f"Bloch vector must be a 3-vector, got shape {n.shape}")
-    if not np.linalg.norm(n) <= 1.0 + ATOL_CONSTRUCT:
-        raise ValueError(f"Bloch vector norm {float(np.linalg.norm(n))!r} above 1")
-    rho = 0.5 * (IDENTITY_2 + n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
-    return rho
 
 
 def state_from_bloch(bloch_a: Sequence[float], bloch_b: Sequence[float],
@@ -293,7 +306,7 @@ def product_mixture(ensemble: ProductEnsemble) -> TwoQubitState:
     """Mixture of product states: r_A = sum_k w_k r_A,k, r_B likewise, T = sum_k w_k r_A,k r_B,k^T."""
     if not isinstance(ensemble, ProductEnsemble):
         ensemble = ProductEnsemble(ensemble)
-    weights, blochs_a, blochs_b = (np.array(column) for column in zip(*ensemble))
+    weights, blochs_a, blochs_b = ensemble.weights, ensemble.blochs_a, ensemble.blochs_b
     return state_from_bloch(weights @ blochs_a, weights @ blochs_b,
                             np.einsum("k,ki,kj->ij", weights, blochs_a, blochs_b))
 
@@ -304,15 +317,6 @@ def werner_state(w: float) -> TwoQubitState:
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"Werner parameter must lie in [0, 1], got {w!r}")
     return state_from_bloch(0.0, 0.0, -w * np.eye(3))
-
-
-def spin_observable(setting: SpinSetting) -> Array:
-    """Two-qubit observable measuring n . sigma on the setting's party."""
-    n = setting.direction
-    local = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
-    if setting.party is Party.ALICE:
-        return np.kron(local, IDENTITY_2)
-    return np.kron(IDENTITY_2, local)
 
 
 def _require_pair(setting_a: SpinSetting, setting_b: SpinSetting) -> None:

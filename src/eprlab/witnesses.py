@@ -10,11 +10,12 @@ defined once, as a LinearFunctional (offset, W):
 - The two-axis statistic T = E(xx) + E(zz) with W = diag(1, 0, 1) and
   separable bound 1.
 - One functional 1 + s_xx E(xx) + s_yy E(yy) + s_zz E(zz) per Bell state,
-  W = diag(s) with s that state's same-axis correlators, equal to four
-  times the fidelity with it.  Three of them are the value-assignment
-  functionals U1, U2, U3, each bounded by 2 under noncontextual sign
-  assignments and reaching 4 on its Bell state, so their violations
-  certify distillability.
+  W = diag(s) with s that state's same-axis correlators from
+  BELL_CORRELATORS (qstate's one table of Bell-state data, re-exported
+  here), equal to four times the fidelity with it.  Three of them are the
+  value-assignment functionals U1, U2, U3, each bounded by 2 under
+  noncontextual sign assignments and reaching 4 on its Bell state, so
+  their violations certify distillability.
 """
 
 from __future__ import annotations
@@ -27,14 +28,15 @@ from typing import Optional
 import numpy as np
 
 from .qstate import (
+    _BELL_AMPLITUDES,
     ATOL_DERIVED,
+    BELL_CORRELATORS,
     X_AXIS,
     Y_AXIS,
     BellLabel,
     Party,
     SpinSetting,
     TwoQubitState,
-    bell_state,
     correlator,  # re-exported: the single-correlator building block n_a.T.n_b
 )
 
@@ -66,14 +68,6 @@ class LinearFunctional:
     def __call__(self, state: TwoQubitState) -> float:
         return self.offset + float(np.vdot(self.weights, state.correlations))
 
-
-# Same-axis correlators (E(xx), E(yy), E(zz)) of each Bell state.
-BELL_CORRELATORS = {
-    BellLabel.PHI_PLUS: (1.0, -1.0, 1.0),
-    BellLabel.PHI_MINUS: (-1.0, 1.0, 1.0),
-    BellLabel.PSI_PLUS: (1.0, 1.0, -1.0),
-    BellLabel.PSI_MINUS: (-1.0, -1.0, -1.0),
-}
 
 # tr(rho |bell><bell|) = (1 + s . diag(T))/4, so each functional is 4 f(bell).
 BELL_FUNCTIONALS = {
@@ -117,12 +111,10 @@ class EkertSettings:
     b3: SpinSetting
 
     def __post_init__(self) -> None:
-        for name in ("a1", "a3"):
-            if getattr(self, name).party is not Party.ALICE:
-                raise ValueError(f"setting {name} must belong to Alice")
-        for name in ("b1", "b3"):
-            if getattr(self, name).party is not Party.BOB:
-                raise ValueError(f"setting {name} must belong to Bob")
+        for name in ("a1", "a3", "b1", "b3"):
+            party = Party.ALICE if name.startswith("a") else Party.BOB
+            if getattr(self, name).party is not party:
+                raise ValueError(f"setting {name} must belong to {party.value.title()}")
 
 
 def ekert_functional(settings: Optional[EkertSettings] = None) -> LinearFunctional:
@@ -215,12 +207,9 @@ class CorrelatorAxes(Enum):
     XX_ZZ = "xx+zz"
 
 
-_AXIS_INDICES = {CorrelatorAxes.XX_YY: (0, 1), CorrelatorAxes.XX_ZZ: (0, 2)}
-
-
 def pair_correlator_sum(state: TwoQubitState, axes: CorrelatorAxes) -> float:
     """Sum of two same-axis correlators, e.g. E(xx) + E(zz)."""
-    i, j = _AXIS_INDICES[axes]
+    i, j = ("xyz".index(pair[0]) for pair in axes.value.split("+"))
     return float(state.correlations[i, i] + state.correlations[j, j])
 
 
@@ -279,11 +268,8 @@ def fidelity_identities_check(state: TwoQubitState) -> tuple[float, float]:
     ATOL_DERIVED.
     """
     from_correlators = bell_fidelities(state)
-    max_residual = 0.0
-    for label, value in from_correlators.by_label().items():
-        amplitudes = bell_state(label).amplitudes
-        overlap = float(np.vdot(amplitudes, state.matrix @ amplitudes).real)
-        max_residual = max(max_residual, abs(overlap - value))
+    overlaps = np.einsum("ki,ij,kj->k", _BELL_AMPLITUDES.conj(), state.matrix, _BELL_AMPLITUDES)
+    max_residual = float(np.abs(overlaps.real - from_correlators.as_tuple()).max())
     sum_deviation = abs(sum(from_correlators.as_tuple()) - 1.0)
     if max_residual > ATOL_DERIVED or sum_deviation > ATOL_DERIVED:
         raise RuntimeError(

@@ -9,8 +9,9 @@ import warnings
 import numpy as np
 import pytest
 
-from eprlab import cli
-from eprlab.qstate import BellLabel, bell_state, density_from_pure
+from eprlab import cli, protocol
+from eprlab.protocol import InterceptResend
+from eprlab.qstate import Y_AXIS, BellLabel, bell_state, density_from_pure
 
 
 def run_cli(capsys, *argv):
@@ -361,6 +362,24 @@ class TestQkdCommand:
         assert code == 2
         assert "eavesdropper" in err
 
+    def test_eve_forms_are_listed_once(self, capsys):
+        expected = ("none, intercept-x, intercept-z, intercept-xz, intercept:DX,DY,DZ, "
+                    "or substitute:FILE")
+        code, _, err = run_cli(capsys, "qkd", "--protocol", "e91", "--eve", "tap")
+        assert code == 2
+        assert err == f"error: unknown eavesdropper 'tap'; expected {expected}\n"
+        code, out, _ = call_cli(capsys, ["qkd", "--help"])
+        assert code == 0
+        assert expected in " ".join(out.split())
+
+    def test_a_new_intercept_basis_needs_only_the_axes_table(self, monkeypatch):
+        monkeypatch.setitem(protocol._INTERCEPT_AXES, "y", (Y_AXIS,))
+        assert cli._parse_eve("intercept-y") == InterceptResend(basis="y")
+        with pytest.raises(ValueError, match="intercept-xz, intercept-y, intercept:DX,DY,DZ"):
+            cli._parse_eve("tap")
+        with pytest.raises(ValueError, match="basis must be 'x', 'z', 'xz', 'y', or a 3-vector"):
+            InterceptResend(basis="w")
+
     def test_starved_bbm92_run_names_the_test_fraction(self, capsys):
         for fraction, message in (("0.999", "no rounds landed on the key settings"),
                                   ("0.01", "setting pair x:x has")):
@@ -465,6 +484,14 @@ class TestFormatsAndCodes:
             (["ks", "--tolerance", "-1"], "tolerance must be finite and nonnegative, got -1.0"),
             (["witness", "--state", "phase:1", "--phi", "1"], "give the phase once, not twice"),
             (["witness", "--state", "phase"], "phase state needs a parameter"),
+            (["witness", "--state", "werner"],
+             "error: werner state needs a parameter, e.g. werner:0.4 or --w 0.4\n"),
+            (["witness", "--state", "phase:"],
+             "error: phase state needs a parameter, e.g. phase:0.7854 or --phi 0.7854\n"),
+            (["witness", "--state", "werner:0.4", "--w", "0.5"],
+             "error: give the Werner parameter once, not twice\n"),
+            (["witness", "--state", "mixed", "--phi", "1", "--w", "0.3"],
+             "error: --w parameterizes only werner states, not 'mixed'\n"),
         ],
     )
     def test_stray_state_flag_rejected(self, capsys, argv, message):

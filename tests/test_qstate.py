@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 from eprlab.qstate import (
+    ATOL_CONSTRUCT,
+    BELL_CORRELATORS,
+    IDENTITY_2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     BellLabel,
     OutcomeDistribution,
     Party,
@@ -15,15 +21,42 @@ from eprlab.qstate import (
     Y_AXIS,
     Z_AXIS,
     bell_state,
-    bloch_qubit,
     correlator,
     density_from_pure,
     outcome_distribution,
     phase_epr_state,
     product_mixture,
-    spin_observable,
+    state_from_bloch,
     werner_state,
 )
+
+# The Bell amplitudes as a literal table, the oracle for the ones eprlab reads
+# off BELL_CORRELATORS.
+BELL_AMPLITUDES = {
+    BellLabel.PHI_PLUS: np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0),
+    BellLabel.PHI_MINUS: np.array([1.0, 0.0, 0.0, -1.0], dtype=complex) / np.sqrt(2.0),
+    BellLabel.PSI_PLUS: np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0),
+    BellLabel.PSI_MINUS: np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0),
+}
+
+
+def bloch_qubit(bloch) -> np.ndarray:
+    """Oracle: the single-qubit density matrix (I + n . sigma)/2 for |n| <= 1."""
+    n = np.asarray(bloch, dtype=float)
+    if n.shape != (3,):
+        raise ValueError(f"Bloch vector must be a 3-vector, got shape {n.shape}")
+    if not np.linalg.norm(n) <= 1.0 + ATOL_CONSTRUCT:
+        raise ValueError(f"Bloch vector norm {float(np.linalg.norm(n))!r} above 1")
+    return 0.5 * (IDENTITY_2 + n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
+
+
+def spin_observable(setting: SpinSetting) -> np.ndarray:
+    """Oracle: the two-qubit observable measuring n . sigma on the setting's party."""
+    n = setting.direction
+    local = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
+    if setting.party is Party.ALICE:
+        return np.kron(local, IDENTITY_2)
+    return np.kron(IDENTITY_2, local)
 
 
 def random_density(rng: np.random.Generator) -> TwoQubitState:
@@ -70,6 +103,17 @@ class TestPureState:
         for phase in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="phase must be a finite number"):
                 phase_epr_state(phase)
+
+    @pytest.mark.parametrize("label", list(BellLabel))
+    def test_amplitudes_read_off_the_correlators_match_the_literal_table(self, label):
+        assert bell_state(label).amplitudes.tobytes() == BELL_AMPLITUDES[label].tobytes()
+
+    @pytest.mark.parametrize("label", list(BellLabel))
+    def test_correlation_matrix_is_the_correlator_table(self, label):
+        """Up to the rounding of (1/sqrt 2)^2, one ulp of 1."""
+        correlations = density_from_pure(bell_state(label)).correlations
+        np.testing.assert_allclose(correlations, np.diag(BELL_CORRELATORS[label]),
+                                   rtol=0.0, atol=2.3e-16)
 
     def test_phase_zero_matches_triplet(self):
         """Zero relative phase reduces to the symmetric Bell state."""
@@ -146,6 +190,17 @@ class TestProductEnsemble:
         with pytest.raises(ValueError, match="at least one"):
             ProductEnsemble([])
 
+    def test_terms_and_arrays_agree(self):
+        terms = [(0.25, X_AXIS, (0.0, 0.6, 0.8)), (0.75, (0.1, 0.2, 0.3), -Z_AXIS)]
+        ensemble = ProductEnsemble(terms)
+        assert len(ensemble) == 2
+        for (w, a, b), (w_k, a_k, b_k) in zip(terms, ensemble):
+            assert type(w_k) is float and w_k == w
+            np.testing.assert_array_equal(a_k, a)
+            np.testing.assert_array_equal(b_k, b)
+        for array in (ensemble.weights, ensemble.blochs_a, ensemble.blochs_b):
+            assert not array.flags.writeable
+
     def test_mixed_interior_vectors_allowed(self):
         ens = ProductEnsemble([(1.0, (0.2, 0.1, -0.3), (0.0, 0.0, 0.0))])
         rho = product_mixture(ens)
@@ -176,10 +231,25 @@ class TestErrorMessages:
             (lambda: OutcomeDistribution([0.5, 0.5]), "need 4 joint probabilities, got shape (2,)"),
             (lambda: bell_state("psi-minus"), "label must be a BellLabel, got 'psi-minus'"),
             (lambda: bloch_qubit([1.0, 0.0]), "Bloch vector must be a 3-vector, got shape (2,)"),
+            (lambda: ProductEnsemble([(0.5, X_AXIS, Z_AXIS), (0.5, X_AXIS, (0.0, 0.6, 0.9))]),
+             "blochB at index 1 has norm 1.0816653826391966 above 1"),
+            (lambda: ProductEnsemble([(0.5, X_AXIS, Z_AXIS), (0.5, (1.0, 0.0), Z_AXIS)]),
+             "blochA at index 1 must be a 3-vector, got shape (2,)"),
+            (lambda: ProductEnsemble([(0.5, X_AXIS, Z_AXIS), (0.5, X_AXIS, [[1.0], [0.0], [0.0]])]),
+             "blochB at index 1 must be a 3-vector, got shape (3, 1)"),
+            (lambda: ProductEnsemble([(0.5, X_AXIS, Z_AXIS), (0.7, X_AXIS, Z_AXIS),
+                                      (-0.2, X_AXIS, Z_AXIS)]),
+             "ensemble weight -0.2 at index 2 is negative"),
+            (lambda: ProductEnsemble([(0.5, X_AXIS, Z_AXIS), (0.5, (0.0, np.inf, 0.0), Z_AXIS)]),
+             "blochA at index 1 is not finite, got [0.0, inf, 0.0]"),
+            (lambda: ProductEnsemble([(1.0, (1e200, 0.0, 0.0), Z_AXIS)]),
+             "blochA at index 0 has norm inf above 1"),
         ],
         ids=["pure-norm", "spin-norm", "bloch-qubit-norm", "ensemble-norm", "ensemble-nan-weight",
              "ensemble-nan-bloch", "trace", "distribution-sum", "spin-shape", "ensemble-shape",
-             "distribution-shape", "bell-label", "bloch-qubit-shape"],
+             "distribution-shape", "bell-label", "bloch-qubit-shape", "ensemble-norm-later-term",
+             "ensemble-ragged", "ensemble-column", "ensemble-negative-later-term",
+             "ensemble-inf-bloch", "ensemble-norm-overflow"],
     )
     def test_messages_name_the_fault_in_plain_numbers(self, build, message):
         """Non-finite input is named as such, and no NumPy repr leaks into a message."""
@@ -190,6 +260,16 @@ class TestErrorMessages:
 
 
 class TestObservables:
+    def test_correlator_matches_the_observable_oracle(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            rho = random_density(rng)
+            u, v = rng.normal(size=3), rng.normal(size=3)
+            a = SpinSetting.alice(u / np.linalg.norm(u))
+            b = SpinSetting.bob(v / np.linalg.norm(v))
+            expected = np.trace(rho.matrix @ spin_observable(a) @ spin_observable(b)).real
+            assert correlator(rho, a, b) == pytest.approx(expected, abs=1e-12)
+
     def test_spin_observable_squares_to_identity(self):
         obs = spin_observable(SpinSetting.alice([0.6, 0.0, 0.8]))
         assert np.allclose(obs @ obs, np.eye(4), atol=1e-12)
@@ -331,6 +411,21 @@ class TestProductMixture:
         rho = product_mixture(ens)
         expected = np.kron(bloch_qubit(X_AXIS), bloch_qubit(-Z_AXIS))
         assert np.allclose(rho.matrix, expected, atol=1e-12)
+
+    def test_matrix_matches_the_per_term_route_bit_for_bit(self):
+        """Reading the ensemble's arrays gives the matrix that stacking its terms gave."""
+        rng = np.random.default_rng(17)
+        for k in (1, 2, 3, 5, 9):
+            for _ in range(20):
+                blochs = rng.normal(size=(2 * k, 3))
+                blochs *= rng.uniform(0.0, 1.0, size=(2 * k, 1)) / np.linalg.norm(
+                    blochs, axis=1, keepdims=True)
+                weights = rng.dirichlet(np.ones(k))
+                ensemble = ProductEnsemble(zip(weights, blochs[:k], blochs[k:]))
+                w, r_a, r_b = (np.array(column) for column in zip(*ensemble))
+                expected = state_from_bloch(w @ r_a, w @ r_b,
+                                            np.einsum("k,ki,kj->ij", w, r_a, r_b))
+                assert product_mixture(ensemble).matrix.tobytes() == expected.matrix.tobytes()
 
     def test_mixture_correlators_average(self):
         """Mixture correlators are the weighted average of the components'."""

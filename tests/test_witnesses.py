@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from eprlab import witnesses
 from eprlab.hidden_variables import BoundReport, LocalModel, SeparableFunctional
 from eprlab.qstate import (
     BellLabel,
@@ -208,6 +209,28 @@ class TestBellFidelities:
             residual, sum_dev = fidelity_identities_check(random_density(rng))
             assert residual <= 1e-10
             assert sum_dev <= 1e-10
+
+    def test_overlap_route_matches_per_state_overlaps(self):
+        """One einsum over the Bell amplitude rows gives each <bell|rho|bell>."""
+        def overlap(rho, label):
+            amp = bell_state(label).amplitudes
+            return float(np.vdot(amp, rho.matrix @ amp).real)
+
+        rng = np.random.default_rng(47)
+        for _ in range(100):
+            rho = random_density(rng)
+            fid = bell_fidelities(rho).by_label()
+            expected = max(abs(overlap(rho, label) - fid[label]) for label in BellLabel)
+            residual, _ = fidelity_identities_check(rho)
+            assert residual == pytest.approx(expected, abs=1e-15)
+
+    def test_disagreeing_routes_raise(self, monkeypatch):
+        rho = werner_state(0.3)
+        f = bell_fidelities(rho)
+        shifted = BellFidelities(f.phi_plus + 0.01, f.phi_minus - 0.01, f.psi_plus, f.psi_minus)
+        monkeypatch.setattr(witnesses, "bell_fidelities", lambda state: shifted)
+        with pytest.raises(RuntimeError, match="fidelity routes disagree"):
+            fidelity_identities_check(rho)
 
     def test_invalid_fidelities_rejected(self):
         with pytest.raises(ValueError, match="sum"):
