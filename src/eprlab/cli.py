@@ -263,8 +263,9 @@ def cmd_ks(args: argparse.Namespace) -> dict[str, Any]:
         "valueSets": _by_case(lambda c: sorted({ks_functional_value(a, c) for a in assignments})),
     }
     if args.state is None:
-        if (args.phi, args.w) != (None, None):
-            raise ValueError("--phi and --w parameterize a state; give one with --state")
+        flags = sorted(flag for flag, *_ in _PARAMETRIC_STATES.values())
+        if any(getattr(args, flag.lstrip("-")) is not None for flag in flags):
+            raise ValueError(f"{' and '.join(flags)} parameterize a state; give one with --state")
         _check_tolerance(args.tolerance)
     else:
         state, label = resolve_state(args.state, args.phi, args.w, args.tolerance)
@@ -458,7 +459,10 @@ def _parser_from(factory: Callable[[], argparse.ArgumentParser]) -> argparse.Arg
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser_from(build_parser).parse_args(argv)
+    parser = _parser_from(build_parser)
+    args = parser.parse_args(argv)
+    if [] in vars(args).values():  # Python < 3.12 parses a second '--', or --w=--, to []
+        parser.error("'--' is not a value")
     try:
         # Looked up per call, not stored in the cached parser, so a replaced handler counts.
         doc = globals()[f"cmd_{args.command}"](args)

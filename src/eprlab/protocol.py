@@ -17,12 +17,13 @@ the law of a round, not its rounds.  Each round packs into one small
 integer, 4 * (n_pairs * coin + setting pair) + outcome (outcomes in
 OutcomeDistribution order), whose law is the test/key coin times the
 uniform setting-pair weight times the joint outcome table read from
-(r_A, r_B, T).  One multinomial draw gives every tally.  The key codes
-are the key-setting codes, each repeated by its count and shuffled:
-given the counts, the order of the key rounds is uniform, so the result
-has exactly the law of drawing the rounds one by one.  Key bits and
-error counts are table lookups on the packed code, and memory scales
-with the key, not with the round count.
+(r_A, r_B, T).  One multinomial draw gives every tally and the key
+length K.  Given K and the other tallies, the key rounds are K
+independent draws from the key codes' conditional law, so the key is
+drawn that way, one uniform per key bit, and the key tallies are
+recounted from it: the result has exactly the law of drawing the rounds
+one by one.  Key bits and error counts are table lookups on the packed
+code, and memory scales with the key, not with the round count.
 
 The eavesdropper acts on Bob's wing of each pair before it reaches him.
 Intercept-resend along d, outcome forgotten, keeps Bob's spin component
@@ -36,6 +37,7 @@ seed, so every report is reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -101,7 +103,7 @@ class InterceptResend:
         direction = tuple(float(x) for x in self.basis)
         if len(direction) != 3:
             raise ValueError(f"basis vector must have 3 components, got {len(direction)}")
-        norm = float(np.linalg.norm(direction))
+        norm = math.hypot(*direction)  # hypot neither overflows nor warns
         if not abs(norm - 1.0) <= ATOL_CONSTRUCT:
             raise ValueError(f"basis vector {list(direction)} has norm {norm!r}, not 1")
         object.__setattr__(self, "basis", direction)
@@ -276,14 +278,49 @@ def estimate_statistic(
     return float(estimate), float(np.sqrt(variance))
 
 
+# The uniforms of a key come in at most this many slices of at least
+# _MIN_SLICE each, so their float buffer stays near one byte per key bit.
+_MAX_SLICES = 8
+_MIN_SLICE = 4096
+
+
+def _draw_indices(rng: np.random.Generator, weights: np.ndarray,
+                  n: int) -> tuple[bytearray, np.ndarray]:
+    """n i.i.d. indices k, drawn with probability weights[k] / sum(weights).
+
+    Returns the indices, one byte each, and their tallies.  Index k comes
+    from one uniform u as the number of cumulative thresholds <= u, so an
+    index of zero weight past the last positive one could be drawn: give
+    only positive weights.  The thresholds never decrease, so u >= t_k
+    exactly when the index exceeds k, and counting those gives the tallies.
+    """
+    cumulative = weights.cumsum()
+    thresholds = cumulative[:-1] / cumulative[-1]
+    drawn = bytearray(n)
+    indices = np.frombuffer(drawn, dtype=np.uint8)
+    exceed = [0] * thresholds.size  # exceed[k]: draws whose index exceeds k
+    step = max(_MIN_SLICE, -(-n // _MAX_SLICES))
+    for start in range(0, n, step):
+        u = rng.random(min(step, n - start))
+        index = indices[start:start + u.size]
+        for k, t in enumerate(thresholds):
+            past = u >= t
+            index += past.view(np.uint8)
+            exceed[k] += np.count_nonzero(past)
+    bounds = [n, *exceed, 0]
+    return drawn, np.subtract(bounds[:-1], bounds[1:])
+
+
 def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
     """Simulate one full run and return its report.
 
-    One multinomial draw over the packed round codes gives every tally;
-    the key codes, repeated by their counts and shuffled, give the key
-    rounds in order.  Time and memory scale with the key length, not the
-    round count.  The same config always yields the same report, bit for
-    bit: the generator is counter-based and keyed only by the seed.
+    One multinomial draw over the packed round codes gives every tally
+    and the key length; the key rounds are then drawn in order, i.i.d.
+    from the key codes' conditional law, and replace the multinomial's
+    split of the key among its codes.  Time and memory scale with the key
+    length, not the round count.  The same config always yields the same
+    report, bit for bit: the generator is counter-based and keyed only by
+    the seed.
     """
     plan = _SCHEDULES[cfg.protocol]
     state = effective_state(cfg.source_state, cfg.eve)
@@ -304,12 +341,13 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
     coin = [1.0 - cfg.test_fraction, cfg.test_fraction] if plan.split else [1.0]
     law = np.multiply.outer(coin, np.clip(probs, 0.0, None)).ravel()
     codes = np.arange(law.size, dtype=np.uint8)
-    in_key = np.isin(codes // 4, keyed)
+    # Key rounds: the key side (0) of the test coin, a key setting pair, any outcome.
+    key_cells = np.array([4 * pair + outcome for pair in keyed for outcome in range(4)])
 
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     counts = rng.multinomial(cfg.rounds, law / law.sum())
-    key_codes = np.repeat(codes[in_key], counts[in_key])
-    rng.shuffle(key_codes)
+    support = key_cells[law[key_cells] > 0.0]
+    drawn, counts[support] = _draw_indices(rng, law[support], int(counts[key_cells].sum()))
     counts = counts.reshape(-1, n_pairs, 4)
     tests, key_rounds = counts[-1], counts[0]
 
@@ -332,11 +370,15 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
     for _, i, j in plan.keys:
         setting_a, setting_b = SpinSetting.alice(plan.alice[i]), SpinSetting.bob(plan.bob[j])
         flip[i * n_b + j] = correlator(cfg.source_state, setting_a, setting_b) < 0.0
-    bits = np.array([codes % 4 >= 2, (codes % 2 == 1) ^ flip[codes // 4 % n_pairs]])
-    key_a, key_b = ((row.astype(np.uint8) + ord("0"))[key_codes].tobytes().decode() for row in bits)
+    chars = np.array([codes % 4 >= 2, (codes % 2 == 1) ^ flip[codes // 4 % n_pairs]],
+                     dtype=np.uint8) + ord("0")
+    # Each drawn byte indexes support; a 256-byte table spells it as '0' or '1'.
+    spelled = [drawn.translate(row[support].tobytes().ljust(256, b"0")) for row in chars]
+    del drawn  # so that at most three key-sized buffers are alive at once
+    key_a, key_b = (spelled.pop(0).decode() for _ in chars)
 
     if plan.split:
-        wrong = (bits[0] != bits[1]).reshape(counts.shape)[-1]
+        wrong = (chars[0] != chars[1]).reshape(counts.shape)[-1]
         n_test = {basis: int(tests[i * n_b + j].sum()) for basis, i, j in plan.keys}
         n_err = {basis: int(tests[i * n_b + j] @ wrong[i * n_b + j]) for basis, i, j in plan.keys}
         qber_by_basis = {basis: n_err[basis] / n_test[basis] for basis in n_test}

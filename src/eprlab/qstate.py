@@ -95,7 +95,7 @@ class PureState:
         amp = np.asarray(amplitudes, dtype=complex)
         if amp.shape != (4,):
             raise ValueError(f"pure state needs 4 amplitudes, got shape {amp.shape}")
-        norm = float(np.linalg.norm(amp))
+        norm = math.hypot(*np.abs(amp))  # hypot neither overflows nor warns
         if not abs(norm - 1.0) <= ATOL_CONSTRUCT:
             raise ValueError(f"pure state norm {norm!r} deviates from 1 beyond {ATOL_CONSTRUCT}")
         self.amplitudes = _read_only(amp.copy())
@@ -149,7 +149,7 @@ class SpinSetting:
         d = np.asarray(direction, dtype=float)
         if d.shape != (3,):
             raise ValueError(f"spin direction must be a 3-vector, got shape {d.shape}")
-        norm = float(np.linalg.norm(d))
+        norm = math.hypot(*d)  # hypot neither overflows nor warns
         if not abs(norm - 1.0) <= ATOL_CONSTRUCT:
             raise ValueError(f"spin direction norm {norm!r} deviates from 1 beyond {ATOL_CONSTRUCT}")
         if not isinstance(party, Party):

@@ -420,6 +420,16 @@ class TestQkdCommand:
         assert code == 0
         assert json.loads(out)["aborted"] is True
 
+    def test_huge_direction_eve_is_an_input_error(self, capsys):
+        """A 1e200 component is refused by its norm, without an overflow warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "qkd", "--protocol", "e91",
+                                     "--eve", "intercept:1e200,0,0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: basis vector [1e+200, 0.0, 0.0] has norm 1e+200, not 1\n"
+
 
 class TestFormatsAndCodes:
     def test_structured_report_refuses_csv(self, capsys):
@@ -499,6 +509,26 @@ class TestFormatsAndCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and message in err
+
+    def test_ks_names_every_state_flag(self, capsys):
+        flags = [flag for flag, *_ in cli._PARAMETRIC_STATES.values()]
+        for flag in flags:
+            code, out, err = run_cli(capsys, "ks", flag, "0.5")
+            assert code == 2
+            assert out == ""
+            assert all(f"{name} " in err for name in flags), err
+
+    @pytest.mark.parametrize("argv", [
+        ["fine", "--", "1", "--", "0", "0"],
+        ["witness", "--state", "werner", "--w=--"],
+        ["qkd", "--protocol", "e91", "--abort-sigma=--"],
+    ])
+    def test_double_dash_is_not_a_value(self, capsys, argv):
+        """The parser refuses '--' as a value, whether Python's argparse drops it or not."""
+        code, out, err = call_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "error: " in err
 
     def test_nan_tolerance_keeps_the_positivity_gate(self, capsys, tmp_path):
         """A file state with eigenvalue -0.5 is rejected, never clipped into the cone."""

@@ -3,8 +3,10 @@
 Whatever the argv and whatever JSON a state file holds, the contract is:
 no exception escapes, the exit code is 0, 2 or 3, and a JSON report is
 strict JSON, without NaN or Infinity.  --format csv and --tolerance are
-drawn only for the subcommands that take them, so the examples reach the
-commands instead of ending at the parser.
+drawn only for the subcommands that take them, and numeric options are
+numbers in any spelling float() reads, given as --flag=value so that a
+negative one such as -1e-05 is not taken for a flag: most examples reach
+the commands instead of ending at the parser.
 """
 
 import contextlib
@@ -22,11 +24,13 @@ FORMATS = ("json", "plain", "csv")
 FLAT_REPORTS = ("witness", "bound")  # the only commands whose reports may be csv
 TOLERANT = ("witness", "ks", "qkd")  # the only commands that take --tolerance
 
+# Text for options the parser types as float or int: numbers in spellings
+# float() reads, and now and then one of a few malformed strings.
 numbers = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
-    st.sampled_from(["nan", "inf", "-inf", "NaN", "1e999", "0", "1", "-1", "0.5", "-0.25"]),
     st.integers(min_value=-3, max_value=3).map(str),
-    st.text(max_size=4),
+    st.sampled_from(["nan", "inf", "-inf", "NaN", "1e999", "0", "1", "-1", "0.5", "-0.25",
+                     "", "x", "1,5", "0x1", "1e", "--"]),
 )
 json_scalars = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)
@@ -76,11 +80,11 @@ def invocations(draw):
         formats = FORMATS if command in FLAT_REPORTS else FORMATS[:2]
         options += ["--format", draw(st.sampled_from(formats))]
     if command in TOLERANT and draw(st.booleans()):
-        options += ["--tolerance", draw(numbers)]
+        options += [f"--tolerance={draw(numbers)}"]
     state_options = []
     for flag in ("--phi", "--w"):
         if draw(st.booleans()):
-            state_options += [flag, draw(numbers)]
+            state_options += [f"{flag}={draw(numbers)}"]
 
     if command == "witness":
         argv = ["witness", "--state", state, *state_options]
@@ -113,7 +117,7 @@ def invocations(draw):
         ]
         for flag in ("--test-fraction", "--abort-sigma"):
             if draw(st.booleans()):
-                argv += [flag, draw(numbers)]
+                argv += [f"{flag}={draw(numbers)}"]
     return argv + options, draw(file_contents)
 
 

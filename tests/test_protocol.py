@@ -1,7 +1,9 @@
 """Tests for the key-distribution simulation and eavesdropper channels."""
 
 import dataclasses
+import gc
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,9 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+import reference_sampler
 from eprlab import protocol
 from eprlab.protocol import (
     InterceptResend,
+    MIN_ROUNDS,
     MIN_SAMPLES_PER_PAIR,
     NoEve,
     Protocol,
@@ -101,6 +105,8 @@ class TestEveStrategies:
             InterceptResend(basis=(float("nan"), 0.0, 0.0))
         with pytest.raises(ValueError, match="basis vector must have 3 components, got 2"):
             InterceptResend(basis=(1.0, 0.0))
+        with pytest.raises(ValueError, match=r"\[0.0, 1e\+200, 0.0\] has norm 1e\+200, not 1"):
+            InterceptResend(basis=(0.0, 1e200, 0.0))
         custom = InterceptResend(basis=(0.6, 0.0, 0.8))
         assert custom.basis == pytest.approx((0.6, 0.0, 0.8))
 
@@ -344,9 +350,23 @@ GOLDEN_EVES = {
                          (0.4, (0.6, 0.0, 0.8), (-1.0, 0.0, 0.0))])
     ),
 }
-# Recorded when the law sampler replaced the round-by-round draws: a seed
-# must keep mapping to the same report, bit for bit.
+# Recorded when the key came to be drawn i.i.d. given its length instead of
+# shuffled: a seed must keep mapping to the same report, bit for bit.
 GOLDEN_DIGESTS = {
+    ("e91", "none"): "f9592190d63be15f1a503516d157283de28bc7f9d8a844eef10e644b3df4f9d6",
+    ("e91", "x"): "620af0836c0688aa7ea33eb6fde6c08f9d043e912081b8031dbd749880dc025c",
+    ("e91", "xz"): "76f8d7f13ffb240329d09d9006321346d124a420e69f7eb8a269b7c4f6735007",
+    ("e91", "tilted"): "1d3d025e4ccfdad28ce96aac88e5f0e5d9cf30bbfea5f731e5f0527dbc6dc060",
+    ("e91", "substitution"): "027e50dec369cf3261b20d686245e28383c74b86a52fb107456eae12c06585b3",
+    ("bbm92", "none"): "b0d9f690ed98f46c7fcd16fe7d59d2be69c1dab51293440cd14b4c748850fe4f",
+    ("bbm92", "x"): "715977057757e764cbafc18511f14fda8a64f137bdea0cc47dc0b8add3c02727",
+    ("bbm92", "xz"): "21626a9f1dc5b84ecc0e0f802ea049a1bf493d88d9641820c46bcc441cfa9786",
+    ("bbm92", "tilted"): "d9be87361a3a45dbb2e5a642f11f051808f3c71a698a22dc4f727024d9688bba",
+    ("bbm92", "substitution"): "8240f2214f8cdcec2ce8efeca628d3a8218f1c6147f788eacd8b9a1be0ca5925",
+}
+# The same runs' digests when the key codes were repeated by their counts and
+# shuffled; the reference sampler must still give them.
+SHUFFLE_DIGESTS = {
     ("e91", "none"): "60b23e3f8579a7a44dd61a33d22c45695ea707860a0bcc68f7bde2bf1ac6f823",
     ("e91", "x"): "5d2a38ca55885c36e12ab0971c76f1d073e8a59a862fabe32002c890f8dba081",
     ("e91", "xz"): "c306de8b0f3bf56fb427735ca8b7bf4337f966eeba2f6b6ddc009d2fab2bb5c8",
@@ -364,6 +384,12 @@ GOLDEN_DIGESTS = {
 def test_seeded_report_digest_is_pinned(protocol, eve):
     cfg = ProtocolConfig(protocol=Protocol(protocol), rounds=3_000, eve=GOLDEN_EVES[eve], seed=7)
     assert report_digest(run_protocol(cfg)) == GOLDEN_DIGESTS[protocol, eve]
+
+
+@pytest.mark.parametrize("protocol, eve", sorted(SHUFFLE_DIGESTS))
+def test_reference_sampler_is_the_shuffle_sampler(protocol, eve):
+    cfg = ProtocolConfig(protocol=Protocol(protocol), rounds=3_000, eve=GOLDEN_EVES[eve], seed=7)
+    assert report_digest(reference_sampler.run_protocol(cfg)) == SHUFFLE_DIGESTS[protocol, eve]
 
 
 def whole_array_reference(cfg: ProtocolConfig):
@@ -476,6 +502,99 @@ def test_law_sampler_and_round_reference_draw_the_exact_law(protocol_name, eve):
         table = halves[engine][:, halves[engine].sum(axis=0) > 0]
         order = stats.chi2_contingency(table, correction=False)
         assert order.pvalue >= SIGNIFICANCE, (engine, order)
+
+
+@pytest.mark.parametrize("eve", ["none", "xz", "substitution"])
+@pytest.mark.parametrize("protocol_name", [p.value for p in Protocol])
+def test_adjacent_key_bit_pairs_are_independent(protocol_name, eve):
+    """Given its length the key is i.i.d., so its adjacent positions are independent draws.
+
+    Pooled over the seed panel, the bit pairs (2a + b) at positions 2i and
+    2i + 1 form a 4x4 table that must fit the product of its margins.
+    """
+    table = np.zeros((4, 4))
+    for seed in DISTRIBUTION_SEEDS:
+        cfg = ProtocolConfig(protocol=Protocol(protocol_name), rounds=20 * DISTRIBUTION_ROUNDS,
+                             eve=GOLDEN_EVES[eve], seed=seed)
+        report = run_protocol(cfg)
+        pairs = key_bit_pairs((report.sifted_key_a, report.sifted_key_b))
+        first, second = pairs[:pairs.size // 2 * 2].reshape(-1, 2).T
+        np.add.at(table, (first, second), 1)
+    seen = table.sum(axis=1) > 0
+    table = table[seen][:, seen]
+    assert table.shape[0] >= 2
+    order = stats.chi2_contingency(table, correction=False)
+    assert order.pvalue >= SIGNIFICANCE, (table, order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    protocol_name=st.sampled_from([p.value for p in Protocol]),
+    eve=st.sampled_from(sorted(GOLDEN_EVES)),
+    rounds=st.integers(MIN_ROUNDS, 20_000),
+    seed=st.integers(0, 2**64 - 1),
+    test_fraction=st.floats(0.05, 0.95),
+)
+def test_key_draw_keeps_every_tally_of_the_shuffle_sampler(protocol_name, eve, rounds, seed,
+                                                           test_fraction):
+    """Only the keys, E91's qber and how BBM92's key splits into x and z may move.
+
+    Both samplers share the multinomial draw, so the test tallies, the
+    statistic, the test sample's error rates, the key length and any
+    starvation error are the same, bit for bit.
+    """
+    cfg = ProtocolConfig(protocol=Protocol(protocol_name), rounds=rounds, eve=GOLDEN_EVES[eve],
+                         test_fraction=test_fraction, seed=seed)
+    runs = []
+    for sampler in (run_protocol, reference_sampler.run_protocol):
+        seen = []
+        with mock.patch.object(protocol, "estimate_statistic", recording_tallies(seen)):
+            try:
+                outcome = sampler(cfg)
+            except ValueError as exc:
+                outcome = str(exc)
+        runs.append(([{k: v.tolist() for k, v in tally.items()} for tally in seen], outcome))
+    (tallies, ours), (reference_tallies, reference) = runs
+    assert tallies == reference_tallies
+    if isinstance(reference, str):
+        assert ours == reference
+        return
+    for name in ("statistic", "stderr", "bound", "aborted", "qber_by_basis"):
+        assert getattr(ours, name) == getattr(reference, name), name
+    used, reference_used = dict(ours.rounds_used), dict(reference.rounds_used)
+    if cfg.protocol is Protocol.BBM92:
+        assert ours.qber == reference.qber
+        key_pairs = [f"{basis}:{basis}" for basis in ours.qber_by_basis]
+        assert (sum(used.pop(label) for label in key_pairs)
+                == sum(reference_used.pop(label) for label in key_pairs))
+    assert used == reference_used
+    assert len(ours.sifted_key_a) == len(reference.sifted_key_a) == used["key"]
+
+
+PEAK_BYTES_PER_KEY_BIT = 3.5
+PEAK_BYTES_FIXED = 128 * 1024
+
+
+@pytest.mark.parametrize("rounds, test_fraction", [(4_000_000, 0.99), (2_000_000, 0.25)])
+def test_peak_memory_scales_with_the_key_not_the_rounds(rounds, test_fraction):
+    """A BBM92 run's traced peak stays within a few bytes per key bit plus a constant.
+
+    The key codes, the two keys and the uniforms of one slice of the draw
+    are the only buffers that grow with the run; at 4e6 rounds and a 99%
+    test fraction the key holds only about 2e4 bits.
+    """
+    cfg = ProtocolConfig(protocol=Protocol.BBM92, rounds=rounds, test_fraction=test_fraction,
+                         eve=InterceptResend(basis="xz"), seed=5)
+    run_protocol(dataclasses.replace(cfg, rounds=MIN_ROUNDS * 100))  # first-call set-up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = run_protocol(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    key_bits = report.rounds_used["key"]
+    assert peak <= PEAK_BYTES_PER_KEY_BIT * key_bits + PEAK_BYTES_FIXED, (peak, key_bits)
 
 
 @settings(max_examples=120, deadline=None)

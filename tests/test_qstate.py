@@ -76,6 +76,12 @@ class TestPureState:
         with pytest.raises(ValueError, match="4 amplitudes"):
             PureState([1.0, 0.0])
 
+    @pytest.mark.parametrize("huge", [1e200, 1e200j, 1e308 + 1e308j])
+    def test_huge_amplitude_rejected_by_its_norm(self, huge):
+        """The norm neither overflows nor warns (the suite turns warnings into errors)."""
+        with pytest.raises(ValueError, match="pure state norm .*e\\+(200|308) deviates"):
+            PureState([0.0, huge, 0.0, 0.0])
+
     def test_amplitudes_read_only(self):
         psi = bell_state(BellLabel.PHI_PLUS)
         with pytest.raises(ValueError):
@@ -163,6 +169,10 @@ class TestSpinSetting:
     def test_unit_norm_enforced(self):
         with pytest.raises(ValueError, match="norm"):
             SpinSetting.alice([1.0, 1.0, 0.0])
+
+    def test_huge_component_rejected_by_its_norm(self):
+        with pytest.raises(ValueError, match=r"spin direction norm 1e\+200 deviates from 1"):
+            SpinSetting.bob([0.0, 0.0, 1e200])
 
     def test_party_required(self):
         with pytest.raises(ValueError, match="Party"):
