@@ -30,6 +30,7 @@ import csv
 import functools
 import io
 import json
+import re
 import sys
 from typing import Any, Callable, Optional, Sequence
 
@@ -449,6 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_qkd.add_argument("--seed", type=int, default=0)
     p_qkd.add_argument("--abort-sigma", type=float, default=3.0)
 
+    # argparse reads only plain decimals such as -0.5 as numbers; read -1e-05, -inf, -nan too.
+    negative_number = re.compile(r"-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?\Z|-(inf|infinity|nan)\Z", re.I)
+    for subparser in sub.choices.values():
+        subparser._negative_number_matcher = negative_number
     return parser
 
 

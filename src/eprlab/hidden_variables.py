@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -54,7 +54,6 @@ from .witnesses import (
 from .simplex import INFEASIBLE, OPTIMAL, solve_lp
 
 SINGLE_KEYS = ("ax", "ay", "az", "bx", "by", "bz")
-PRODUCT_KEYS = ("xx", "yy", "xy", "yx", "zz")
 
 CHSH_BOUND = 2.0
 LP_FEAS_TOL = 1e-8   # weight nonnegativity and normalization slack
@@ -92,30 +91,23 @@ def _products(singles: Mapping[str, int]) -> dict[str, int]:
 class KSAssignment:
     """One noncontextual valuation of the single and product spin observables.
 
-    Product observables factor over commuting single-party pieces, so the
-    x and y products are fixed by the singles; the zz product is fixed by
-    the commuting decompositions zz = xx * yy = xy * yx rather than by the
-    z singles (the two decompositions agree identically once xx, yy, xy
-    and yx follow the singles).
+    Only the singles are given.  Product observables factor over commuting
+    single-party pieces, so the singles fix the x and y products, and the
+    commuting decompositions zz = xx * yy = xy * yx (which agree
+    identically) fix the zz product rather than the z singles.
     """
 
     singles: Mapping[str, int]
-    products: Mapping[str, int]
+    products: Mapping[str, int] = field(init=False)
 
     def __post_init__(self) -> None:
         if set(self.singles) != set(SINGLE_KEYS):
             raise ValueError(f"singles must have keys {SINGLE_KEYS}")
-        if set(self.products) != set(PRODUCT_KEYS):
-            raise ValueError(f"products must have keys {PRODUCT_KEYS}")
-        for mapping in (self.singles, self.products):
-            for key, value in mapping.items():
-                if value not in (1, -1):
-                    raise ValueError(f"assignment value {key}={value!r} must be +1 or -1")
-        for key, expected in _products(self.singles).items():
-            if self.products[key] != expected:
-                raise ValueError(f"product {key}={self.products[key]} breaks the product rule")
+        for key, value in self.singles.items():
+            if value not in (1, -1):
+                raise ValueError(f"assignment value {key}={value!r} must be +1 or -1")
         object.__setattr__(self, "singles", MappingProxyType(dict(self.singles)))
-        object.__setattr__(self, "products", MappingProxyType(dict(self.products)))
+        object.__setattr__(self, "products", MappingProxyType(_products(self.singles)))
 
 
 @functools.cache
@@ -125,7 +117,7 @@ def enumerate_ks_assignments() -> tuple[KSAssignment, ...]:
     Built once per process; the assignments are frozen, so callers share them.
     """
     singles = (dict(zip(SINGLE_KEYS, values)) for values in itertools.product((1, -1), repeat=6))
-    return tuple(KSAssignment(singles=s, products=_products(s)) for s in singles)
+    return tuple(KSAssignment(singles=s) for s in singles)
 
 
 def ks_functional_value(assignment: KSAssignment, case: KSCase) -> float:
@@ -178,18 +170,21 @@ def quad_from_state(state: TwoQubitState, settings: EkertSettings) -> Correlator
 class ChshPanel:
     """The eight CHSH combinations of a correlator quad, and its least joint probability.
 
-    passes is the CHSH test alone; fine_passes adds positivity of the 16
-    joint probabilities, which with it decides whether a local model exists.
+    max_value and passes, the CHSH test alone, are derived from the values;
+    fine_passes adds positivity of the 16 joint probabilities, which with it
+    decides whether a local model exists.
     """
 
     values: tuple[float, ...]
-    max_value: float
-    passes: bool
+    max_value: float = field(init=False)
+    passes: bool = field(init=False)
     min_joint_probability: float
 
     def __post_init__(self) -> None:
         if len(self.values) != 8:
             raise ValueError(f"panel needs 8 values, got {len(self.values)}")
+        object.__setattr__(self, "max_value", max(self.values))
+        object.__setattr__(self, "passes", self.max_value <= CHSH_BOUND + LP_FEAS_TOL)
 
     @property
     def fine_passes(self) -> bool:
@@ -204,12 +199,10 @@ def chsh_panel(quad: CorrelatorQuad) -> ChshPanel:
         float(s1 * c[0] + s2 * c[1] + s3 * c[2] + s4 * c[3])
         for s1, s2, s3, s4 in CHSH_SIGN_PATTERNS
     )
-    max_value = max(values)
     min_joint = float(joint_probabilities([quad.m_a1, quad.m_a1, quad.m_a3, quad.m_a3],
                                           [quad.m_b1, quad.m_b3, quad.m_b1, quad.m_b3],
                                           c).min())
-    return ChshPanel(values=values, max_value=max_value,
-                     passes=max_value <= CHSH_BOUND + LP_FEAS_TOL, min_joint_probability=min_joint)
+    return ChshPanel(values=values, min_joint_probability=min_joint)
 
 
 @dataclass(frozen=True)

@@ -158,14 +158,14 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class ProtocolReport:
-    """Everything a run produces: keys, error rates, statistic, verdict."""
+    """Everything a run produces; the abort verdict is derived from the abort rule."""
 
     protocol: Protocol
     statistic: float
     stderr: float
     bound: float
     abort_sigma: float
-    aborted: bool
+    aborted: bool = field(init=False)
     qber: float
     qber_by_basis: Optional[Mapping[str, float]]
     sifted_key_a: str
@@ -177,9 +177,8 @@ class ProtocolReport:
             raise ValueError("sifted keys must have equal length")
         if not 0.0 <= self.qber <= 1.0:
             raise ValueError(f"qber {self.qber!r} outside [0, 1]")
-        expected = (abs(self.statistic) - self.abort_sigma * self.stderr) <= self.bound
-        if self.aborted != expected:
-            raise ValueError("aborted flag inconsistent with the abort rule")
+        aborted = bool((abs(self.statistic) - self.abort_sigma * self.stderr) <= self.bound)
+        object.__setattr__(self, "aborted", aborted)
 
 
 def effective_state(source: TwoQubitState, eve: EveStrategy) -> TwoQubitState:
@@ -387,14 +386,12 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
         qber_by_basis = None
         error_rate = qber(key_a, key_b)
 
-    aborted = bool((abs(statistic) - cfg.abort_sigma * stderr) <= plan.bound)
     return ProtocolReport(
         protocol=cfg.protocol,
         statistic=statistic,
         stderr=stderr,
         bound=plan.bound,
         abort_sigma=cfg.abort_sigma,
-        aborted=aborted,
         qber=error_rate,
         qber_by_basis=qber_by_basis,
         sifted_key_a=key_a,

@@ -21,7 +21,7 @@ defined once, as a LinearFunctional (offset, W):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -140,31 +140,19 @@ EKERT_FUNCTIONAL = ekert_functional()
 
 @dataclass(frozen=True)
 class WitnessVerdict:
-    """Outcome of comparing |statistic| against a separability bound."""
+    """Outcome of |statistic| against a separability bound; violated and margin are derived."""
 
     statistic: float
     bound: float
-    violated: bool
-    margin: float
+    violated: bool = field(init=False)
+    margin: float = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("statistic", "bound", "margin"):
+        object.__setattr__(self, "violated", abs(self.statistic) > self.bound + VERDICT_SLACK)
+        object.__setattr__(self, "margin", abs(self.statistic) - self.bound)
+        for name in ("statistic", "bound", "margin"):  # the margin can overflow to inf
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"verdict {name} must be finite, got {getattr(self, name)!r}")
-        expected = abs(self.statistic) > self.bound + VERDICT_SLACK
-        if self.violated != expected:
-            raise ValueError("verdict flag inconsistent with statistic and bound")
-        if abs(self.margin - (abs(self.statistic) - self.bound)) > ATOL_DERIVED:
-            raise ValueError("verdict margin inconsistent with statistic and bound")
-
-
-def _verdict(statistic: float, bound: float) -> WitnessVerdict:
-    return WitnessVerdict(
-        statistic=statistic,
-        bound=bound,
-        violated=abs(statistic) > bound + VERDICT_SLACK,
-        margin=abs(statistic) - bound,
-    )
 
 
 @dataclass(frozen=True)
@@ -224,7 +212,7 @@ def ekert_statistic(state: TwoQubitState, settings: Optional[EkertSettings] = No
 
 def ekert_verdict(state: TwoQubitState) -> WitnessVerdict:
     """Compare |S| against sqrt(2), the separable bound at the default settings only."""
-    return _verdict(ekert_statistic(state), EKERT_BOUND)
+    return WitnessVerdict(ekert_statistic(state), EKERT_BOUND)
 
 
 def bbm_statistic(state: TwoQubitState) -> float:
@@ -234,7 +222,7 @@ def bbm_statistic(state: TwoQubitState) -> float:
 
 def bbm_verdict(state: TwoQubitState) -> WitnessVerdict:
     """Compare |T| against the separable bound 1."""
-    return _verdict(bbm_statistic(state), BBM_BOUND)
+    return WitnessVerdict(bbm_statistic(state), BBM_BOUND)
 
 
 def ks_functional(state: TwoQubitState, case: KSCase) -> float:
@@ -251,7 +239,7 @@ def ks_verdict(state: TwoQubitState, case: KSCase) -> WitnessVerdict:
     value = ks_functional(state, case)
     if value < -ATOL_DERIVED:
         raise RuntimeError(f"assignment functional {value!r} negative; state corrupted")
-    return _verdict(value, KS_BOUND)
+    return WitnessVerdict(value, KS_BOUND)
 
 
 def bell_fidelities(state: TwoQubitState) -> BellFidelities:

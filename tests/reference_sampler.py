@@ -74,14 +74,12 @@ def run_protocol(cfg: protocol.ProtocolConfig) -> protocol.ProtocolReport:
         qber_by_basis = None
         error_rate = protocol.qber(key_a, key_b)
 
-    aborted = bool((abs(statistic) - cfg.abort_sigma * stderr) <= plan.bound)
     return protocol.ProtocolReport(
         protocol=cfg.protocol,
         statistic=statistic,
         stderr=stderr,
         bound=plan.bound,
         abort_sigma=cfg.abort_sigma,
-        aborted=aborted,
         qber=error_rate,
         qber_by_basis=qber_by_basis,
         sifted_key_a=key_a,

@@ -221,6 +221,16 @@ class TestFineCommand:
         assert code == 2
         assert "outside" in err
 
+    @pytest.mark.parametrize("argv, section, key", [
+        (["0", "0", "0", "0", "--marginals", "-1e-05", "0", "0", "0"], "marginals", "a1"),
+        (["-1e-05", "0", "0", "0"], "quad", "c11"),
+    ])
+    def test_negative_exponent_forms_are_numbers(self, capsys, argv, section, key):
+        """argparse alone takes -1e-05 for a flag and would cut the four marginals short."""
+        code, out, err = run_cli(capsys, "fine", *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)[section][key] == -1e-05
+
 
     def test_golden_panel_digest_is_pinned(self, capsys):
         """Every `fine` report over a fixed panel, weights included, stays byte-identical."""
@@ -475,6 +485,9 @@ class TestFormatsAndCodes:
             (["qkd", "--protocol", "bbm92", "--eve", "intercept:nan,0,0"], "[nan, 0.0, 0.0]"),
             (["qkd", "--protocol", "e91", "--abort-sigma", "nan"], "abort_sigma"),
             (["qkd", "--protocol", "e91", "--test-fraction", "nan"], "test_fraction"),
+            (["fine", "0", "0", "0", "0", "--marginals", "-inf", "0", "0", "0"],
+             "error: m_a1=-inf outside [-1, 1]\n"),
+            (["fine", "-nan", "0", "0", "0"], "error: c11=nan outside [-1, 1]\n"),
         ],
     )
     def test_non_finite_numbers_rejected(self, capsys, argv, message):

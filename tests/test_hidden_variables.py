@@ -60,12 +60,14 @@ class TestAssignments:
         assert len(keys) == 64
 
     def test_product_rule_enforced(self):
-        singles = {"ax": 1, "ay": 1, "az": 1, "bx": 1, "by": 1, "bz": 1}
-        good = {"xx": 1, "yy": 1, "xy": 1, "yx": 1, "zz": 1}
-        KSAssignment(singles=singles, products=good)
-        bad = dict(good, xx=-1)
-        with pytest.raises(ValueError, match="product rule"):
-            KSAssignment(singles=singles, products=bad)
+        """The products are derived from the singles, so none can be passed in to break the rule."""
+        singles = {"ax": 1, "ay": -1, "az": 1, "bx": -1, "by": -1, "bz": 1}
+        with pytest.raises(TypeError):
+            KSAssignment(singles=singles, products={"xx": 1, "yy": 1, "xy": 1, "yx": 1, "zz": 1})
+        assignment = KSAssignment(singles=singles)
+        assert dict(assignment.products) == {"xx": -1, "yy": 1, "xy": -1, "yx": 1, "zz": -1}
+        flipped = dataclasses.replace(assignment, singles=dict(singles, ax=-1))
+        assert dict(flipped.products) == {"xx": 1, "yy": 1, "xy": 1, "yx": 1, "zz": 1}
 
     @pytest.mark.parametrize(
         "singles, message",
@@ -77,9 +79,8 @@ class TestAssignments:
         ids=["missing-key", "zero-value"],
     )
     def test_malformed_assignment_rejected(self, singles, message):
-        products = {"xx": 1, "yy": 1, "xy": 1, "yx": 1, "zz": 1}
         with pytest.raises(ValueError, match=message):
-            KSAssignment(singles=singles, products=products)
+            KSAssignment(singles=singles)
 
     def test_zz_follows_xy_products_not_z_singles(self):
         """The zz value is pinned by the x/y products; z singles are free."""
@@ -180,7 +181,11 @@ class TestChshPanel:
 
     def test_needs_eight_values(self):
         with pytest.raises(ValueError, match="8"):
-            ChshPanel(values=(0.0,), max_value=0.0, passes=True, min_joint_probability=0.0)
+            ChshPanel(values=(0.0,), min_joint_probability=0.0)
+        with pytest.raises(TypeError):
+            ChshPanel(values=(0.0,) * 8, max_value=0.0, passes=True, min_joint_probability=0.0)
+        panel = ChshPanel(values=(0.0,) * 7 + (2.0 + 2e-8,), min_joint_probability=0.0)
+        assert (panel.max_value, panel.passes) == (2.0 + 2e-8, False)
 
 
 class TestLocalModel:

@@ -651,7 +651,6 @@ class TestReportInvariants:
                 stderr=0.0,
                 bound=1.0,
                 abort_sigma=3.0,
-                aborted=False,
                 qber=0.0,
                 qber_by_basis=None,
                 sifted_key_a="010",
@@ -660,17 +659,11 @@ class TestReportInvariants:
             )
 
     def test_abort_flag_consistency_enforced(self):
-        with pytest.raises(ValueError, match="abort"):
-            ProtocolReport(
-                protocol=Protocol.BBM92,
-                statistic=-2.0,
-                stderr=0.0,
-                bound=1.0,
-                abort_sigma=3.0,
-                aborted=True,
-                qber=0.0,
-                qber_by_basis=None,
-                sifted_key_a="01",
-                sifted_key_b="01",
-                rounds_used={},
-            )
+        """The abort flag follows the abort rule; none can be passed in to contradict it."""
+        fields = dict(protocol=Protocol.BBM92, statistic=-2.0, stderr=0.0, bound=1.0,
+                      abort_sigma=3.0, qber=0.0, qber_by_basis=None, sifted_key_a="01",
+                      sifted_key_b="01", rounds_used={})
+        with pytest.raises(TypeError):
+            ProtocolReport(**fields, aborted=True)
+        assert not ProtocolReport(**fields).aborted  # |-2| - 3 * 0 > 1
+        assert ProtocolReport(**dict(fields, stderr=0.5)).aborted  # |-2| - 3 * 0.5 <= 1

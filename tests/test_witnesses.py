@@ -1,12 +1,15 @@
 """Tests for the witness statistics, fidelities, and verdicts."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from eprlab import witnesses
 from eprlab.hidden_variables import BoundReport, LocalModel, SeparableFunctional
+from eprlab.protocol import Protocol, ProtocolReport
 from eprlab.qstate import (
     BellLabel,
     OutcomeDistribution,
@@ -26,6 +29,7 @@ from eprlab.witnesses import (
     BBM_BOUND,
     EKERT_BOUND,
     KS_BOUND,
+    VERDICT_SLACK,
     BellFidelities,
     CorrelatorAxes,
     EkertSettings,
@@ -110,16 +114,18 @@ class TestEkertVerdict:
             ekert_verdict(product, collinear)
 
     def test_boundary_is_not_a_violation(self):
-        verdict = WitnessVerdict(
-            statistic=EKERT_BOUND, bound=EKERT_BOUND, violated=False, margin=0.0
-        )
+        verdict = WitnessVerdict(statistic=EKERT_BOUND, bound=EKERT_BOUND)
         assert not verdict.violated
+        assert verdict.margin == 0.0
 
     def test_inconsistent_flag_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            WitnessVerdict(statistic=2.0, bound=1.0, violated=False, margin=1.0)
-        with pytest.raises(ValueError, match="margin"):
-            WitnessVerdict(statistic=2.0, bound=1.0, violated=True, margin=0.5)
+        """The flag and margin are derived, so none can be passed in to contradict them."""
+        with pytest.raises(TypeError):
+            WitnessVerdict(statistic=2.0, bound=1.0, violated=False)
+        with pytest.raises(TypeError):
+            WitnessVerdict(statistic=2.0, bound=1.0, margin=0.5)
+        verdict = WitnessVerdict(statistic=-2.0, bound=1.0)
+        assert (verdict.violated, verdict.margin) == (True, 1.0)
 
 
 class TestBbmStatistic:
@@ -312,9 +318,9 @@ INF = float("inf")
     [
         (lambda: OutcomeDistribution([NAN, 0.0, 0.0, 1.0]), "probabilities must be finite"),
         (lambda: LocalModel((NAN,) * 16), "weights must be finite"),
-        (lambda: WitnessVerdict(NAN, 1.0, False, NAN), "verdict statistic must be finite, got nan"),
-        (lambda: WitnessVerdict(INF, 1.0, True, INF), "verdict statistic must be finite, got inf"),
-        (lambda: WitnessVerdict(0.5, 1.0, False, NAN), "verdict margin must be finite, got nan"),
+        (lambda: WitnessVerdict(NAN, 1.0), "verdict statistic must be finite, got nan"),
+        (lambda: WitnessVerdict(INF, 1.0), "verdict statistic must be finite, got inf"),
+        (lambda: WitnessVerdict(1e308, -1e308), "verdict margin must be finite, got inf"),
         (lambda: BoundReport(SeparableFunctional.BBM_T, NAN, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0),
                              1, 1.0), "supremum must be finite, got nan"),
         (lambda: LinearFunctional(NAN, np.eye(3)), "offset and weights must be finite, got nan"),
@@ -329,3 +335,27 @@ def test_non_finite_or_misshapen_values_rejected(build, message):
     with pytest.raises(ValueError) as error:
         build()
     assert message in str(error.value)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(statistic=finite, moved=finite, bound=finite,
+       stderr=st.floats(min_value=0.0, allow_infinity=False),
+       abort_sigma=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+def test_derived_verdicts_follow_their_rules(statistic, moved, bound, stderr, abort_sigma):
+    """violated, margin and aborted follow their rules, and dataclasses.replace recomputes them."""
+    assume(math.isfinite(abs(statistic) - bound) and math.isfinite(abs(moved) - bound))
+    verdict = WitnessVerdict(statistic, bound)
+    for v, s in ((verdict, statistic), (dataclasses.replace(verdict, statistic=moved), moved)):
+        assert v.violated == (abs(s) > bound + VERDICT_SLACK)
+        assert v.margin == abs(s) - bound
+    report = ProtocolReport(protocol=Protocol.E91, statistic=statistic, stderr=stderr,
+                            bound=bound, abort_sigma=abort_sigma, qber=0.0, qber_by_basis=None,
+                            sifted_key_a="", sifted_key_b="", rounds_used={})
+    for r, s in ((report, statistic), (dataclasses.replace(report, statistic=moved), moved)):
+        assert r.aborted == (abs(s) - abort_sigma * stderr <= bound)
+    for record, name in ((verdict, "violated"), (verdict, "margin"), (report, "aborted")):
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(record, **{name: getattr(record, name)})
