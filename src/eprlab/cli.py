@@ -10,13 +10,12 @@ Subcommands
   offset plus the top singular value of its correlation-matrix form.
 - qkd: one simulated key-distribution run.
 
-States are named (psi-minus, psi-plus, phi-plus, phi-minus, mixed),
-parametric (werner:W, phase:PHI), or read from a JSON file holding
-either a 4x4 matrix of [re, im] pairs or a product ensemble
-[{"weight": w, "blochA": [...], "blochB": [...]}, ...].  File states are
-checked against --tolerance, which only witness, ks and qkd take.  Every
-subcommand prints json or plain; the flat reports of witness and bound
-may also be csv.
+A state is named, parametric, or read from a JSON file holding either a
+4x4 matrix of [re, im] pairs or a product ensemble
+[{"weight": w, "blochA": [...], "blochB": [...]}, ...]; --help lists the
+named and parametric forms.  File states are checked against --tolerance,
+which only witness, ks and qkd take.  Every subcommand prints json or
+plain; the flat reports of witness and bound may also be csv.
 
 Exit codes: 0 on success, 2 on invalid input (NaN and infinite numbers
 included), 3 on an internal consistency failure.  Output is deterministic
@@ -70,7 +69,6 @@ from .witnesses import (
     KS_BOUND,
     KSCase,
     bbm_verdict,
-    bell_fidelities,
     distillable_witness,
     ekert_verdict,
     ks_functional,
@@ -78,6 +76,7 @@ from .witnesses import (
 )
 
 NAMED_STATES = (*(label.value for label in BellLabel), "mixed")
+FILE_TOLERANCE = 1e-10  # default acceptance tolerance for states read from files
 
 
 def _json_name(label: BellLabel) -> str:
@@ -179,7 +178,7 @@ def resolve_state(
     descriptor: str,
     phi: Optional[float] = None,
     w: Optional[float] = None,
-    tolerance: float = 1e-10,
+    tolerance: float = FILE_TOLERANCE,
 ) -> tuple[TwoQubitState, str]:
     """Turn a state descriptor into a density matrix and a display label."""
     _check_tolerance(tolerance)
@@ -238,7 +237,6 @@ def render(doc: dict[str, Any], fmt: str) -> str:
 
 def cmd_witness(args: argparse.Namespace) -> dict[str, Any]:
     state, label = resolve_state(args.state, args.phi, args.w, args.tolerance)
-    fidelities = bell_fidelities(state)
     distill = distillable_witness(state)
     doc: dict[str, Any] = {"state": label}
     for statistic, name, verdict in (("S", "ekert", ekert_verdict(state)),
@@ -248,7 +246,7 @@ def cmd_witness(args: argparse.Namespace) -> dict[str, Any]:
     doc.update({f"U{n}": ks_functional(state, case) for n, case in enumerate(KSCase, 1)})
     doc["ksBound"] = KS_BOUND
     doc["ksViolated"] = _by_case(lambda case: ks_verdict(state, case).violated)
-    doc["fidelities"] = {_json_name(lbl): v for lbl, v in fidelities.by_label().items()}
+    doc["fidelities"] = {_json_name(lbl): v for lbl, v in distill.fidelities.by_label().items()}
     doc["distillable"] = distill.distillable
     doc["distillableBellState"] = _json_name(distill.bell_label) if distill.bell_label else None
     doc["maxFidelity"] = distill.fidelity
@@ -311,6 +309,12 @@ def cmd_bound(args: argparse.Namespace) -> dict[str, Any]:
         "argmaxBlochA": list(report.argmax_bloch_a),
         "argmaxBlochB": list(report.argmax_bloch_b),
     }
+
+
+def _state_choices() -> str:
+    parametric = ", ".join(f"{name}:{flag.lstrip('-').upper()}"
+                           for name, (flag, *_) in _PARAMETRIC_STATES.items())
+    return f"{', '.join(NAMED_STATES)}, {parametric}, or a JSON file"
 
 
 def _eve_choices() -> str:
@@ -392,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     state_opts = argparse.ArgumentParser(add_help=False)
     state_opts.add_argument(
-        "--tolerance", type=float, default=1e-10,
-        help="acceptance tolerance for states loaded from files (default: 1e-10)",
+        "--tolerance", type=float, default=FILE_TOLERANCE,
+        help="acceptance tolerance for states loaded from files (default: %(default)g)",
     )
     state_opts.add_argument("--phi", type=float, default=None, help="phase for phase states")
     state_opts.add_argument("--w", type=float, default=None, help="Werner mixing parameter")
@@ -408,13 +412,13 @@ def build_parser() -> argparse.ArgumentParser:
         "witness", parents=[flat_format, state_opts],
         help="witness statistics and verdicts for a state",
     )
-    p_witness.add_argument("--state", required=True, help="state descriptor or file")
+    p_witness.add_argument("--state", required=True, help=f"the state: {_state_choices()}")
 
     p_ks = sub.add_parser(
         "ks", parents=[structured_format, state_opts],
         help="value-assignment enumeration, bound, and optional state evaluation",
     )
-    p_ks.add_argument("--state", default=None, help="optional state descriptor or file")
+    p_ks.add_argument("--state", default=None, help=f"optional state: {_state_choices()}")
     p_ks.add_argument(
         "--assignments", action="store_true", help="list all 64 assignments in the report"
     )
@@ -444,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_qkd.add_argument("--protocol", choices=[p.value for p in Protocol], required=True)
     p_qkd.add_argument("--rounds", type=int, default=20_000)
-    p_qkd.add_argument("--source", default="psi-minus", help="source state descriptor")
+    p_qkd.add_argument("--source", default="psi-minus", help=f"source state: {_state_choices()}")
     p_qkd.add_argument("--eve", default="none", help=_eve_choices())
     p_qkd.add_argument("--test-fraction", type=float, default=0.25)
     p_qkd.add_argument("--seed", type=int, default=0)

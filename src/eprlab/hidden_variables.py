@@ -33,6 +33,7 @@ import numpy as np
 
 from .qstate import (
     ATOL_ALARM,
+    ATOL_CONSTRUCT,
     ProductEnsemble,
     TwoQubitState,
     joint_probabilities,
@@ -148,7 +149,7 @@ class CorrelatorQuad:
     def __post_init__(self) -> None:
         for name in ("c11", "c13", "c31", "c33", "m_a1", "m_a3", "m_b1", "m_b3"):
             value = getattr(self, name)
-            if not abs(value) <= 1.0 + 1e-12:
+            if not abs(value) <= 1.0 + ATOL_CONSTRUCT:
                 raise ValueError(f"{name}={value!r} outside [-1, 1]")
 
     def correlators(self) -> tuple[float, float, float, float]:
@@ -281,26 +282,27 @@ SEPARABLE_WITNESSES = {
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Product-state supremum of one functional and the product state attaining it."""
+    """Product-state supremum of one functional and the product state attaining it.
+
+    analytic_bound comes from SEPARABLE_WITNESSES; evaluations is 1, the one SVD."""
 
     functional: SeparableFunctional
     supremum: float
     argmax_bloch_a: tuple[float, float, float]
     argmax_bloch_b: tuple[float, float, float]
-    evaluations: int
-    analytic_bound: float
+    evaluations: int = field(init=False, default=1)
+    analytic_bound: float = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("supremum", "analytic_bound"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        bound = SEPARABLE_WITNESSES[SeparableFunctional(self.functional)][1]
+        object.__setattr__(self, "analytic_bound", bound)
+        if not math.isfinite(self.supremum):
+            raise ValueError(f"supremum must be finite, got {self.supremum!r}")
         if self.supremum > self.analytic_bound + BOUND_SLACK:
             raise RuntimeError(
                 f"supremum {self.supremum!r} lies above the analytic bound "
                 f"{self.analytic_bound!r}; functional or bound is wrong"
             )
-        if self.evaluations < 1:
-            raise ValueError("a bound report needs at least one evaluation")
 
 
 def separable_bound(functional: SeparableFunctional) -> BoundReport:
@@ -308,18 +310,15 @@ def separable_bound(functional: SeparableFunctional) -> BoundReport:
 
     On the pure product state with Bloch vectors u and v the statistic is
     offset + u.W.v, and |u.W.v| <= sigma_max(W) with equality at the top
-    singular vectors; mixing product states cannot exceed that.  The
-    report counts the one singular value decomposition as one evaluation.
+    singular vectors; mixing product states cannot exceed that.
     """
-    linear, analytic_bound = SEPARABLE_WITNESSES[functional]
+    linear, _ = SEPARABLE_WITNESSES[functional]
     left, singular_values, right = np.linalg.svd(linear.weights)
     return BoundReport(
         functional=functional,
         supremum=linear.offset + float(singular_values[0]),
         argmax_bloch_a=tuple(float(x) for x in left[:, 0]),
         argmax_bloch_b=tuple(float(x) for x in right[0]),
-        evaluations=1,
-        analytic_bound=analytic_bound,
     )
 
 

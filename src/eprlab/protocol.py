@@ -51,6 +51,7 @@ from .qstate import (
     Z_AXIS,
     ATOL_CONSTRUCT,
     ATOL_PSD,
+    _OUTCOME_SIGNS,
     BellLabel,
     ProductEnsemble,
     SpinSetting,
@@ -115,6 +116,10 @@ class SeparableSubstitution:
 
     ensemble: ProductEnsemble
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.ensemble, ProductEnsemble):
+            raise TypeError(f"ensemble must be a ProductEnsemble, got {self.ensemble!r}")
+
 
 EveStrategy = Union[NoEve, InterceptResend, SeparableSubstitution]
 
@@ -158,12 +163,12 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class ProtocolReport:
-    """Everything a run produces; the abort verdict is derived from the abort rule."""
+    """Everything a run produces; bound is the protocol's and aborted follows the abort rule."""
 
     protocol: Protocol
     statistic: float
     stderr: float
-    bound: float
+    bound: float = field(init=False)
     abort_sigma: float
     aborted: bool = field(init=False)
     qber: float
@@ -173,10 +178,14 @@ class ProtocolReport:
     rounds_used: Mapping[str, int]
 
     def __post_init__(self) -> None:
+        for name in ("statistic", "stderr", "abort_sigma"):  # NaN would never abort
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"report {name} must be finite, got {getattr(self, name)!r}")
         if len(self.sifted_key_a) != len(self.sifted_key_b):
             raise ValueError("sifted keys must have equal length")
         if not 0.0 <= self.qber <= 1.0:
             raise ValueError(f"qber {self.qber!r} outside [0, 1]")
+        object.__setattr__(self, "bound", _SCHEDULES[Protocol(self.protocol)].bound)
         aborted = bool((abs(self.statistic) - self.abort_sigma * self.stderr) <= self.bound)
         object.__setattr__(self, "aborted", aborted)
 
@@ -271,7 +280,7 @@ def estimate_statistic(
                 f"need {MIN_SAMPLES_PER_PAIR}; increase rounds"
                 + (" or raise the test fraction" if plan.split else "")
             )
-        e_hat = (counts[0] - counts[1] - counts[2] + counts[3]) / total
+        e_hat = (_OUTCOME_SIGNS[2] * counts).sum() / total
         estimate += sign * e_hat
         variance += (1.0 - e_hat**2) / total
     return float(estimate), float(np.sqrt(variance))
@@ -369,8 +378,8 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
     for _, i, j in plan.keys:
         setting_a, setting_b = SpinSetting.alice(plan.alice[i]), SpinSetting.bob(plan.bob[j])
         flip[i * n_b + j] = correlator(cfg.source_state, setting_a, setting_b) < 0.0
-    chars = np.array([codes % 4 >= 2, (codes % 2 == 1) ^ flip[codes // 4 % n_pairs]],
-                     dtype=np.uint8) + ord("0")
+    minus_a, minus_b = _OUTCOME_SIGNS[:2, codes % 4] < 0.0
+    chars = np.array([minus_a, minus_b ^ flip[codes // 4 % n_pairs]], dtype=np.uint8) + ord("0")
     # Each drawn byte indexes support; a 256-byte table spells it as '0' or '1'.
     spelled = [drawn.translate(row[support].tobytes().ljust(256, b"0")) for row in chars]
     del drawn  # so that at most three key-sized buffers are alive at once
@@ -390,7 +399,6 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
         protocol=cfg.protocol,
         statistic=statistic,
         stderr=stderr,
-        bound=plan.bound,
         abort_sigma=cfg.abort_sigma,
         qber=error_rate,
         qber_by_basis=qber_by_basis,

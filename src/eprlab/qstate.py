@@ -216,13 +216,6 @@ class ProductEnsemble:
         total = sum(self.weights.tolist())
         if not abs(total - 1.0) <= ATOL_CONSTRUCT:
             raise ValueError(f"ensemble weights sum to {total!r}, not 1")
-        self.terms = tuple(zip(self.weights.tolist(), self.blochs_a, self.blochs_b))
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __iter__(self):
-        return iter(self.terms)
 
 
 class OutcomeDistribution:
@@ -257,20 +250,22 @@ class OutcomeDistribution:
     @property
     def correlator(self) -> float:
         """Expectation of the outcome product implied by this distribution."""
-        p = self.probabilities
-        return float(p[0] - p[1] - p[2] + p[3])
+        return float((_OUTCOME_SIGNS[2] * self.probabilities).sum())
 
     @property
     def marginal_a(self) -> float:
         """Expectation of Alice's outcome."""
-        p = self.probabilities
-        return float(p[0] + p[1] - p[2] - p[3])
+        return float((_OUTCOME_SIGNS[0] * self.probabilities).sum())
 
     @property
     def marginal_b(self) -> float:
         """Expectation of Bob's outcome."""
-        p = self.probabilities
-        return float(p[0] - p[1] + p[2] - p[3])
+        return float((_OUTCOME_SIGNS[1] * self.probabilities).sum())
+
+
+# Rows a, b and ab: Alice's outcome, Bob's and their product, in OUTCOMES order.
+_OUTCOME_SIGNS = _read_only(np.array([(a, b, a * b) for a, b in OutcomeDistribution.OUTCOMES],
+                                      dtype=float).T)
 
 
 def bell_state(label: BellLabel) -> PureState:
@@ -304,8 +299,6 @@ def state_from_bloch(bloch_a: Sequence[float], bloch_b: Sequence[float],
 
 def product_mixture(ensemble: ProductEnsemble) -> TwoQubitState:
     """Mixture of product states: r_A = sum_k w_k r_A,k, r_B likewise, T = sum_k w_k r_A,k r_B,k^T."""
-    if not isinstance(ensemble, ProductEnsemble):
-        ensemble = ProductEnsemble(ensemble)
     weights, blochs_a, blochs_b = ensemble.weights, ensemble.blochs_a, ensemble.blochs_b
     return state_from_bloch(weights @ blochs_a, weights @ blochs_b,
                             np.einsum("k,ki,kj->ij", weights, blochs_a, blochs_b))
@@ -333,9 +326,6 @@ def correlator(state: TwoQubitState, setting_a: SpinSetting, setting_b: SpinSett
     return float(setting_a.direction @ state.correlations @ setting_b.direction)
 
 
-_OUTCOME_SIGNS = np.array(OutcomeDistribution.OUTCOMES, dtype=float).T  # rows a and b
-
-
 def joint_probabilities(mean_a, mean_b, mean_ab) -> Array:
     """Joint outcome probabilities (1 + a <A> + b <B> + ab <AB>)/4 of two spin measurements.
 
@@ -343,10 +333,10 @@ def joint_probabilities(mean_a, mean_b, mean_ab) -> Array:
     of length 4 in OutcomeDistribution.OUTCOMES order.  Nothing is
     validated: a negative entry means the means are not physical.
     """
-    a, b = _OUTCOME_SIGNS
+    a, b, ab = _OUTCOME_SIGNS
     mean_a, mean_b, mean_ab = np.asarray(mean_a), np.asarray(mean_b), np.asarray(mean_ab)
     return (1.0 + a * mean_a[..., None] + b * mean_b[..., None]
-            + a * b * mean_ab[..., None]) / 4.0
+            + ab * mean_ab[..., None]) / 4.0
 
 
 def outcome_distribution(

@@ -13,7 +13,6 @@ tableau only through the sequence of pivots it chose.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -51,17 +50,18 @@ def _pivot(tab: Array, row: int, col: int) -> None:
     tab[row] = pivot_row
 
 
-def _bland_iterate(tab: Array, basis: list[int], max_iterations: int) -> tuple[str, int]:
+def _bland_iterate(tab: Array, basis: list[int]) -> tuple[str, int]:
     """Run simplex iterations in place on the tableau and the basis list.
 
     Rows 0..m-1 of tab hold B^-1 [A | b]; row m holds the reduced costs,
-    with minus the objective in its last cell.  Returns (status, iterations).
+    with minus the objective in its last cell.  Returns (status, iterations),
+    and raises RuntimeError past MAX_ITERATIONS, read at call time.
     """
     m, n = len(basis), tab.shape[1] - 1
     can_enter = np.ones(n, dtype=bool)
     can_enter[basis] = False
     reduced = tab[m, :n]
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         eligible = can_enter & (reduced < -PIVOT_TOL)
         entering = int(eligible.argmax())  # Bland: the first eligible column
         if not eligible[entering]:
@@ -78,22 +78,21 @@ def _bland_iterate(tab: Array, basis: list[int], max_iterations: int) -> tuple[s
         can_enter[basis[row]] = True
         can_enter[entering] = False
         basis[row] = entering
-    raise RuntimeError(f"simplex failed to converge within {max_iterations} iterations")
+    raise RuntimeError(f"simplex failed to converge within {MAX_ITERATIONS} iterations")
 
 
 def solve_lp(
     c: Sequence[float],
     a_eq: Sequence[Sequence[float]],
     b_eq: Sequence[float],
-    max_iterations: int = MAX_ITERATIONS,
 ) -> LPResult:
     """Minimize c . x subject to a_eq x = b_eq, x >= 0.
 
     Phase one minimizes the sum of artificial variables from the identity
     basis; phase two re-optimizes the original objective with the
     artificial columns deleted.  Assumes a_eq has full row rank.  Raises
-    ValueError on non-finite data or max_iterations below 1, and TypeError
-    when max_iterations is not an integer.
+    ValueError on non-finite data, and RuntimeError if either phase needs
+    more than MAX_ITERATIONS pivots.
     """
     a = np.asarray(a_eq, dtype=float)
     b = np.asarray(b_eq, dtype=float).copy()
@@ -106,12 +105,6 @@ def solve_lp(
     for name, values in (("c", cost), ("a_eq", a), ("b_eq", b)):
         if not np.isfinite(values).all():
             raise ValueError(f"{name} holds a non-finite value")
-    try:
-        max_iterations = operator.index(max_iterations)
-    except TypeError:
-        raise TypeError(f"max_iterations must be an integer, got {max_iterations!r}") from None
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
 
     # Orient rows so the identity basis of artificials is feasible.
     a = a.copy()
@@ -125,7 +118,7 @@ def solve_lp(
     tab = np.vstack([rows, -rows.sum(axis=0)])
     tab[m, n:n + m] = 0.0
     basis = list(range(n, n + m))
-    status, iters1 = _bland_iterate(tab, basis, max_iterations)
+    status, iters1 = _bland_iterate(tab, basis)
     if status != OPTIMAL:
         raise RuntimeError("phase one cannot be unbounded; inputs corrupted")
     if -tab[m, -1] > FEAS_TOL:
@@ -146,7 +139,7 @@ def solve_lp(
     # Phase two drops the artificial columns and prices the real costs.
     tab = tab[:, np.r_[:n, n + m]]
     tab[m] = np.append(cost, 0.0) - cost[basis] @ tab[:m]
-    status, iters2 = _bland_iterate(tab, basis, max_iterations)
+    status, iters2 = _bland_iterate(tab, basis)
     iterations = iters1 + iters2
     if status == UNBOUNDED:
         return LPResult(status=UNBOUNDED, x=None, objective=None, iterations=iterations,

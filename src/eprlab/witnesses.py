@@ -181,11 +181,20 @@ class BellFidelities:
 
 @dataclass(frozen=True)
 class DistillabilityVerdict:
-    """Whether some Bell fidelity exceeds 1/2, and which one."""
+    """Whether the largest Bell fidelity (ties to the larger label value) exceeds 1/2, and
+    whose it is; all three are derived.  At most one can exceed 1/2, as all four sum to 1."""
 
-    distillable: bool
-    bell_label: Optional[BellLabel]
-    fidelity: float  # the largest Bell fidelity
+    fidelities: BellFidelities
+    distillable: bool = field(init=False)
+    bell_label: Optional[BellLabel] = field(init=False)
+    fidelity: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        label, value = max(self.fidelities.by_label().items(), key=lambda kv: (kv[1], kv[0].value))
+        distillable = value > DISTILL_THRESHOLD + VERDICT_SLACK
+        object.__setattr__(self, "distillable", distillable)
+        object.__setattr__(self, "bell_label", label if distillable else None)
+        object.__setattr__(self, "fidelity", value)
 
 
 class CorrelatorAxes(Enum):
@@ -268,18 +277,5 @@ def fidelity_identities_check(state: TwoQubitState) -> tuple[float, float]:
 
 
 def distillable_witness(state: TwoQubitState) -> DistillabilityVerdict:
-    """Check whether some Bell fidelity exceeds 1/2.
-
-    A fidelity above 1/2 certifies distillable entanglement; at most one
-    fidelity can exceed 1/2 since all four sum to 1.
-    """
-    fidelities = bell_fidelities(state)
-    best_label, best_value = max(
-        fidelities.by_label().items(), key=lambda item: (item[1], item[0].value)
-    )
-    distillable = best_value > DISTILL_THRESHOLD + VERDICT_SLACK
-    return DistillabilityVerdict(
-        distillable=distillable,
-        bell_label=best_label if distillable else None,
-        fidelity=best_value,
-    )
+    """Check whether some Bell fidelity of the state exceeds 1/2."""
+    return DistillabilityVerdict(bell_fidelities(state))

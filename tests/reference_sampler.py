@@ -78,7 +78,6 @@ def run_protocol(cfg: protocol.ProtocolConfig) -> protocol.ProtocolReport:
         protocol=cfg.protocol,
         statistic=statistic,
         stderr=stderr,
-        bound=plan.bound,
         abort_sigma=cfg.abort_sigma,
         qber=error_rate,
         qber_by_basis=qber_by_basis,

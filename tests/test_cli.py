@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -381,6 +382,27 @@ class TestQkdCommand:
         code, out, _ = call_cli(capsys, ["qkd", "--help"])
         assert code == 0
         assert expected in " ".join(out.split())
+
+    @pytest.mark.parametrize("argv", [["witness", "--help"], ["ks", "--help"],
+                                      ["qkd", "--help"]])
+    def test_state_forms_are_listed_from_the_tables(self, capsys, argv):
+        code, out, _ = call_cli(capsys, argv)
+        assert code == 0
+        text = "".join(out.split())  # argparse wraps the help, sometimes inside a name
+        for name in cli.NAMED_STATES:
+            assert f"{name}," in text
+        for name, (flag, *_) in cli._PARAMETRIC_STATES.items():
+            assert f"{name}:{flag.lstrip('-').upper()}," in text
+
+    def test_readme_names_every_state_and_eavesdropper(self):
+        """A new named state, parametric state or intercept basis fails until it is documented."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        for name in cli.NAMED_STATES:
+            assert f"`{name}`" in readme, name
+        for name, (flag, *_) in cli._PARAMETRIC_STATES.items():
+            assert f"`{name}:" in readme and f"`{flag} " in readme, name
+        for basis in protocol._INTERCEPT_AXES:
+            assert f"`intercept-{basis}`" in readme, basis
 
     def test_a_new_intercept_basis_needs_only_the_axes_table(self, monkeypatch):
         monkeypatch.setitem(protocol._INTERCEPT_AXES, "y", (Y_AXIS,))

@@ -11,6 +11,7 @@ from eprlab.hidden_variables import (
     STRATEGIES,
     BoundReport,
     ChshPanel,
+    SEPARABLE_WITNESSES,
     CorrelatorQuad,
     KSAssignment,
     LocalModel,
@@ -300,9 +301,20 @@ class TestSeparableBound:
                 supremum=1.1,
                 argmax_bloch_a=(1.0, 0.0, 0.0),
                 argmax_bloch_b=(1.0, 0.0, 0.0),
-                evaluations=10,
-                analytic_bound=1.0,
             )
+
+    @pytest.mark.parametrize("functional", list(SeparableFunctional))
+    def test_bound_and_evaluations_are_derived(self, functional):
+        """The analytic bound is the table's and the one SVD is one evaluation."""
+        report = BoundReport(functional, 0.0, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+        assert report.analytic_bound == SEPARABLE_WITNESSES[functional][1]
+        assert report.evaluations == 1
+        assert separable_bound(functional).evaluations == 1
+        for name, value in (("analytic_bound", 1.0), ("evaluations", 10)):
+            with pytest.raises(TypeError):
+                BoundReport(functional, 0.0, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), **{name: value})
+        with pytest.raises(ValueError, match="is not a valid SeparableFunctional"):
+            BoundReport("chsh", 0.0, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
 
 
 class TestExpansionCheck:

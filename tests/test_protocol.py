@@ -148,6 +148,10 @@ class TestEveStrategies:
         assert ez == pytest.approx(-1.0, abs=1e-12)
         assert ex == pytest.approx(0.0, abs=1e-12)
 
+    def test_substitution_needs_an_ensemble(self):
+        with pytest.raises(TypeError, match="must be a ProductEnsemble"):
+            SeparableSubstitution(ensemble=[(1.0, Z_AXIS, tuple(-Z_AXIS))])
+
 
 class TestEstimator:
     def test_perfect_tallies(self):
@@ -649,7 +653,6 @@ class TestReportInvariants:
                 protocol=Protocol.BBM92,
                 statistic=-2.0,
                 stderr=0.0,
-                bound=1.0,
                 abort_sigma=3.0,
                 qber=0.0,
                 qber_by_basis=None,
@@ -659,11 +662,26 @@ class TestReportInvariants:
             )
 
     def test_abort_flag_consistency_enforced(self):
-        """The abort flag follows the abort rule; none can be passed in to contradict it."""
-        fields = dict(protocol=Protocol.BBM92, statistic=-2.0, stderr=0.0, bound=1.0,
+        """The abort flag follows the abort rule against the protocol's bound; none can be
+        passed in to contradict it."""
+        fields = dict(protocol=Protocol.BBM92, statistic=-2.0, stderr=0.0,
                       abort_sigma=3.0, qber=0.0, qber_by_basis=None, sifted_key_a="01",
                       sifted_key_b="01", rounds_used={})
         with pytest.raises(TypeError):
             ProtocolReport(**fields, aborted=True)
         assert not ProtocolReport(**fields).aborted  # |-2| - 3 * 0 > 1
         assert ProtocolReport(**dict(fields, stderr=0.5)).aborted  # |-2| - 3 * 0.5 <= 1
+        assert not ProtocolReport(**dict(fields, stderr=0.25)).aborted  # 2 - 0.75 > 1
+        e91 = ProtocolReport(**dict(fields, protocol=Protocol.E91, stderr=0.25))
+        assert e91.aborted  # 2 - 0.75 <= sqrt(2)
+
+    @pytest.mark.parametrize("flavor, bound", [(Protocol.E91, EKERT_BOUND),
+                                               (Protocol.BBM92, BBM_BOUND)])
+    def test_bound_is_the_protocols(self, flavor, bound):
+        fields = dict(protocol=flavor, statistic=0.0, stderr=0.0, abort_sigma=3.0, qber=0.0,
+                      qber_by_basis=None, sifted_key_a="", sifted_key_b="", rounds_used={})
+        assert ProtocolReport(**fields).bound == bound
+        with pytest.raises(TypeError):
+            ProtocolReport(**fields, bound=bound)
+        with pytest.raises(ValueError, match="'bb84' is not a valid Protocol"):
+            ProtocolReport(**dict(fields, protocol="bb84"))

@@ -203,13 +203,20 @@ class TestProductEnsemble:
     def test_terms_and_arrays_agree(self):
         terms = [(0.25, X_AXIS, (0.0, 0.6, 0.8)), (0.75, (0.1, 0.2, 0.3), -Z_AXIS)]
         ensemble = ProductEnsemble(terms)
-        assert len(ensemble) == 2
-        for (w, a, b), (w_k, a_k, b_k) in zip(terms, ensemble):
-            assert type(w_k) is float and w_k == w
-            np.testing.assert_array_equal(a_k, a)
-            np.testing.assert_array_equal(b_k, b)
-        for array in (ensemble.weights, ensemble.blochs_a, ensemble.blochs_b):
+        arrays = (ensemble.weights, ensemble.blochs_a, ensemble.blochs_b)
+        for array, column, shape in zip(arrays, zip(*terms), ((2,), (2, 3), (2, 3))):
+            assert array.dtype == float and array.shape == shape
+            np.testing.assert_array_equal(array, column)
             assert not array.flags.writeable
+
+    def test_ensemble_is_its_arrays(self):
+        """No per-term view: the three arrays are the whole ensemble."""
+        ensemble = ProductEnsemble([(1.0, X_AXIS, Z_AXIS)])
+        assert not hasattr(ensemble, "terms")
+        with pytest.raises(TypeError):
+            len(ensemble)
+        with pytest.raises(TypeError):
+            iter(ensemble)
 
     def test_mixed_interior_vectors_allowed(self):
         ens = ProductEnsemble([(1.0, (0.2, 0.1, -0.3), (0.0, 0.0, 0.0))])
@@ -432,7 +439,7 @@ class TestProductMixture:
                     blochs, axis=1, keepdims=True)
                 weights = rng.dirichlet(np.ones(k))
                 ensemble = ProductEnsemble(zip(weights, blochs[:k], blochs[k:]))
-                w, r_a, r_b = (np.array(column) for column in zip(*ensemble))
+                w, r_a, r_b = weights, blochs[:k], blochs[k:]
                 expected = state_from_bloch(w @ r_a, w @ r_b,
                                             np.einsum("k,ki,kj->ij", w, r_a, r_b))
                 assert product_mixture(ensemble).matrix.tobytes() == expected.matrix.tobytes()

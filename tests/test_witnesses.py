@@ -13,6 +13,7 @@ from eprlab.protocol import Protocol, ProtocolReport
 from eprlab.qstate import (
     BellLabel,
     OutcomeDistribution,
+    ProductEnsemble,
     SpinSetting,
     TwoQubitState,
     X_AXIS,
@@ -32,6 +33,7 @@ from eprlab.witnesses import (
     VERDICT_SLACK,
     BellFidelities,
     CorrelatorAxes,
+    DistillabilityVerdict,
     EkertSettings,
     KSCase,
     LinearFunctional,
@@ -108,7 +110,7 @@ class TestEkertVerdict:
         """With a3 = a1 a product state reaches S = 2 > sqrt(2), so the bound needs the defaults."""
         d = default_ekert_settings()
         collinear = EkertSettings(a1=d.a1, a3=d.a1, b1=d.b1, b3=d.b3)
-        product = product_mixture([(1.0, X_AXIS, d.b1.direction)])
+        product = product_mixture(ProductEnsemble([(1.0, X_AXIS, d.b1.direction)]))
         assert ekert_statistic(product, collinear) == pytest.approx(2.0, abs=1e-12)
         with pytest.raises(TypeError):
             ekert_verdict(product, collinear)
@@ -149,7 +151,7 @@ class TestBbmStatistic:
 
     def test_product_state_at_bound(self):
         """A z-anticorrelated product state sits exactly at the bound."""
-        rho = product_mixture([(1.0, Z_AXIS, -Z_AXIS)])
+        rho = product_mixture(ProductEnsemble([(1.0, Z_AXIS, -Z_AXIS)]))
         assert bbm_statistic(rho) == pytest.approx(-1.0, abs=1e-10)
         assert not bbm_verdict(rho).violated
 
@@ -271,7 +273,7 @@ class TestDistillability:
         assert verdict.fidelity == pytest.approx(0.5, abs=1e-10)
 
     def test_product_state_inconclusive(self):
-        rho = product_mixture([(1.0, Z_AXIS, Z_AXIS)])
+        rho = product_mixture(ProductEnsemble([(1.0, Z_AXIS, Z_AXIS)]))
         verdict = distillable_witness(rho)
         assert not verdict.distillable
         assert verdict.fidelity <= 0.5 + 1e-10
@@ -313,6 +315,13 @@ NAN = float("nan")
 INF = float("inf")
 
 
+def report(**changes) -> ProtocolReport:
+    """A protocol report of an empty run, with the given fields changed."""
+    fields = dict(protocol=Protocol.E91, statistic=0.0, stderr=0.0, abort_sigma=3.0, qber=0.0,
+                  qber_by_basis=None, sifted_key_a="", sifted_key_b="", rounds_used={})
+    return ProtocolReport(**{**fields, **changes})
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -321,14 +330,18 @@ INF = float("inf")
         (lambda: WitnessVerdict(NAN, 1.0), "verdict statistic must be finite, got nan"),
         (lambda: WitnessVerdict(INF, 1.0), "verdict statistic must be finite, got inf"),
         (lambda: WitnessVerdict(1e308, -1e308), "verdict margin must be finite, got inf"),
-        (lambda: BoundReport(SeparableFunctional.BBM_T, NAN, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0),
-                             1, 1.0), "supremum must be finite, got nan"),
+        (lambda: BoundReport(SeparableFunctional.BBM_T, NAN, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+         "supremum must be finite, got nan"),
+        (lambda: report(statistic=NAN), "report statistic must be finite, got nan"),
+        (lambda: report(stderr=NAN), "report stderr must be finite, got nan"),
+        (lambda: report(abort_sigma=NAN), "report abort_sigma must be finite, got nan"),
         (lambda: LinearFunctional(NAN, np.eye(3)), "offset and weights must be finite, got nan"),
         (lambda: LinearFunctional(0.0, np.diag([1.0, INF, 1.0])), "offset and weights must be finite"),
         (lambda: LinearFunctional(0.0, np.eye(2)), "weights must be 3x3, got shape (2, 2)"),
     ],
     ids=["distribution", "local-model", "verdict-nan", "verdict-inf", "verdict-margin",
-         "bound-report", "functional-offset", "functional-weights", "functional-shape"],
+         "bound-report", "report-statistic", "report-stderr", "report-abort-sigma",
+         "functional-offset", "functional-weights", "functional-shape"],
 )
 def test_non_finite_or_misshapen_values_rejected(build, message):
     """Each comparison a NaN would make False is preceded by a check that names the field."""
@@ -343,19 +356,58 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 @settings(max_examples=200, deadline=None)
 @given(statistic=finite, moved=finite, bound=finite,
        stderr=st.floats(min_value=0.0, allow_infinity=False),
-       abort_sigma=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
-def test_derived_verdicts_follow_their_rules(statistic, moved, bound, stderr, abort_sigma):
+       abort_sigma=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       flavor=st.sampled_from(Protocol))
+def test_derived_verdicts_follow_their_rules(statistic, moved, bound, stderr, abort_sigma,
+                                             flavor):
     """violated, margin and aborted follow their rules, and dataclasses.replace recomputes them."""
     assume(math.isfinite(abs(statistic) - bound) and math.isfinite(abs(moved) - bound))
     verdict = WitnessVerdict(statistic, bound)
     for v, s in ((verdict, statistic), (dataclasses.replace(verdict, statistic=moved), moved)):
         assert v.violated == (abs(s) > bound + VERDICT_SLACK)
         assert v.margin == abs(s) - bound
-    report = ProtocolReport(protocol=Protocol.E91, statistic=statistic, stderr=stderr,
-                            bound=bound, abort_sigma=abort_sigma, qber=0.0, qber_by_basis=None,
-                            sifted_key_a="", sifted_key_b="", rounds_used={})
-    for r, s in ((report, statistic), (dataclasses.replace(report, statistic=moved), moved)):
-        assert r.aborted == (abs(s) - abort_sigma * stderr <= bound)
-    for record, name in ((verdict, "violated"), (verdict, "margin"), (report, "aborted")):
+    run = report(protocol=flavor, statistic=statistic, stderr=stderr, abort_sigma=abort_sigma)
+    flavor_bound = {Protocol.E91: EKERT_BOUND, Protocol.BBM92: BBM_BOUND}[flavor]
+    for r, s in ((run, statistic), (dataclasses.replace(run, statistic=moved), moved)):
+        assert r.aborted == (abs(s) - abort_sigma * stderr <= flavor_bound)
+    for record, name in ((verdict, "violated"), (verdict, "margin"), (run, "aborted"),
+                         (run, "bound")):
         with pytest.raises(ValueError, match="init=False"):
             dataclasses.replace(record, **{name: getattr(record, name)})
+
+
+@pytest.mark.parametrize("name", ["distillable", "bell_label", "fidelity"])
+def test_distillability_fields_cannot_be_passed(name):
+    fidelities = BellFidelities(0.1, 0.1, 0.1, 0.7)
+    verdict = DistillabilityVerdict(fidelities)
+    with pytest.raises(TypeError):
+        DistillabilityVerdict(fidelities, **{name: getattr(verdict, name)})
+
+
+@pytest.mark.parametrize("top, distillable", [(0.5, False), (0.5 + VERDICT_SLACK / 2, False),
+                                              (0.5 + 2 * VERDICT_SLACK, True)])
+def test_distillability_threshold_has_slack(top, distillable):
+    """The boundary, and anything within VERDICT_SLACK above it, is not distillable."""
+    verdict = DistillabilityVerdict(BellFidelities(0.0, 1.0 - top, top, 0.0))
+    assert (verdict.distillable, verdict.fidelity) == (distillable, top)
+    assert verdict.bell_label is (BellLabel.PSI_PLUS if distillable else None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), label=st.sampled_from(BellLabel),
+       weight=st.floats(0.0, 1.0))
+def test_distillability_follows_the_fidelities(seed, label, weight):
+    """The largest fidelity (ties to the larger label value) decides, above 1/2 + slack."""
+    bell = density_from_pure(bell_state(label)).matrix
+    noise = random_density(np.random.default_rng(seed)).matrix
+    state = TwoQubitState(weight * bell + (1.0 - weight) * noise)
+    fidelities = bell_fidelities(state)
+    verdict = DistillabilityVerdict(fidelities)
+    by_label = fidelities.by_label()
+    best = max(by_label.values())
+    top = max((lbl for lbl, v in by_label.items() if v == best), key=lambda lbl: lbl.value)
+    assert verdict.fidelities is fidelities
+    assert verdict.fidelity == best
+    assert verdict.distillable == (best > 0.5 + VERDICT_SLACK)
+    assert verdict.bell_label is (top if verdict.distillable else None)
+    assert distillable_witness(state) == DistillabilityVerdict(bell_fidelities(state))
