@@ -71,7 +71,6 @@ from .witnesses import (
     bbm_verdict,
     distillable_witness,
     ekert_verdict,
-    ks_functional,
     ks_verdict,
 )
 
@@ -90,14 +89,15 @@ def _by_case(value: Callable[[KSCase], Any]) -> dict[str, Any]:
     return {"case" + case.name.partition("_")[2]: value(case) for case in KSCase}
 
 
-def _load_json_file(path: str) -> Any:
+def _load_json_file(path: str, role: str) -> Any:
+    """The JSON in a file; role ("state file", "ensemble file") names it in errors."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
-        raise ValueError(f"cannot read state file {path}: {exc}") from exc
+        raise ValueError(f"cannot read {role} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ValueError(f"state file {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{role} {path} is not valid JSON: {exc}") from exc
 
 
 _ENSEMBLE_SHAPES = {"weight": (), "blochA": (3,), "blochB": (3,)}
@@ -183,11 +183,14 @@ def resolve_state(
     """Turn a state descriptor into a density matrix and a display label."""
     _check_tolerance(tolerance)
     name = descriptor.strip()
-    base, _, argument = name.partition(":")
+    base, colon, argument = name.partition(":")
     given = {"werner": w, "phase": phi}
     for owner, (flag, _, _, _) in _PARAMETRIC_STATES.items():
         if given[owner] is not None and base != owner:
             raise ValueError(f"{flag} parameterizes only {owner} states, not {name!r}")
+    # 'psi-minus:' and 'werner: --w 0.4' are errors; a bare 'werner:' needs a parameter below.
+    if colon and not argument and (base in NAMED_STATES or given.get(base) is not None):
+        raise ValueError(f"state {name!r} has an empty parameter after ':'")
     if base in NAMED_STATES:
         if argument:
             raise ValueError(f"named state {base} takes no parameter")
@@ -203,7 +206,7 @@ def resolve_state(
             raise ValueError(f"{base} state needs a parameter, e.g. "
                              f"{base}:{example} or {flag} {example}")
         return build(value), f"{base}:{value:g}"
-    data = _load_json_file(name)
+    data = _load_json_file(name, "state file")
     if isinstance(data, list) and data and isinstance(data[0], dict):
         return product_mixture(_ensemble_from_json(data, name)), f"ensemble:{name}"
     return _matrix_from_json(data, name, tolerance), f"file:{name}"
@@ -243,9 +246,10 @@ def cmd_witness(args: argparse.Namespace) -> dict[str, Any]:
                                      ("T", "bbm", bbm_verdict(state))):
         doc.update({statistic: verdict.statistic, f"{name}Bound": verdict.bound,
                     f"{name}Violated": verdict.violated, f"{name}Margin": verdict.margin})
-    doc.update({f"U{n}": ks_functional(state, case) for n, case in enumerate(KSCase, 1)})
+    ks = {case: ks_verdict(state, case) for case in KSCase}
+    doc.update({f"U{n}": ks[case].statistic for n, case in enumerate(KSCase, 1)})
     doc["ksBound"] = KS_BOUND
-    doc["ksViolated"] = _by_case(lambda case: ks_verdict(state, case).violated)
+    doc["ksViolated"] = _by_case(lambda case: ks[case].violated)
     doc["fidelities"] = {_json_name(lbl): v for lbl, v in distill.fidelities.by_label().items()}
     doc["distillable"] = distill.distillable
     doc["distillableBellState"] = _json_name(distill.bell_label) if distill.bell_label else None
@@ -269,8 +273,9 @@ def cmd_ks(args: argparse.Namespace) -> dict[str, Any]:
     else:
         state, label = resolve_state(args.state, args.phi, args.w, args.tolerance)
         doc["state"] = label
-        doc["values"] = _by_case(lambda case: ks_functional(state, case))
-        doc["violated"] = _by_case(lambda case: ks_verdict(state, case).violated)
+        ks = {case: ks_verdict(state, case) for case in KSCase}
+        doc["values"] = _by_case(lambda case: ks[case].statistic)
+        doc["violated"] = _by_case(lambda case: ks[case].violated)
     if args.assignments:
         doc["assignments"] = [
             {"singles": dict(a.singles), "products": dict(a.products)} for a in assignments
@@ -337,7 +342,7 @@ def _parse_eve(descriptor: str):
     if name == "substitute":
         if not argument:
             raise ValueError("substitute takes an ensemble file, e.g. substitute:eve.json")
-        data = _load_json_file(argument)
+        data = _load_json_file(argument, "ensemble file")
         if not isinstance(data, list):
             raise ValueError(f"ensemble file {argument} must hold a JSON list")
         return SeparableSubstitution(_ensemble_from_json(data, argument))

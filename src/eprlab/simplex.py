@@ -54,15 +54,16 @@ def _bland_iterate(tab: Array, basis: list[int]) -> tuple[str, int]:
     """Run simplex iterations in place on the tableau and the basis list.
 
     Rows 0..m-1 of tab hold B^-1 [A | b]; row m holds the reduced costs,
-    with minus the objective in its last cell.  Returns (status, iterations),
-    and raises RuntimeError past MAX_ITERATIONS, read at call time.
+    with minus the objective in its last cell.  Basic columns are exact unit
+    vectors with reduced cost exactly 0.0, as _pivot keeps them (x / x == 1.0
+    and x - x * 1.0 == 0.0), so the reduced-cost row alone names the entering
+    column.  Returns (status, iterations), and raises RuntimeError past
+    MAX_ITERATIONS, read at call time.
     """
     m, n = len(basis), tab.shape[1] - 1
-    can_enter = np.ones(n, dtype=bool)
-    can_enter[basis] = False
     reduced = tab[m, :n]
     for iteration in range(1, MAX_ITERATIONS + 1):
-        eligible = can_enter & (reduced < -PIVOT_TOL)
+        eligible = reduced < -PIVOT_TOL
         entering = int(eligible.argmax())  # Bland: the first eligible column
         if not eligible[entering]:
             return OPTIMAL, iteration
@@ -75,8 +76,6 @@ def _bland_iterate(tab: Array, basis: list[int]) -> tuple[str, int]:
         # Bland's leaving rule: among minimal ratios, lowest variable index.
         row = min((i for r, i in ratios if r <= min_ratio + 1e-12), key=basis.__getitem__)
         _pivot(tab, row, entering)
-        can_enter[basis[row]] = True
-        can_enter[entering] = False
         basis[row] = entering
     raise RuntimeError(f"simplex failed to converge within {MAX_ITERATIONS} iterations")
 
@@ -136,7 +135,8 @@ def solve_lp(
         basis[row] = int(candidates[0])
         _pivot(tab, row, basis[row])
 
-    # Phase two drops the artificial columns and prices the real costs.
+    # Phase two drops the artificial columns and prices the real costs; a basic
+    # column's price is c_j - c_j * 1.0, exactly 0.0.
     tab = tab[:, np.r_[:n, n + m]]
     tab[m] = np.append(cost, 0.0) - cost[basis] @ tab[:m]
     status, iters2 = _bland_iterate(tab, basis)

@@ -58,6 +58,22 @@ class TestResolveState:
             with pytest.raises(ValueError, match="no parameter"):
                 cli.resolve_state(descriptor)
 
+    @pytest.mark.parametrize("argv", [
+        ["witness", "--state", "psi-minus:"],
+        ["witness", "--state", "mixed:"],
+        ["witness", "--state", "werner:", "--w", "0.4"],
+        ["witness", "--state", "phase:", "--phi", "0.5"],
+        ["ks", "--state", "phi-plus:"],
+        ["qkd", "--protocol", "e91", "--source", "phi-minus:"],
+    ])
+    def test_empty_parameter_rejected(self, capsys, argv):
+        """A ':' with nothing after it is an error naming the descriptor, not the bare state."""
+        descriptor = argv[2] if argv[0] != "qkd" else argv[4]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: state {descriptor!r} has an empty parameter after ':'\n"
+
     def test_missing_file(self):
         with pytest.raises(ValueError, match="cannot read"):
             cli.resolve_state("no-such-file.json")
@@ -616,6 +632,8 @@ class TestFormatsAndCodes:
             ("intercept:", None, "intercept takes a direction"),
             ("substitute:", None, "substitute takes an ensemble file"),
             ("substitute:FILE", {"weight": 1.0}, "ensemble file FILE must hold a JSON list"),
+            ("substitute:FILE.missing", None, "cannot read ensemble file FILE.missing: "),
+            ("substitute:/dev/null", None, "ensemble file /dev/null is not valid JSON: "),
         ],
     )
     def test_bad_eve_descriptor_rejected(self, capsys, tmp_path, eve, contents, message):

@@ -70,7 +70,7 @@ def invocations(draw):
             st.just("FILE"),
             st.sampled_from(["psi-minus", "psi-plus", "phi-plus", "phi-minus", "mixed"]),
             st.builds(lambda k, x: f"{k}:{x}", st.sampled_from(["werner", "phase"]), numbers),
-            st.sampled_from(["werner", "phase", "psi-minus:1", ""]),
+            st.sampled_from(["werner", "phase", "psi-minus:1", "psi-minus:", ""]),
             st.text(max_size=6),
         )
     )

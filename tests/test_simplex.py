@@ -218,3 +218,50 @@ def test_pivots_match_resolving_reference(system):
 @given(st.lists(sixteenths, min_size=8, max_size=8))
 def test_fine_pivots_match_resolving_reference(values):
     assert_same_solve(fine_system(values))
+
+
+def solve_checking_basis(system):
+    """solve_lp with every basic column checked, on entry to each phase and after each pivot.
+
+    Bland's entering test reads only the reduced-cost row, so it relies on
+    basic columns being exact unit vectors with reduced cost exactly 0.0.
+    """
+    bland_iterate, pivot = simplex._bland_iterate, simplex._pivot
+    seen = {"basis": None, "phases": 0, "pivots": 0}
+
+    def assert_exact(tab, basis):
+        columns = tab[:, basis]
+        assert np.array_equal(columns[:-1], np.eye(len(basis))), columns
+        assert (columns[-1] == 0.0).all(), columns[-1]
+
+    def checked_bland_iterate(tab, basis):
+        seen["basis"] = basis
+        seen["phases"] += 1
+        assert_exact(tab, basis)
+        return bland_iterate(tab, basis)
+
+    def checked_pivot(tab, row, col):
+        pivot(tab, row, col)
+        seen["pivots"] += 1
+        after = list(seen["basis"])
+        after[row] = col  # Bland's loop records the entering column just after the pivot
+        assert_exact(tab, after)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "_bland_iterate", checked_bland_iterate)
+        patch.setattr(simplex, "_pivot", checked_pivot)
+        result = solve_lp(*system)
+    assert seen["phases"] == (1 if result.status == INFEASIBLE else 2)
+    assert seen["pivots"] >= result.iterations - seen["phases"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp_systems())
+def test_basic_columns_stay_exact_unit_vectors(system):
+    solve_checking_basis(system)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(sixteenths, min_size=8, max_size=8))
+def test_fine_basic_columns_stay_exact_unit_vectors(values):
+    solve_checking_basis(fine_system(values))
