@@ -36,6 +36,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from .hidden_variables import (
+    _assignment_values,
     STRATEGIES,
     CorrelatorQuad,
     SeparableFunctional,
@@ -43,7 +44,6 @@ from .hidden_variables import (
     enumerate_ks_assignments,
     fine_local_model,
     ks_classical_bound,
-    ks_functional_value,
     separable_bound,
 )
 from .protocol import (
@@ -184,7 +184,8 @@ def resolve_state(
     _check_tolerance(tolerance)
     name = descriptor.strip()
     base, colon, argument = name.partition(":")
-    given = {"werner": w, "phase": phi}
+    given = {owner: {"--phi": phi, "--w": w}[flag]
+             for owner, (flag, *_) in _PARAMETRIC_STATES.items()}
     for owner, (flag, _, _, _) in _PARAMETRIC_STATES.items():
         if given[owner] is not None and base != owner:
             raise ValueError(f"{flag} parameterizes only {owner} states, not {name!r}")
@@ -263,7 +264,7 @@ def cmd_ks(args: argparse.Namespace) -> dict[str, Any]:
         "bound": KS_BOUND,
         "assignmentCount": len(assignments),
         "maxima": _by_case(ks_classical_bound),
-        "valueSets": _by_case(lambda c: sorted({ks_functional_value(a, c) for a in assignments})),
+        "valueSets": _by_case(lambda c: sorted(set(_assignment_values()[c]))),
     }
     if args.state is None:
         flags = sorted(flag for flag, *_ in _PARAMETRIC_STATES.values())

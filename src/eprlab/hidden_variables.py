@@ -41,6 +41,8 @@ from .qstate import (
     product_mixture,
 )
 from .witnesses import (
+    _ROWS,
+    _values,
     BBM_BOUND,
     BBM_FUNCTIONAL,
     EKERT_BOUND,
@@ -81,13 +83,6 @@ _FINE_A_EQ = np.column_stack([_FINE_A_EQ, _FINE_A_EQ.sum(axis=1)])
 _FINE_A_EQ.flags.writeable = False
 
 
-def _products(singles: Mapping[str, int]) -> dict[str, int]:
-    """Product values the singles fix: x and y products factor, and zz = xx * yy."""
-    s = singles
-    xx, yy = s["ax"] * s["bx"], s["ay"] * s["by"]
-    return {"xx": xx, "yy": yy, "xy": s["ax"] * s["by"], "yx": s["ay"] * s["bx"], "zz": xx * yy}
-
-
 @dataclass(frozen=True)
 class KSAssignment:
     """One noncontextual valuation of the single and product spin observables.
@@ -107,30 +102,38 @@ class KSAssignment:
         for key, value in self.singles.items():
             if value not in (1, -1):
                 raise ValueError(f"assignment value {key}={value!r} must be +1 or -1")
-        object.__setattr__(self, "singles", MappingProxyType(dict(self.singles)))
-        object.__setattr__(self, "products", MappingProxyType(_products(self.singles)))
+        s = MappingProxyType(dict(self.singles))
+        xx, yy = s["ax"] * s["bx"], s["ay"] * s["by"]
+        products = {"xx": xx, "yy": yy, "xy": s["ax"] * s["by"], "yx": s["ay"] * s["bx"],
+                    "zz": xx * yy}
+        object.__setattr__(self, "singles", s)
+        object.__setattr__(self, "products", MappingProxyType(products))
 
 
 @functools.cache
 def enumerate_ks_assignments() -> tuple[KSAssignment, ...]:
-    """All 64 assignments, one per sign choice on the six singles.
-
-    Built once per process; the assignments are frozen, so callers share them.
-    """
+    """All 64 assignments, one per sign choice on the six singles, built once and shared."""
     singles = (dict(zip(SINGLE_KEYS, values)) for values in itertools.product((1, -1), repeat=6))
     return tuple(KSAssignment(singles=s) for s in singles)
 
 
+@functools.cache
+def _assignment_values() -> dict[KSCase, tuple[float, ...]]:
+    """The KSCase rows on the 64 assignments, each read as T = diag(xx, yy, zz), in one product."""
+    same_axis = np.array([[a.products[k] for k in ("xx", "yy", "zz")]
+                          for a in enumerate_ks_assignments()], dtype=float)
+    values = _values(same_axis[..., None] * np.eye(3), [_ROWS.index(c.value) for c in KSCase])
+    return dict(zip(KSCase, map(tuple, values.T.tolist())))
+
+
 def ks_functional_value(assignment: KSAssignment, case: KSCase) -> float:
     """Value of 1 + s_xx f(xx) + s_yy f(yy) + s_zz f(zz) under the assignment."""
-    sxx, syy, szz = case.signs
-    p = assignment.products
-    return 1.0 + sxx * p["xx"] + syy * p["yy"] + szz * p["zz"]
+    return _assignment_values()[case][enumerate_ks_assignments().index(assignment)]
 
 
 def ks_classical_bound(case: KSCase) -> float:
     """Largest functional value over all assignments (equals 2 for each case)."""
-    return max(ks_functional_value(a, case) for a in enumerate_ks_assignments())
+    return max(_assignment_values()[case])
 
 
 @dataclass(frozen=True)
@@ -228,12 +231,8 @@ class LocalModel:
         return CorrelatorQuad(*(np.asarray(self.weights) @ _FEATURES).tolist())
 
     def reproduces(self, quad: CorrelatorQuad) -> bool:
-        predicted = self.predicted_quad()
-        pairs = zip(
-            predicted.correlators() + predicted.marginals(),
-            quad.correlators() + quad.marginals(),
-        )
-        return all(abs(p - q) <= MODEL_ATOL for p, q in pairs)
+        ours, theirs = (q.correlators() + q.marginals() for q in (self.predicted_quad(), quad))
+        return all(abs(p - q) <= MODEL_ATOL for p, q in zip(ours, theirs))
 
 
 def fine_local_model(quad: CorrelatorQuad) -> Optional[LocalModel]:

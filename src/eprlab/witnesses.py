@@ -1,8 +1,8 @@
 """Entanglement witness statistics for two-qubit states.
 
 Every statistic here is an offset plus a linear functional of the
-state's correlation matrix T, offset + sum_ij W_ij T_ij, and each is
-defined once, as a LinearFunctional (offset, W):
+state's correlation matrix T, offset + sum_ij W_ij T_ij, and each is one
+row (offset, W) of one table, which one product evaluates on a state:
 
 - The four-setting statistic S with W = a1 (b1 - b3)^T + a3 (b1 + b3)^T,
   separable bound sqrt(2) at the anticommuting default settings and
@@ -20,6 +20,7 @@ defined once, as a LinearFunctional (offset, W):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -29,6 +30,7 @@ import numpy as np
 
 from .qstate import (
     _BELL_AMPLITUDES,
+    _read_only,
     ATOL_DERIVED,
     BELL_CORRELATORS,
     X_AXIS,
@@ -56,7 +58,8 @@ class LinearFunctional:
     weights: np.ndarray  # W, 3x3, read-only
 
     def __post_init__(self) -> None:
-        weights = np.array(self.weights, dtype=float)
+        weights = np.asarray(self.weights, dtype=float)
+        weights = weights.copy() if weights.flags.writeable else weights  # table rows stay views
         if weights.shape != (3, 3):
             raise ValueError(f"weights must be 3x3, got shape {weights.shape}")
         if not (math.isfinite(self.offset) and np.isfinite(weights).all()):
@@ -69,14 +72,6 @@ class LinearFunctional:
         return self.offset + float(np.vdot(self.weights, state.correlations))
 
 
-# tr(rho |bell><bell|) = (1 + s . diag(T))/4, so each functional is 4 f(bell).
-BELL_FUNCTIONALS = {
-    label: LinearFunctional(1.0, np.diag(signs)) for label, signs in BELL_CORRELATORS.items()
-}
-
-BBM_FUNCTIONAL = LinearFunctional(0.0, np.diag([1.0, 0.0, 1.0]))
-
-
 class KSCase(Enum):
     """The three value-assignment functionals, each keyed by the Bell state it witnesses.
 
@@ -87,10 +82,6 @@ class KSCase(Enum):
     CASE_I = BellLabel.PSI_PLUS
     CASE_II = BellLabel.PSI_MINUS
     CASE_III = BellLabel.PHI_PLUS
-
-    @property
-    def signs(self) -> tuple[float, float, float]:
-        return BELL_CORRELATORS[self.value]
 
     @property
     def bell_label(self) -> BellLabel:
@@ -135,7 +126,25 @@ def default_ekert_settings() -> EkertSettings:
     )
 
 
-EKERT_FUNCTIONAL = ekert_functional()
+# One row (offset, W flattened) per functional in the docstring's order, Bell rows by BellLabel.
+_ROWS = ("ekert-s", "bbm-t", *BellLabel)
+_TABLE = _read_only(np.array([[0.0, *ekert_functional().weights.flat],
+                              [0.0, *np.diag([1.0, 0.0, 1.0]).flat],
+                              *([1.0, *np.diag(BELL_CORRELATORS[b]).flat] for b in BellLabel)]))
+EKERT_FUNCTIONAL, BBM_FUNCTIONAL, *_BELL = (LinearFunctional(float(row[0]), row[1:].reshape(3, 3))
+                                            for row in _TABLE)
+BELL_FUNCTIONALS = dict(zip(BellLabel, _BELL))
+
+
+def _values(correlations: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """offset + <W, T> of the table's rows (last axis), on one T or a stack of them."""
+    return _TABLE[rows, 0] + correlations.reshape(*correlations.shape[:-2], 9) @ _TABLE[rows, 1:].T
+
+
+@functools.lru_cache(maxsize=1)  # a verdict chain reads the rows of one state many times
+def _statistics(state: TwoQubitState) -> tuple[float, ...]:
+    """Every row's value on the state, in _ROWS order: S, T, then the Bell rows."""
+    return tuple(_values(state.correlations).tolist())
 
 
 @dataclass(frozen=True)
@@ -181,8 +190,8 @@ class BellFidelities:
 
 @dataclass(frozen=True)
 class DistillabilityVerdict:
-    """Whether the largest Bell fidelity (ties to the larger label value) exceeds 1/2, and
-    whose it is; all three are derived.  At most one can exceed 1/2, as all four sum to 1."""
+    """Whether the largest Bell fidelity exceeds 1/2, and whose it is; all three are derived.
+    At most one can exceed 1/2, as all four sum to 1, and only then is its label kept."""
 
     fidelities: BellFidelities
     distillable: bool = field(init=False)
@@ -190,7 +199,7 @@ class DistillabilityVerdict:
     fidelity: float = field(init=False)
 
     def __post_init__(self) -> None:
-        label, value = max(self.fidelities.by_label().items(), key=lambda kv: (kv[1], kv[0].value))
+        label, value = max(self.fidelities.by_label().items(), key=lambda kv: kv[1])
         distillable = value > DISTILL_THRESHOLD + VERDICT_SLACK
         object.__setattr__(self, "distillable", distillable)
         object.__setattr__(self, "bell_label", label if distillable else None)
@@ -212,8 +221,7 @@ def pair_correlator_sum(state: TwoQubitState, axes: CorrelatorAxes) -> float:
 
 def ekert_statistic(state: TwoQubitState, settings: Optional[EkertSettings] = None) -> float:
     """S = E(a1,b1) - E(a1,b3) + E(a3,b1) + E(a3,b3)."""
-    functional = EKERT_FUNCTIONAL if settings is None else ekert_functional(settings)
-    value = functional(state)
+    value = _statistics(state)[0] if settings is None else ekert_functional(settings)(state)
     if abs(value) > TSIRELSON_BOUND + 1e-9:
         raise RuntimeError(f"statistic {value!r} exceeds the quantum maximum; state corrupted")
     return value
@@ -226,7 +234,7 @@ def ekert_verdict(state: TwoQubitState) -> WitnessVerdict:
 
 def bbm_statistic(state: TwoQubitState) -> float:
     """T = E(xx) + E(zz)."""
-    return BBM_FUNCTIONAL(state)
+    return _statistics(state)[1]
 
 
 def bbm_verdict(state: TwoQubitState) -> WitnessVerdict:
@@ -236,15 +244,12 @@ def bbm_verdict(state: TwoQubitState) -> WitnessVerdict:
 
 def ks_functional(state: TwoQubitState, case: KSCase) -> float:
     """Value of 1 + s_xx E(xx) + s_yy E(yy) + s_zz E(zz) for the case's signs."""
-    return case.functional(state)
+    return _statistics(state)[_ROWS.index(case.value)]
 
 
 def ks_verdict(state: TwoQubitState, case: KSCase) -> WitnessVerdict:
-    """One-sided comparison of the functional against the assignment bound 2.
-
-    The functional is nonnegative by construction, so the absolute-value
-    verdict coincides with the one-sided one.
-    """
+    """One-sided comparison of the functional against the assignment bound 2; the functional
+    is 4 f(bell) >= 0, so the absolute-value verdict coincides with the one-sided one."""
     value = ks_functional(state, case)
     if value < -ATOL_DERIVED:
         raise RuntimeError(f"assignment functional {value!r} negative; state corrupted")
@@ -253,26 +258,20 @@ def ks_verdict(state: TwoQubitState, case: KSCase) -> WitnessVerdict:
 
 def bell_fidelities(state: TwoQubitState) -> BellFidelities:
     """All four Bell fidelities, f(bell) = (1 + s . diag(T))/4 with s its correlators."""
-    return BellFidelities(*(BELL_FUNCTIONALS[label](state) / 4.0 for label in BellLabel))
+    return BellFidelities(*(value / 4.0 for value in _statistics(state)[2:]))
 
 
 def fidelity_identities_check(state: TwoQubitState) -> tuple[float, float]:
-    """Residuals of two routes to the Bell fidelities.
-
-    Route one takes overlaps <bell|rho|bell> of the density matrix; route
-    two reads them off the correlation matrix as above.  Returns (max
-    residual, fidelity sum deviation from 1) and raises if either exceeds
-    ATOL_DERIVED.
-    """
+    """(Max residual, fidelity sum deviation from 1) of two routes to the Bell fidelities,
+    overlaps <bell|rho|bell> of the density matrix and bell_fidelities' table rows on T;
+    raises if either exceeds ATOL_DERIVED."""
     from_correlators = bell_fidelities(state)
     overlaps = np.einsum("ki,ij,kj->k", _BELL_AMPLITUDES.conj(), state.matrix, _BELL_AMPLITUDES)
     max_residual = float(np.abs(overlaps.real - from_correlators.as_tuple()).max())
     sum_deviation = abs(sum(from_correlators.as_tuple()) - 1.0)
     if max_residual > ATOL_DERIVED or sum_deviation > ATOL_DERIVED:
-        raise RuntimeError(
-            f"fidelity routes disagree (residual {max_residual:.3e}, "
-            f"sum deviation {sum_deviation:.3e})"
-        )
+        raise RuntimeError(f"fidelity routes disagree (residual {max_residual:.3e}, "
+                           f"sum deviation {sum_deviation:.3e})")
     return max_residual, sum_deviation
 
 

@@ -280,7 +280,9 @@ FINE_PANEL = [
     ["0.3", "0.1", "-0.2", "0.45", "--marginals", "0.1", "-0.2", "0.3", "0"],
 ] + _fine_grid_panel(32, seed=8)
 # Recorded before the simplex kept its tableau between pivots: the LP's
-# vertex, and so every printed weight, must not move.
+# vertex, and so every printed weight, must not move.  Recorded on CPython
+# 3.11.7 with NumPy 2.4.6 on scipy-openblas 0.3.31.188.0 (DYNAMIC_ARCH,
+# Haswell); the pytest header names the build a run uses.
 FINE_PANEL_DIGEST = "a437106ddeeaaf9ee0d76ba3cc9063847a175fe59606e642539267fa62328dc2"
 
 
@@ -313,7 +315,8 @@ REPORT_PANEL = (
        for f in ("json", "plain", "csv")]
 )
 # Recorded before the witness, fidelity and bound tables were merged: every
-# report, key order included, must not move.
+# report, key order included, must not move.  Recorded on the same build as
+# FINE_PANEL_DIGEST; the bound reports rest on LAPACK's SVD.
 REPORT_PANEL_DIGEST = "b155ea99b1577a4caa32d148838b544a3ba70d469596a89ab82b240c25b395b1"
 
 

@@ -4,8 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from eprlab import hidden_variables
 from eprlab.hidden_variables import (
     CHSH_SIGN_PATTERNS,
     STRATEGIES,
@@ -104,6 +105,21 @@ class TestAssignments:
     def test_classical_bound_is_two(self):
         for case in KSCase:
             assert ks_classical_bound(case) == pytest.approx(2.0, abs=1e-15)
+
+    def test_assignment_table_is_one_plus_signs_dot_products(self):
+        """The (64, 3) table of the KS rows on the assignments is 1 + s . (xx, yy, zz), with s
+        written out here, to the last bit, sign bits included; one call reads the same cell."""
+        signs = {KSCase.CASE_I: (1.0, 1.0, -1.0), KSCase.CASE_II: (-1.0, -1.0, -1.0),
+                 KSCase.CASE_III: (1.0, -1.0, 1.0)}
+        table = hidden_variables._assignment_values()
+        for k, a in enumerate(enumerate_ks_assignments()):
+            p = a.products
+            for case, (sxx, syy, szz) in signs.items():
+                expected = 1.0 + sxx * p["xx"] + syy * p["yy"] + szz * p["zz"]
+                assert table[case][k].hex() == expected.hex()
+                assert ks_functional_value(KSAssignment(dict(a.singles)), case).hex() == \
+                    expected.hex()
+        assert {case: len(column) for case, column in table.items()} == dict.fromkeys(KSCase, 64)
 
     def test_immutable(self):
         a = enumerate_ks_assignments()[0]
@@ -273,6 +289,28 @@ def test_fine_panel_decides_local_model_existence(values):
     """Fine's theorem: CHSH plus positivity holds exactly when the LP finds a model."""
     quad = CorrelatorQuad(*values)
     assert chsh_panel(quad).fine_passes == (fine_local_model(quad) is not None)
+
+
+quads = st.one_of(st.lists(sixteenths, min_size=8, max_size=8),
+                  st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=quads)
+def test_fine_optimum_is_the_gauge(values):
+    """Fine's LP maximizes the least strategy weight t*; with the local polytope's gauge
+    g = max(max CHSH / 2, 1 - 4 p_min), a model exists exactly when g <= 1, and then
+    t* = (1 - g) / 16.  Off the grid, gauges within the LP's feasibility slack of 1 are
+    left out."""
+    quad = CorrelatorQuad(*values)
+    panel = chsh_panel(quad)
+    gauge = max(panel.max_value / 2.0, 1.0 - 4.0 * panel.min_joint_probability)
+    model = fine_local_model(quad)
+    if any(v * 16 != round(v * 16) for v in values):
+        assume(abs(gauge - 1.0) > 1e-6)
+    assert (model is None) == (gauge > 1.0)
+    if model is not None:
+        assert abs(min(model.weights) - (1.0 - gauge) / 16.0) <= 1e-12
 
 
 # The analytic product-state bounds, written out apart from the package's table.

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import hashlib
+import re
 import tracemalloc
 from unittest import mock
 
@@ -39,6 +40,7 @@ from eprlab.qstate import (
     density_from_pure,
     outcome_distribution,
     phase_epr_state,
+    werner_state,
 )
 from eprlab.witnesses import BBM_BOUND, BBM_FUNCTIONAL, EKERT_BOUND, EKERT_FUNCTIONAL
 
@@ -205,6 +207,19 @@ class TestEstimator:
     def test_minimum_is_thirty(self):
         assert MIN_SAMPLES_PER_PAIR == 30
 
+    @pytest.mark.parametrize("flavour, message", [
+        (Protocol.E91, "setting pair a1:b1 has 29 samples, need 30; increase rounds"),
+        (Protocol.BBM92, "setting pair x:x has 29 samples, need 30; increase rounds or raise "
+                         "the test fraction"),
+    ])
+    def test_thirty_samples_pass_and_twenty_nine_raise(self, flavour, message):
+        """The sample floor is inclusive: 30 per pair is enough, 29 in one pair is not."""
+        tests = protocol._SCHEDULES[flavour].tests
+        tallies = {label: (15, 0, 0, 15) for label, *_ in tests}
+        assert estimate_statistic(tallies, flavour) == (sum(sign for *_, sign in tests), 0.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            estimate_statistic({**tallies, tests[0][0]: (15, 0, 0, 14)}, flavour)
+
 
 class TestQber:
     def test_basic(self):
@@ -355,7 +370,10 @@ GOLDEN_EVES = {
     ),
 }
 # Recorded when the key came to be drawn i.i.d. given its length instead of
-# shuffled: a seed must keep mapping to the same report, bit for bit.
+# shuffled: a seed must keep mapping to the same report, bit for bit.  Like
+# every digest below, recorded on CPython 3.11.7 with NumPy 2.4.6 on
+# scipy-openblas 0.3.31.188.0 (DYNAMIC_ARCH, Haswell); the pytest header
+# names the build a run uses.
 GOLDEN_DIGESTS = {
     ("e91", "none"): "f9592190d63be15f1a503516d157283de28bc7f9d8a844eef10e644b3df4f9d6",
     ("e91", "x"): "620af0836c0688aa7ea33eb6fde6c08f9d043e912081b8031dbd749880dc025c",
@@ -369,7 +387,8 @@ GOLDEN_DIGESTS = {
     ("bbm92", "substitution"): "8240f2214f8cdcec2ce8efeca628d3a8218f1c6147f788eacd8b9a1be0ca5925",
 }
 # The same runs' digests when the key codes were repeated by their counts and
-# shuffled; the reference sampler must still give them.
+# shuffled; the reference sampler must still give them.  Recorded on the same
+# build as GOLDEN_DIGESTS.
 SHUFFLE_DIGESTS = {
     ("e91", "none"): "60b23e3f8579a7a44dd61a33d22c45695ea707860a0bcc68f7bde2bf1ac6f823",
     ("e91", "x"): "5d2a38ca55885c36e12ab0971c76f1d073e8a59a862fabe32002c890f8dba081",
@@ -394,6 +413,27 @@ def test_seeded_report_digest_is_pinned(protocol, eve):
 def test_reference_sampler_is_the_shuffle_sampler(protocol, eve):
     cfg = ProtocolConfig(protocol=Protocol(protocol), rounds=3_000, eve=GOLDEN_EVES[eve], seed=7)
     assert report_digest(reference_sampler.run_protocol(cfg)) == SHUFFLE_DIGESTS[protocol, eve]
+
+
+# Seeded runs on the maximally mixed source, whose key-basis correlators are
+# exactly 0.0: the parties' sign flip (correlator < 0.0) sits on its boundary,
+# and read as <= 0.0 it would invert Bob's key.  Recorded on the same build as
+# GOLDEN_DIGESTS.
+MIXED_DIGESTS = {
+    "e91": "d752ff315b92a8d33394a1f899c2079758ebd526115fb1a45cdceb7fde23f58e",
+    "bbm92": "0b62dbc7474faba5d42a7a8195c595206f8ab59b248513b6b012de57abf96a78",
+}
+
+
+@pytest.mark.parametrize("flavour", sorted(MIXED_DIGESTS))
+def test_mixed_source_report_digest_is_pinned(flavour):
+    source = werner_state(0.0)
+    plan = protocol._SCHEDULES[Protocol(flavour)]
+    for _, i, j in plan.keys:
+        pair = SpinSetting.alice(plan.alice[i]), SpinSetting.bob(plan.bob[j])
+        assert correlator(source, *pair) == 0.0
+    cfg = ProtocolConfig(protocol=Protocol(flavour), rounds=3_000, source_state=source, seed=7)
+    assert report_digest(run_protocol(cfg)) == MIXED_DIGESTS[flavour]
 
 
 def whole_array_reference(cfg: ProtocolConfig):

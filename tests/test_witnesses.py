@@ -28,7 +28,10 @@ from eprlab.qstate import (
 )
 from eprlab.witnesses import (
     BBM_BOUND,
+    BBM_FUNCTIONAL,
+    BELL_FUNCTIONALS,
     EKERT_BOUND,
+    EKERT_FUNCTIONAL,
     KS_BOUND,
     VERDICT_SLACK,
     BellFidelities,
@@ -52,6 +55,49 @@ from eprlab.witnesses import (
 )
 
 from test_qstate import random_density
+from test_tensor_oracle import states as oracle_states
+
+
+# Each functional as (offset, W), written out apart from the package's table; W is the
+# default-settings S form a1 (b1 - b3)^T + a3 (b1 + b3)^T with b1 - b3 = (2r, 0, 0).
+R = 1.0 / np.sqrt(2.0)
+ORACLE_FUNCTIONALS = {
+    "S": (0.0, np.diag([R + R, R + R, 0.0])),
+    "T": (0.0, np.diag([1.0, 0.0, 1.0])),
+    BellLabel.PHI_PLUS: (1.0, np.diag([1.0, -1.0, 1.0])),
+    BellLabel.PHI_MINUS: (1.0, np.diag([-1.0, 1.0, 1.0])),
+    BellLabel.PSI_PLUS: (1.0, np.diag([1.0, 1.0, -1.0])),
+    BellLabel.PSI_MINUS: (1.0, np.diag([-1.0, -1.0, -1.0])),
+}
+
+
+def oracle_value(state: TwoQubitState, key) -> float:
+    """One functional on its own, offset + <W, T> by np.vdot."""
+    offset, weights = ORACLE_FUNCTIONALS[key]
+    return offset + float(np.vdot(weights, state.correlations))
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=st.one_of(oracle_states, st.floats(0.0, 1.0).map(werner_state)))
+def test_table_rows_match_per_functional_oracle_bit_for_bit(state):
+    """Every statistic and fidelity read off the one table product equals its functional
+    evaluated alone, to the last bit, on pure, mixed and Bloch-built states."""
+    got = {"S": ekert_statistic(state), "T": bbm_statistic(state),
+           **{case.bell_label: ks_functional(state, case) for case in KSCase}}
+    for key, value in got.items():
+        assert value.hex() == oracle_value(state, key).hex()
+    for label, fidelity in bell_fidelities(state).by_label().items():
+        assert fidelity.hex() == (oracle_value(state, label) / 4.0).hex()
+    assert ekert_statistic(state, default_ekert_settings()).hex() == got["S"].hex()
+
+
+def test_named_functionals_are_read_only_rows_of_the_table():
+    named = {"S": EKERT_FUNCTIONAL, "T": BBM_FUNCTIONAL, **BELL_FUNCTIONALS}
+    for key, functional in named.items():
+        offset, weights = ORACLE_FUNCTIONALS[key]
+        assert functional.offset == offset and np.array_equal(functional.weights, weights)
+        assert functional.weights.base is not None and not functional.weights.flags.writeable
+    assert all(case.functional is BELL_FUNCTIONALS[case.bell_label] for case in KSCase)
 
 
 class TestEkertStatistic:
@@ -350,6 +396,16 @@ def test_non_finite_or_misshapen_values_rejected(build, message):
     assert message in str(error.value)
 
 
+def test_abort_rule_boundary_is_an_abort():
+    """|T| - k sigma exactly at the bound aborts; one ulp more of |T| does not."""
+    at_bound = report(protocol=Protocol.BBM92, statistic=1.75, stderr=0.25, abort_sigma=3.0)
+    assert abs(at_bound.statistic) - at_bound.abort_sigma * at_bound.stderr == BBM_BOUND
+    assert at_bound.aborted
+    for statistic in (np.nextafter(1.75, 2.0), -np.nextafter(1.75, 2.0)):
+        assert not dataclasses.replace(at_bound, statistic=float(statistic)).aborted
+    assert dataclasses.replace(at_bound, statistic=-1.75).aborted
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -397,7 +453,8 @@ def test_distillability_threshold_has_slack(top, distillable):
 @given(seed=st.integers(0, 2**32 - 1), label=st.sampled_from(BellLabel),
        weight=st.floats(0.0, 1.0))
 def test_distillability_follows_the_fidelities(seed, label, weight):
-    """The largest fidelity (ties to the larger label value) decides, above 1/2 + slack."""
+    """The largest fidelity decides, above 1/2 + slack; only then, when it is the only one
+    above 1/2, is its label kept."""
     bell = density_from_pure(bell_state(label)).matrix
     noise = random_density(np.random.default_rng(seed)).matrix
     state = TwoQubitState(weight * bell + (1.0 - weight) * noise)
@@ -405,7 +462,7 @@ def test_distillability_follows_the_fidelities(seed, label, weight):
     verdict = DistillabilityVerdict(fidelities)
     by_label = fidelities.by_label()
     best = max(by_label.values())
-    top = max((lbl for lbl, v in by_label.items() if v == best), key=lambda lbl: lbl.value)
+    top = max(by_label, key=by_label.get)
     assert verdict.fidelities is fidelities
     assert verdict.fidelity == best
     assert verdict.distillable == (best > 0.5 + VERDICT_SLACK)
