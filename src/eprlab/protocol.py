@@ -20,10 +20,12 @@ uniform setting-pair weight times the joint outcome table read from
 (r_A, r_B, T).  One multinomial draw gives every tally and the key
 length K.  Given K and the other tallies, the key rounds are K
 independent draws from the key codes' conditional law, so the key is
-drawn that way, one uniform per key bit, and the key tallies are
-recounted from it: the result has exactly the law of drawing the rounds
-one by one.  Key bits and error counts are table lookups on the packed
-code, and memory scales with the key, not with the round count.
+drawn that way, 32 bits per key bit, two per Philox word, and the key
+tallies are recounted from it: the result has the law of drawing the
+rounds one by one, with each key code's probability read at a
+resolution of 2**-32.  Key bits and error counts are table lookups on
+the packed code, and memory scales with the key, not with the round
+count.
 
 The eavesdropper acts on Bob's wing of each pair before it reaches him.
 Intercept-resend along d, outcome forgotten, keeps Bob's spin component
@@ -286,31 +288,38 @@ def estimate_statistic(
     return float(estimate), float(np.sqrt(variance))
 
 
-# The uniforms of a key come in at most this many slices of at least
-# _MIN_SLICE each, so their float buffer stays near one byte per key bit.
+# The draws of a key come in at most this many slices of at least
+# _MIN_SLICE each, so their 32-bit buffer stays near half a byte per key bit.
 _MAX_SLICES = 8
 _MIN_SLICE = 4096
 
 
 def _draw_indices(rng: np.random.Generator, weights: np.ndarray,
                   n: int) -> tuple[bytearray, np.ndarray]:
-    """n i.i.d. indices k, drawn with probability weights[k] / sum(weights).
+    """n i.i.d. indices k, drawn with probability weights[k] / sum(weights) to within 2**-32.
 
-    Returns the indices, one byte each, and their tallies.  Index k comes
-    from one uniform u as the number of cumulative thresholds <= u, so an
-    index of zero weight past the last positive one could be drawn: give
-    only positive weights.  The thresholds never decrease, so u >= t_k
-    exactly when the index exceeds k, and counting those gives the tallies.
+    Returns the indices, one byte each, and their tallies.  Each index
+    reads 32 bits u of the bit generator's stream, the low then the high
+    half of each Philox word, so one word serves two key bits.  It is the
+    number of cumulative thresholds t_k that u reaches, u >= t_k * 2**32,
+    which is u >= ceil(t_k * 2**32); a threshold that rounds up to 2**32
+    cannot be reached, so an index past the last positive weight is never
+    drawn.  The thresholds never decrease, so u reaches t_k exactly when
+    the index exceeds k, and counting those gives the tallies.
     """
     cumulative = weights.cumsum()
-    thresholds = cumulative[:-1] / cumulative[-1]
+    scaled = np.ceil(cumulative[:-1] / cumulative[-1] * 2.0**32)
+    thresholds = scaled[scaled < 2.0**32].astype(np.uint32)  # uint64 would widen every compare
     drawn = bytearray(n)
     indices = np.frombuffer(drawn, dtype=np.uint8)
-    exceed = [0] * thresholds.size  # exceed[k]: draws whose index exceeds k
+    exceed = [0] * scaled.size  # exceed[k]: draws whose index exceeds k
     step = max(_MIN_SLICE, -(-n // _MAX_SLICES))
+    step += step % 2  # whole words per slice, so the slices read the stream in order
     for start in range(0, n, step):
-        u = rng.random(min(step, n - start))
-        index = indices[start:start + u.size]
+        size = min(step, n - start)
+        words = rng.bit_generator.random_raw(-(-size // 2))
+        u = words.astype("<u8", copy=False).view("<u4")[:size]
+        index = indices[start:start + size]
         for k, t in enumerate(thresholds):
             past = u >= t
             index += past.view(np.uint8)

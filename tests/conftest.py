@@ -1,5 +1,9 @@
-"""Shared pytest hooks: name the NumPy and BLAS build in the header, and surface
-acceptance verdict lines after the run."""
+"""Shared pytest hooks: name the NumPy and BLAS build and the BLAS kernel in the
+header, and surface acceptance verdict lines after the run."""
+
+import ctypes
+import glob
+import os
 
 import numpy as np
 
@@ -17,6 +21,19 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def blas_kernel() -> str:
+    """The core OpenBLAS's DYNAMIC_ARCH picked for this CPU, asked of the library NumPy loads."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def pytest_report_header(config):
     """The golden digests hold for the build they were recorded on, so name this run's."""
     try:
@@ -25,4 +42,4 @@ def pytest_report_header(config):
                          f"{blas.get('openblas configuration', '')}".split())
     except (TypeError, KeyError):  # show_config has no mode="dicts" before NumPy 1.26
         build = "unknown"
-    return f"numpy {np.__version__}, BLAS {build}"
+    return f"numpy {np.__version__}, BLAS {build}, kernel {blas_kernel()}"

@@ -196,6 +196,15 @@ class TestChshPanel:
         assert panel.max_value == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-12)
         assert not panel.passes
 
+    def test_fine_pass_slack_is_lp_feas_tol(self):
+        """A least joint probability of -LP_FEAS_TOL or one step above it passes; one
+        step below fails."""
+        slack = -hidden_variables.LP_FEAS_TOL
+        for p, passes in ((np.nextafter(slack, 0.0), True), (slack, True),
+                          (np.nextafter(slack, -1.0), False)):
+            panel = ChshPanel(values=(0.0,) * 8, min_joint_probability=float(p))
+            assert panel.fine_passes is passes, p
+
     def test_needs_eight_values(self):
         with pytest.raises(ValueError, match="8"):
             ChshPanel(values=(0.0,), min_joint_probability=0.0)

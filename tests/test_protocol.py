@@ -3,8 +3,11 @@
 import dataclasses
 import gc
 import hashlib
+import math
 import re
 import tracemalloc
+from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -369,26 +372,27 @@ GOLDEN_EVES = {
                          (0.4, (0.6, 0.0, 0.8), (-1.0, 0.0, 0.0))])
     ),
 }
-# Recorded when the key came to be drawn i.i.d. given its length instead of
-# shuffled: a seed must keep mapping to the same report, bit for bit.  Like
-# every digest below, recorded on CPython 3.11.7 with NumPy 2.4.6 on
-# scipy-openblas 0.3.31.188.0 (DYNAMIC_ARCH, Haswell); the pytest header
-# names the build a run uses.
+# Recorded when the key came to be drawn from 32-bit integer thresholds, two
+# key bits per Philox word: a seed must keep mapping to the same report, bit
+# for bit.  Recorded on CPython 3.11.7 with NumPy 2.4.6 on scipy-openblas
+# 0.3.31.188.0 (DYNAMIC_ARCH), whose run-time kernel was SkylakeX; the pytest
+# header names the build and the kernel a run uses.
 GOLDEN_DIGESTS = {
-    ("e91", "none"): "f9592190d63be15f1a503516d157283de28bc7f9d8a844eef10e644b3df4f9d6",
-    ("e91", "x"): "620af0836c0688aa7ea33eb6fde6c08f9d043e912081b8031dbd749880dc025c",
-    ("e91", "xz"): "76f8d7f13ffb240329d09d9006321346d124a420e69f7eb8a269b7c4f6735007",
-    ("e91", "tilted"): "1d3d025e4ccfdad28ce96aac88e5f0e5d9cf30bbfea5f731e5f0527dbc6dc060",
-    ("e91", "substitution"): "027e50dec369cf3261b20d686245e28383c74b86a52fb107456eae12c06585b3",
-    ("bbm92", "none"): "b0d9f690ed98f46c7fcd16fe7d59d2be69c1dab51293440cd14b4c748850fe4f",
-    ("bbm92", "x"): "715977057757e764cbafc18511f14fda8a64f137bdea0cc47dc0b8add3c02727",
-    ("bbm92", "xz"): "21626a9f1dc5b84ecc0e0f802ea049a1bf493d88d9641820c46bcc441cfa9786",
-    ("bbm92", "tilted"): "d9be87361a3a45dbb2e5a642f11f051808f3c71a698a22dc4f727024d9688bba",
-    ("bbm92", "substitution"): "8240f2214f8cdcec2ce8efeca628d3a8218f1c6147f788eacd8b9a1be0ca5925",
+    ("e91", "none"): "176ccf9af2b9189b3ee2efb75f304857d0787c69cd04b5222344c6d4dffeb57b",
+    ("e91", "x"): "18d7edeb54cbeb3139c06a6626a99c088a1cc35249906cbf0bd3aa053e860a30",
+    ("e91", "xz"): "7b1e927d2a24334ffe81d3cea60f7f0598847ed81daf42ba01712b70f3d7ea77",
+    ("e91", "tilted"): "98c62c39662cd02bf02cb11145f35704ed65c1938f2d3c42e3db15adc6ca0b0d",
+    ("e91", "substitution"): "3c50f429b155308235096c34b68da6f230858ae2bcc96df913e18d33535ac92a",
+    ("bbm92", "none"): "b04433269d5475f596dad06bb6f11bd26f1820be96cfe2019a3eb3371dc611df",
+    ("bbm92", "x"): "ef35edb198fdbb377d6392c1a6e9d16097eff6e2e20c6e52d772449efcaa538a",
+    ("bbm92", "xz"): "01df2af0aaf4ac5c557d91560b1204a746efb6e24d3d28c2c62f8d233cfce0d0",
+    ("bbm92", "tilted"): "75746c9d9515e8677af5e263fb7fb012b58f6e2ca9acf7030ece3935e00411df",
+    ("bbm92", "substitution"): "145f36d7a75adc909b07683fb9ece35db0f59a2123877d39c4f63505b7ecf20a",
 }
 # The same runs' digests when the key codes were repeated by their counts and
-# shuffled; the reference sampler must still give them.  Recorded on the same
-# build as GOLDEN_DIGESTS.
+# shuffled; the reference sampler must still give them.  Recorded on CPython
+# 3.11.7 with NumPy 2.4.6 on the same scipy-openblas build, before the header
+# named the run-time kernel.
 SHUFFLE_DIGESTS = {
     ("e91", "none"): "60b23e3f8579a7a44dd61a33d22c45695ea707860a0bcc68f7bde2bf1ac6f823",
     ("e91", "x"): "5d2a38ca55885c36e12ab0971c76f1d073e8a59a862fabe32002c890f8dba081",
@@ -417,11 +421,11 @@ def test_reference_sampler_is_the_shuffle_sampler(protocol, eve):
 
 # Seeded runs on the maximally mixed source, whose key-basis correlators are
 # exactly 0.0: the parties' sign flip (correlator < 0.0) sits on its boundary,
-# and read as <= 0.0 it would invert Bob's key.  Recorded on the same build as
-# GOLDEN_DIGESTS.
+# and read as <= 0.0 it would invert Bob's key.  Recorded on the same build and
+# kernel (SkylakeX) as GOLDEN_DIGESTS.
 MIXED_DIGESTS = {
-    "e91": "d752ff315b92a8d33394a1f899c2079758ebd526115fb1a45cdceb7fde23f58e",
-    "bbm92": "0b62dbc7474faba5d42a7a8195c595206f8ab59b248513b6b012de57abf96a78",
+    "e91": "a4ffe3c8f22b55d41af501f191d195821c536aee87c71eff847eabb2ca04f624",
+    "bbm92": "79091e0b921c8a7938289c54ecd38448001187b77033595254318d4d7e027809",
 }
 
 
@@ -435,6 +439,112 @@ def test_mixed_source_report_digest_is_pinned(flavour):
     cfg = ProtocolConfig(protocol=Protocol(flavour), rounds=3_000, source_state=source, seed=7)
     assert report_digest(run_protocol(cfg)) == MIXED_DIGESTS[flavour]
 
+
+
+def threshold_oracle(weights: np.ndarray, u32: np.ndarray) -> np.ndarray:
+    """Each draw's index as the number of float thresholds that u32 * 2**-32 reaches."""
+    cumulative = np.cumsum(weights)
+    return (u32[:, None] * 2.0**-32 >= cumulative[:-1] / cumulative[-1]).sum(axis=1)
+
+
+# Up to 16 cells with zeros and tiny weights among them, then trailing zero weights.
+DRAW_WEIGHTS = st.builds(
+    lambda head, zeros: np.array(head + [0.0] * zeros),
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.0)), min_size=1, max_size=16)
+    .filter(lambda head: sum(head) > 0.0),
+    st.integers(0, 3),
+)
+# Key lengths below, at and above one slice, odd and even, and with an odd slice
+# size above _MIN_SLICE that must be rounded up to whole words (8 * 4097 = 32776).
+SLICE = protocol._MIN_SLICE
+DRAW_LENGTHS = st.one_of(
+    st.sampled_from([1, 2, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 1, 32_773, 32_776]),
+    st.integers(1, 3 * SLICE),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights=DRAW_WEIGHTS, n=DRAW_LENGTHS, key=st.integers(0, 2**64 - 1))
+def test_draw_indices_read_the_32_bit_stream_in_order(weights, n, key):
+    """Draw i is the float threshold count of the stream's i-th 32-bit value, and the
+    tallies count the draws; no index past the last positive weight comes up."""
+    drawn, tallies = protocol._draw_indices(np.random.Generator(np.random.Philox(key=key)),
+                                            weights, n)
+    indices = np.frombuffer(drawn, dtype=np.uint8)
+    assert indices.size == n
+    u32 = np.random.Generator(np.random.Philox(key=key)).integers(0, 2**32, n, dtype=np.uint32)
+    np.testing.assert_array_equal(indices, threshold_oracle(weights, u32))
+    np.testing.assert_array_equal(tallies, np.bincount(indices, minlength=weights.size))
+    assert not tallies[np.flatnonzero(weights)[-1] + 1:].any()
+
+
+def stand_in_generator(u32: np.ndarray) -> SimpleNamespace:
+    """A generator whose 32-bit stream is u32: the low, then the high half of each word."""
+    words = np.append(u32, u32[:len(u32) % 2]).astype("<u4").view("<u8")
+
+    def random_raw(size):
+        assert size == words.size  # one slice
+        return words
+    return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=random_raw))
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=DRAW_WEIGHTS)
+def test_draw_cells_are_the_thresholds_rounded_up_to_32_bits(weights):
+    """Cell k is [B_(k-1), B_k) with B_k = ceil(t_k * 2**32) clipped to 2**32.
+
+    The values either side of every boundary, 0 and 2**32 - 1 land in the
+    cells the float oracle names, and the top value at or below the last
+    positive weight.  So each cell's probability is its float thresholds'
+    spacing to within 2**-32, exactly, and weights[k] / sum(weights) to
+    within 2**-32 plus the float rounding of cumsum and division.
+    """
+    cumulative = np.cumsum(weights)
+    thresholds = cumulative[:-1] / cumulative[-1]
+    bounds = np.array([0, *(min(math.ceil(t * 2**32), 2**32) for t in thresholds), 2**32])
+    probes = np.unique(np.clip(np.concatenate([bounds - 1, bounds]), 0, 2**32 - 1))
+    drawn, _ = protocol._draw_indices(stand_in_generator(probes.astype(np.uint32)), weights,
+                                      probes.size)
+    indices = np.frombuffer(drawn, dtype=np.uint8)
+    np.testing.assert_array_equal(indices, threshold_oracle(weights, probes))
+    np.testing.assert_array_equal(indices, np.searchsorted(bounds[1:-1], probes, side="right"))
+    assert indices[-1] <= np.flatnonzero(weights)[-1]
+    edges = [Fraction(0), *map(Fraction, thresholds.tolist()), Fraction(1)]
+    for k in range(weights.size):
+        implied = Fraction(int(bounds[k + 1] - bounds[k]), 2**32)
+        assert abs(implied - (edges[k + 1] - edges[k])) < Fraction(1, 2**32), k
+        assert abs(float(implied) - weights[k] / weights.sum()) <= 2.0**-32 + 1e-13, k
+
+
+@pytest.mark.parametrize("protocol_name, rounds", [("e91", 100_000), ("bbm92", 30_000)])
+@pytest.mark.parametrize("eve", ["none", "xz"])
+def test_run_draws_the_key_from_the_32_bit_stream_after_the_multinomial(protocol_name,
+                                                                        rounds, eve):
+    """run_protocol's key draws are the 32-bit values that follow the multinomial, in order.
+
+    The replay starts from the bit generator's state as the draw is entered;
+    integers() would read a half word left over in that state first, so
+    agreement also shows that the multinomial leaves none.
+    """
+    calls, draw = [], protocol._draw_indices
+
+    def recording(rng, weights, n):
+        state = rng.bit_generator.state
+        result = draw(rng, weights, n)
+        calls.append((state, weights, n, result))
+        return result
+
+    cfg = ProtocolConfig(protocol=Protocol(protocol_name), rounds=rounds, eve=GOLDEN_EVES[eve],
+                         seed=11)
+    with mock.patch.object(protocol, "_draw_indices", recording):
+        report = run_protocol(cfg)
+    [(state, weights, n, (drawn, _))] = calls
+    assert n == report.rounds_used["key"] > SLICE
+    replay = np.random.Generator(np.random.Philox())
+    replay.bit_generator.state = state
+    u32 = replay.integers(0, 2**32, n, dtype=np.uint32)
+    np.testing.assert_array_equal(np.frombuffer(drawn, dtype=np.uint8),
+                                  threshold_oracle(weights, u32))
 
 def whole_array_reference(cfg: ProtocolConfig):
     """Round-by-round draws as whole arrays: (test tallies, keys, rounds_used)."""

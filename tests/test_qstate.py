@@ -192,6 +192,16 @@ class TestProductEnsemble:
         with pytest.raises(ValueError, match="negative"):
             ProductEnsemble([(1.2, X_AXIS, X_AXIS), (-0.2, Z_AXIS, Z_AXIS)])
 
+    def test_negative_weight_slack_is_atol_construct(self):
+        """A weight of -ATOL_CONSTRUCT or one step above it is read as 0; one step below
+        is rejected."""
+        for weight in (np.nextafter(-ATOL_CONSTRUCT, 0.0), -ATOL_CONSTRUCT):
+            ensemble = ProductEnsemble([(1.0, X_AXIS, X_AXIS), (weight, Z_AXIS, Z_AXIS)])
+            assert ensemble.weights.tolist() == [1.0, 0.0]
+        outside = np.nextafter(-ATOL_CONSTRUCT, -1.0)
+        with pytest.raises(ValueError, match="negative"):
+            ProductEnsemble([(1.0, X_AXIS, X_AXIS), (outside, Z_AXIS, Z_AXIS)])
+
     def test_long_bloch_vector_rejected(self):
         with pytest.raises(ValueError, match="norm"):
             ProductEnsemble([(1.0, (1.0, 1.0, 0.0), Z_AXIS)])
