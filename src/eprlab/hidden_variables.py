@@ -187,6 +187,9 @@ class ChshPanel:
     def __post_init__(self) -> None:
         if len(self.values) != 8:
             raise ValueError(f"panel needs 8 values, got {len(self.values)}")
+        # Python floats, so that the verdicts are bools whatever float type came in.
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
+        object.__setattr__(self, "min_joint_probability", float(self.min_joint_probability))
         object.__setattr__(self, "max_value", max(self.values))
         object.__setattr__(self, "passes", self.max_value <= CHSH_BOUND + LP_FEAS_TOL)
 
@@ -199,13 +202,10 @@ def chsh_panel(quad: CorrelatorQuad) -> ChshPanel:
     """Evaluate s1 c11 + s2 c13 + s3 c31 + s4 c33 over the odd sign patterns, and
     the least joint probability (1 + a m_x + b m_y + ab c_xy)/4 of the four pairs."""
     c = quad.correlators()
-    values = tuple(
-        float(s1 * c[0] + s2 * c[1] + s3 * c[2] + s4 * c[3])
-        for s1, s2, s3, s4 in CHSH_SIGN_PATTERNS
-    )
-    min_joint = float(joint_probabilities([quad.m_a1, quad.m_a1, quad.m_a3, quad.m_a3],
-                                          [quad.m_b1, quad.m_b3, quad.m_b1, quad.m_b3],
-                                          c).min())
+    values = tuple(s1 * c[0] + s2 * c[1] + s3 * c[2] + s4 * c[3]
+                   for s1, s2, s3, s4 in CHSH_SIGN_PATTERNS)
+    min_joint = joint_probabilities([quad.m_a1, quad.m_a1, quad.m_a3, quad.m_a3],
+                                    [quad.m_b1, quad.m_b3, quad.m_b1, quad.m_b3], c).min()
     return ChshPanel(values=values, min_joint_probability=min_joint)
 
 

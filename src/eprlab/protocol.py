@@ -20,12 +20,13 @@ uniform setting-pair weight times the joint outcome table read from
 (r_A, r_B, T).  One multinomial draw gives every tally and the key
 length K.  Given K and the other tallies, the key rounds are K
 independent draws from the key codes' conditional law, so the key is
-drawn that way, 32 bits per key bit, two per Philox word, and the key
-tallies are recounted from it: the result has the law of drawing the
-rounds one by one, with each key code's probability read at a
-resolution of 2**-32.  Key bits and error counts are table lookups on
-the packed code, and memory scales with the key, not with the round
-count.
+drawn that way: a report shows only each position's bit pair, so each
+draws its class 2a + b of Alice's bit a and Bob's bit b, 8 bits per key
+bit plus 32 for each tie, and one multinomial draw per class splits its
+tally among its key codes (BBM92's x and z).  The result has the law of
+drawing the rounds one by one, with each class's probability read at a
+resolution of 2**-32.  Error counts are table lookups on the packed
+code, and memory scales with the key, not with the round count.
 
 The eavesdropper acts on Bob's wing of each pair before it reaches him.
 Intercept-resend along d, outcome forgotten, keeps Bob's spin component
@@ -288,53 +289,80 @@ def estimate_statistic(
     return float(estimate), float(np.sqrt(variance))
 
 
-# The draws of a key come in at most this many slices of at least
-# _MIN_SLICE each, so their 32-bit buffer stays near half a byte per key bit.
+# The lead bytes of a key come in at most this many slices of at least
+# _MIN_SLICE each, so their stream buffer stays near an eighth of a byte per key bit.
 _MAX_SLICES = 8
 _MIN_SLICE = 4096
 
 
 def _draw_indices(rng: np.random.Generator, weights: np.ndarray,
-                  n: int) -> tuple[bytearray, np.ndarray]:
-    """n i.i.d. indices k, drawn with probability weights[k] / sum(weights) to within 2**-32.
+                  n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n i.i.d. classes c, each drawn with probability weights[c].sum() / weights.sum() to
+    within 2**-32, and their tallies by cell (c, j), shaped like weights.
 
-    Returns the indices, one byte each, and their tallies.  Each index
-    reads 32 bits u of the bit generator's stream, the low then the high
-    half of each Philox word, so one word serves two key bits.  It is the
-    number of cumulative thresholds t_k that u reaches, u >= t_k * 2**32,
-    which is u >= ceil(t_k * 2**32); a threshold that rounds up to 2**32
-    cannot be reached, so an index past the last positive weight is never
-    drawn.  The thresholds never decrease, so u reaches t_k exactly when
-    the index exceeds k, and counting those gives the tallies.
+    A class counts the thresholds T_k = ceil(t_k * 2**32) of the cumulative weights t_k that
+    a 32-bit uniform u reaches; none of 2**32 is kept, so no class past the last positive
+    weight comes up.  It reads 8 bits per draw plus 32 per tie: draw i's lead byte, byte i
+    of the stream (Philox words read little-endian), is u's top byte and passes
+    T_k = h_k * 2**24 + l_k above h_k, or at h_k if l_k = 0; at h_k with l_k > 0 it ties.
+    After all lead bytes, each tie in order takes the stream's next 32-bit value e and
+    counts the T_k <= (byte << 24) | (e >> 8).  One multinomial per class with two or more
+    positive cells then splits its tally in proportion to weights[c].
     """
-    cumulative = weights.cumsum()
+    cumulative = weights.sum(axis=1).cumsum()
     scaled = np.ceil(cumulative[:-1] / cumulative[-1] * 2.0**32)
-    thresholds = scaled[scaled < 2.0**32].astype(np.uint32)  # uint64 would widen every compare
-    drawn = bytearray(n)
-    indices = np.frombuffer(drawn, dtype=np.uint8)
-    exceed = [0] * scaled.size  # exceed[k]: draws whose index exceeds k
+    thresholds = scaled[scaled < 2.0**32].astype(np.uint32)
+    lead = [divmod(t, 2**24) for t in thresholds.tolist()]  # (h_k, l_k)
+    tie_bytes = sorted({h for h, low in lead if low})
+    drawn = np.zeros(n, dtype=np.uint8)
+    exceed = [0] * scaled.size  # exceed[k]: draws whose class exceeds k
+    ties = []  # (positions, lead bytes) of the ties of each slice that has any
     step = max(_MIN_SLICE, -(-n // _MAX_SLICES))
-    step += step % 2  # whole words per slice, so the slices read the stream in order
+    step += -step % 8  # whole words per slice, so the slices read the stream's bytes in order
     for start in range(0, n, step):
         size = min(step, n - start)
-        words = rng.bit_generator.random_raw(-(-size // 2))
-        u = words.astype("<u8", copy=False).view("<u4")[:size]
-        index = indices[start:start + size]
-        for k, t in enumerate(thresholds):
-            past = u >= t
+        words = rng.bit_generator.random_raw(-(-size // 8))
+        byte = words.astype("<u8", copy=False).view(np.uint8)[:size]
+        index = drawn[start:start + size]
+        for k, (h, low) in enumerate(lead):
+            if not k or lead[k - 1] != (h, low):  # a zero-weight class repeats its threshold
+                past = byte > h if low else byte >= h
+                passed = np.count_nonzero(past)
             index += past.view(np.uint8)
-            exceed[k] += np.count_nonzero(past)
+            exceed[k] += passed
+        if tie_bytes:
+            tied = byte == tie_bytes[0]
+            for h in tie_bytes[1:]:
+                tied |= byte == h
+            where = np.flatnonzero(tied)
+            if where.size:
+                ties.append((where + start, byte[where]))
     bounds = [n, *exceed, 0]
-    return drawn, np.subtract(bounds[:-1], bounds[1:])
+    tallies = np.subtract(bounds[:-1], bounds[1:])
+    if ties:
+        where, tie_lead = (np.concatenate(part) for part in zip(*ties))
+        extension = rng.bit_generator.random_raw(-(-where.size // 2))
+        e = extension.astype("<u8", copy=False).view("<u4")[:where.size]
+        resolved = np.searchsorted(thresholds, tie_lead.astype(np.uint32) << 24 | e >> 8, "right")
+        tallies += (np.bincount(resolved, minlength=tallies.size)
+                    - np.bincount(drawn[where], minlength=tallies.size))
+        drawn[where] = resolved
+    positive = weights > 0.0
+    split = tallies[:, None] * positive  # right for a class with at most one positive cell
+    several = positive.sum(axis=1) > 1
+    if several.any():  # one multinomial per such class, in class order
+        rows = weights[several]
+        split[several] = rng.multinomial(tallies[several], rows / rows.sum(axis=1, keepdims=True))
+    return drawn, split
 
 
 def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
     """Simulate one full run and return its report.
 
     One multinomial draw over the packed round codes gives every tally
-    and the key length; the key rounds are then drawn in order, i.i.d.
-    from the key codes' conditional law, and replace the multinomial's
-    split of the key among its codes.  Time and memory scale with the key
+    and the key length; the key rounds' bit pairs are then drawn in
+    order, i.i.d. from their conditional law, and their split among the
+    key codes replaces the multinomial's.  Time and memory scale with the key
     length, not the round count.  The same config always yields the same
     report, bit for bit: the generator is counter-based and keyed only by
     the seed.
@@ -357,14 +385,20 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
         raise ValueError(f"negative probability {probs.min():.3e}; state not physical")
     coin = [1.0 - cfg.test_fraction, cfg.test_fraction] if plan.split else [1.0]
     law = np.multiply.outer(coin, np.clip(probs, 0.0, None)).ravel()
-    codes = np.arange(law.size, dtype=np.uint8)
-    # Key rounds: the key side (0) of the test coin, a key setting pair, any outcome.
-    key_cells = np.array([4 * pair + outcome for pair in keyed for outcome in range(4)])
+    # Parties fix each key basis's sign from the advertised source, not
+    # from what Eve actually delivers.  Alice's bit is 1 for outcome -1,
+    # Bob's for his sign-corrected outcome -1; outcome o (OutcomeDistribution
+    # order) of pair p has bit pair class 2a + b = o ^ flip[p].
+    flip = np.zeros(n_pairs, dtype=bool)
+    for _, i, j in plan.keys:
+        setting_a, setting_b = SpinSetting.alice(plan.alice[i]), SpinSetting.bob(plan.bob[j])
+        flip[i * n_b + j] = correlator(cfg.source_state, setting_a, setting_b) < 0.0
+    # Key rounds: the key side (0) of the test coin, by (class, key setting pair).
+    key_cells = 4 * np.array(keyed) + (np.arange(4)[:, None] ^ flip[keyed])
 
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     counts = rng.multinomial(cfg.rounds, law / law.sum())
-    support = key_cells[law[key_cells] > 0.0]
-    drawn, counts[support] = _draw_indices(rng, law[support], int(counts[key_cells].sum()))
+    drawn, counts[key_cells] = _draw_indices(rng, law[key_cells], int(counts[key_cells].sum()))
     counts = counts.reshape(-1, n_pairs, 4)
     tests, key_rounds = counts[-1], counts[0]
 
@@ -380,22 +414,15 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
         {label: tests[i * n_b + j] for label, i, j, _ in plan.tests}, cfg.protocol
     )
 
-    # Parties fix each key basis's sign from the advertised source, not
-    # from what Eve actually delivers.  Alice's bit is 1 for outcome -1,
-    # Bob's for his sign-corrected outcome -1.
-    flip = np.zeros(n_pairs, dtype=bool)
-    for _, i, j in plan.keys:
-        setting_a, setting_b = SpinSetting.alice(plan.alice[i]), SpinSetting.bob(plan.bob[j])
-        flip[i * n_b + j] = correlator(cfg.source_state, setting_a, setting_b) < 0.0
-    minus_a, minus_b = _OUTCOME_SIGNS[:2, codes % 4] < 0.0
-    chars = np.array([minus_a, minus_b ^ flip[codes // 4 % n_pairs]], dtype=np.uint8) + ord("0")
-    # Each drawn byte indexes support; a 256-byte table spells it as '0' or '1'.
-    spelled = [drawn.translate(row[support].tobytes().ljust(256, b"0")) for row in chars]
-    del drawn  # so that at most three key-sized buffers are alive at once
-    key_a, key_b = (spelled.pop(0).decode() for _ in chars)
+    # Alice's bit is the class's high bit and Bob's its low bit; at most three
+    # key-sized buffers are alive at once.
+    key_a = str(np.bitwise_or(drawn >> 1, ord("0")), "ascii")
+    key_b = str(np.bitwise_or(drawn & 1, ord("0"), out=drawn), "ascii")
+    del drawn
 
     if plan.split:
-        wrong = (chars[0] != chars[1]).reshape(counts.shape)[-1]
+        # The bits differ on outcomes of product -1, unless the pair's sign is flipped.
+        wrong = (_OUTCOME_SIGNS[2] < 0.0) != flip[:, None]
         n_test = {basis: int(tests[i * n_b + j].sum()) for basis, i, j in plan.keys}
         n_err = {basis: int(tests[i * n_b + j] @ wrong[i * n_b + j]) for basis, i, j in plan.keys}
         qber_by_basis = {basis: n_err[basis] / n_test[basis] for basis in n_test}

@@ -98,6 +98,22 @@ class TestResolveState:
         state, _ = cli.resolve_state(str(path), tolerance=1e-4)
         assert state.matrix.trace().real == pytest.approx(1.0, abs=1e-12)
 
+    def test_default_file_tolerance_is_1e_10(self, tmp_path):
+        """A matrix file whose Hermiticity deviation is exactly 1e-10, or one step less, is
+        read with the default tolerance; one step more is rejected."""
+        path = tmp_path / "state.json"
+        for deviation, accepted in ((np.nextafter(1e-10, 0.0), True), (1e-10, True),
+                                    (np.nextafter(1e-10, 1.0), False)):
+            payload = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+            payload[0][1][0] = float(deviation)  # its transpose partner stays 0
+            path.write_text(json.dumps(payload))
+            if accepted:
+                state, _ = cli.resolve_state(str(path))
+                assert state.matrix[0, 1] == deviation / 2
+            else:
+                with pytest.raises(ValueError, match="Hermiticity"):
+                    cli.resolve_state(str(path))
+
     def test_ensemble_file(self, tmp_path):
         payload = [
             {"weight": 0.5, "blochA": [0.0, 0.0, 1.0], "blochB": [0.0, 0.0, -1.0]},

@@ -1,6 +1,7 @@
 """Tests for assignments, local models, and product-state suprema."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -205,6 +206,17 @@ class TestChshPanel:
             panel = ChshPanel(values=(0.0,) * 8, min_joint_probability=float(p))
             assert panel.fine_passes is passes, p
 
+    def test_numpy_floats_give_python_floats_and_bools(self):
+        """NumPy inputs are stored as Python floats, so the verdicts are bools and every
+        field serializes as JSON."""
+        panel = ChshPanel(values=tuple(np.linspace(-2.0, 2.0, 8)),
+                          min_joint_probability=np.float64(0.25))
+        assert panel.passes is True and panel.fine_passes is True
+        assert all(type(value) is float for value in (*panel.values, panel.max_value,
+                                                        panel.min_joint_probability))
+        fields = dataclasses.asdict(panel) | {"fine_passes": panel.fine_passes}
+        assert json.loads(json.dumps(fields))["fine_passes"] is True
+
     def test_needs_eight_values(self):
         with pytest.raises(ValueError, match="8"):
             ChshPanel(values=(0.0,), min_joint_probability=0.0)
@@ -235,6 +247,20 @@ class TestLocalModel:
         assert quad.correlators() == pytest.approx((1.0, 1.0, 1.0, 1.0))
         assert quad.marginals() == pytest.approx((1.0, 1.0, 1.0, 1.0))
         assert STRATEGIES[0] == (1, 1, 1, 1)
+
+
+    def test_reproduction_tolerance_is_1e_8(self):
+        """The uniform mixture predicts the zero quad exactly; a correlator or marginal off
+        by exactly 1e-8, or one step less, is reproduced, and one step more is not."""
+        model = LocalModel(weights=(1.0 / 16.0,) * 16)
+        zero = CorrelatorQuad(0.0, 0.0, 0.0, 0.0)
+        assert model.predicted_quad() == zero
+        for name in ("c11", "m_b3"):
+            for offset, reproduced in ((np.nextafter(1e-8, 0.0), True), (1e-8, True),
+                                       (np.nextafter(1e-8, 1.0), False)):
+                for sign in (1.0, -1.0):
+                    quad = dataclasses.replace(zero, **{name: sign * float(offset)})
+                    assert model.reproduces(quad) is reproduced, (name, offset, sign)
 
 
 class TestFineLocalModel:

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 import reference_sampler
@@ -372,22 +372,22 @@ GOLDEN_EVES = {
                          (0.4, (0.6, 0.0, 0.8), (-1.0, 0.0, 0.0))])
     ),
 }
-# Recorded when the key came to be drawn from 32-bit integer thresholds, two
-# key bits per Philox word: a seed must keep mapping to the same report, bit
-# for bit.  Recorded on CPython 3.11.7 with NumPy 2.4.6 on scipy-openblas
-# 0.3.31.188.0 (DYNAMIC_ARCH), whose run-time kernel was SkylakeX; the pytest
-# header names the build and the kernel a run uses.
+# Recorded when the key came to be drawn as (Alice bit, Bob bit) classes, one
+# lead byte per key bit and 32 bits per tie: a seed must keep mapping to the
+# same report, bit for bit.  Recorded on CPython 3.11.7 with NumPy 2.4.6 on
+# scipy-openblas 0.3.31.188.0 (DYNAMIC_ARCH), whose run-time kernel was
+# SkylakeX; the pytest header names the build and the kernel a run uses.
 GOLDEN_DIGESTS = {
-    ("e91", "none"): "176ccf9af2b9189b3ee2efb75f304857d0787c69cd04b5222344c6d4dffeb57b",
-    ("e91", "x"): "18d7edeb54cbeb3139c06a6626a99c088a1cc35249906cbf0bd3aa053e860a30",
-    ("e91", "xz"): "7b1e927d2a24334ffe81d3cea60f7f0598847ed81daf42ba01712b70f3d7ea77",
-    ("e91", "tilted"): "98c62c39662cd02bf02cb11145f35704ed65c1938f2d3c42e3db15adc6ca0b0d",
-    ("e91", "substitution"): "3c50f429b155308235096c34b68da6f230858ae2bcc96df913e18d33535ac92a",
-    ("bbm92", "none"): "b04433269d5475f596dad06bb6f11bd26f1820be96cfe2019a3eb3371dc611df",
-    ("bbm92", "x"): "ef35edb198fdbb377d6392c1a6e9d16097eff6e2e20c6e52d772449efcaa538a",
-    ("bbm92", "xz"): "01df2af0aaf4ac5c557d91560b1204a746efb6e24d3d28c2c62f8d233cfce0d0",
-    ("bbm92", "tilted"): "75746c9d9515e8677af5e263fb7fb012b58f6e2ca9acf7030ece3935e00411df",
-    ("bbm92", "substitution"): "145f36d7a75adc909b07683fb9ece35db0f59a2123877d39c4f63505b7ecf20a",
+    ("e91", "none"): "9539d1855ed74ce3c8a5229c270954785b713a18c9dc9952c253c80ab745c009",
+    ("e91", "x"): "527a229addc2b73eb3a121e702f5103de1ada3a62446e240fa9716dfd4756a18",
+    ("e91", "xz"): "69b7781c948ffa0e828bd950c0d39240d7d052c0e26372c32523db23b077388a",
+    ("e91", "tilted"): "8020dc42a725e1aa6c7d98b86355a0ab5e09a6de9d8f72fcea17e66eca608099",
+    ("e91", "substitution"): "131ccad35f18875bff80181314a8fb363bfc8095f79cb28dbdde6c0ff2ecf4f2",
+    ("bbm92", "none"): "e95cd831e77e2b12b2bbf54a502c18f7990cb4703bf788fa8a9e96bae0e02553",
+    ("bbm92", "x"): "e18c97c754edc33348d15cecde4ee9f1d2444fd4f1c39f7edc1c394eedce8f99",
+    ("bbm92", "xz"): "db359b15374b140ca9439c2ba8a6ebc5c29f69da28fc77a1f0059fcc7d997145",
+    ("bbm92", "tilted"): "8d843dc71cfeba3b905100d58c2948f4a01945707c9f4a86e46990b351a1aff1",
+    ("bbm92", "substitution"): "2034372f8eb6737f562b06b08fab3868c6a7c60a1e35163ee1c2e2dcd84edf4f",
 }
 # The same runs' digests when the key codes were repeated by their counts and
 # shuffled; the reference sampler must still give them.  Recorded on CPython
@@ -424,8 +424,8 @@ def test_reference_sampler_is_the_shuffle_sampler(protocol, eve):
 # and read as <= 0.0 it would invert Bob's key.  Recorded on the same build and
 # kernel (SkylakeX) as GOLDEN_DIGESTS.
 MIXED_DIGESTS = {
-    "e91": "a4ffe3c8f22b55d41af501f191d195821c536aee87c71eff847eabb2ca04f624",
-    "bbm92": "79091e0b921c8a7938289c54ecd38448001187b77033595254318d4d7e027809",
+    "e91": "8e070166840ec7901715d4b4466409d96bd12cd0b7508de251f578e3456909e5",
+    "bbm92": "c3d5e9da3d06082377808f6027b274411f2a144dd1319211e7933e38322cc6a2",
 }
 
 
@@ -442,112 +442,169 @@ def test_mixed_source_report_digest_is_pinned(flavour):
 
 
 def threshold_oracle(weights: np.ndarray, u32: np.ndarray) -> np.ndarray:
-    """Each draw's index as the number of float thresholds that u32 * 2**-32 reaches."""
-    cumulative = np.cumsum(weights)
+    """Each value's class: how many float thresholds of the class weights u32 * 2**-32 reaches.
+
+    weights holds one row of cell weights per class.
+    """
+    cumulative = np.cumsum(weights.sum(axis=1))
     return (u32[:, None] * 2.0**-32 >= cumulative[:-1] / cumulative[-1]).sum(axis=1)
 
 
-# Up to 16 cells with zeros and tiny weights among them, then trailing zero weights.
-DRAW_WEIGHTS = st.builds(
-    lambda head, zeros: np.array(head + [0.0] * zeros),
-    st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.0)), min_size=1, max_size=16)
-    .filter(lambda head: sum(head) > 0.0),
-    st.integers(0, 3),
-)
-# Key lengths below, at and above one slice, odd and even, and with an odd slice
-# size above _MIN_SLICE that must be rounded up to whole words (8 * 4097 = 32776).
+def stream_parts(words: np.ndarray, bits: int) -> np.ndarray:
+    """64-bit stream words cut into parts of the given width, least significant first."""
+    shifts = np.arange(0, 64, bits, dtype=np.uint64)
+    return (words[:, None] >> shifts & np.uint64(2**bits - 1)).ravel()
+
+
+def lead_byte_oracle(weights: np.ndarray, bit_generator, n: int) -> np.ndarray:
+    """n classes read off a bit generator: one lead byte each, then 32 bits per tie.
+
+    Draw i's lead byte is byte i of the stream and the top byte of its
+    32-bit value.  It ties when the least and the greatest value with that
+    top byte fall in different classes; the ties, in order, then take the
+    stream's next 32-bit values, whose top 24 bits become their low bits.
+    """
+    value = stream_parts(bit_generator.random_raw(-(-n // 8)), 8)[:n] << np.uint64(24)
+    tied = threshold_oracle(weights, value) != threshold_oracle(weights, value | 0xFFFFFF)
+    extension = stream_parts(bit_generator.random_raw(-(-tied.sum() // 2)), 32)[:tied.sum()]
+    value[tied] |= extension >> np.uint64(8)
+    return threshold_oracle(weights, value)
+
+
+# One cell per class: up to 16 classes with zeros and tiny weights among them, then
+# trailing zero weights; or dyadic weights, whose thresholds are whole multiples of
+# 2**-7, so that no lead byte ties and some lead bytes equal a threshold's top byte.
+DRAW_WEIGHTS = st.one_of(
+    st.builds(lambda head, zeros: head + [0.0] * zeros,
+              st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.0)), min_size=1, max_size=16)
+              .filter(lambda head: sum(head) > 0.0),
+              st.integers(0, 3)),
+    st.lists(st.integers(0, 16), min_size=1, max_size=8).filter(lambda head: sum(head) > 0)
+    .map(lambda head: head + [2 ** (sum(head) - 1).bit_length() - sum(head)]),
+).map(lambda weights: np.array(weights, dtype=float)[:, None])
+# Key lengths below, at and above one slice, and with a slice size above _MIN_SLICE
+# that must be rounded up to whole words (8 * 4097 = 32776, 32773 = 8 * 4096 + 5).
 SLICE = protocol._MIN_SLICE
 DRAW_LENGTHS = st.one_of(
-    st.sampled_from([1, 2, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 1, 32_773, 32_776]),
+    st.sampled_from([1, 2, 7, 8, 9, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 1, 32_773, 32_776]),
     st.integers(1, 3 * SLICE),
 )
+HALVES = np.array([[1.0], [1.0]])  # its threshold 1/2 has top byte 128 and low bits 0
+THIRDS = np.array([[1.0], [2.0]])  # its threshold 1/3 has top byte 85 and low bits 0x555556
 
 
 @settings(max_examples=100, deadline=None)
-@given(weights=DRAW_WEIGHTS, n=DRAW_LENGTHS, key=st.integers(0, 2**64 - 1))
-def test_draw_indices_read_the_32_bit_stream_in_order(weights, n, key):
-    """Draw i is the float threshold count of the stream's i-th 32-bit value, and the
-    tallies count the draws; no index past the last positive weight comes up."""
+@given(weights=DRAW_WEIGHTS, n=DRAW_LENGTHS, key=st.integers(0, 2**64 - 1),
+       cells=st.integers(1, 2))
+@example(weights=HALVES, n=3 * SLICE, key=0, cells=1)
+@example(weights=THIRDS, n=3 * SLICE, key=0, cells=1)
+def test_draw_indices_read_a_lead_byte_each_and_32_bits_per_tie(weights, n, key, cells):
+    """Draw i's class is the lead-byte oracle's, and the tallies count the classes,
+    each split over its positive cells; no class past the last positive weight comes up."""
+    weights = np.repeat(weights / cells, cells, axis=1)
     drawn, tallies = protocol._draw_indices(np.random.Generator(np.random.Philox(key=key)),
                                             weights, n)
-    indices = np.frombuffer(drawn, dtype=np.uint8)
-    assert indices.size == n
-    u32 = np.random.Generator(np.random.Philox(key=key)).integers(0, 2**32, n, dtype=np.uint32)
-    np.testing.assert_array_equal(indices, threshold_oracle(weights, u32))
-    np.testing.assert_array_equal(tallies, np.bincount(indices, minlength=weights.size))
-    assert not tallies[np.flatnonzero(weights)[-1] + 1:].any()
+    assert drawn.dtype == np.uint8 and drawn.shape == (n,)
+    np.testing.assert_array_equal(drawn, lead_byte_oracle(weights, np.random.Philox(key=key), n))
+    assert tallies.shape == weights.shape
+    np.testing.assert_array_equal(tallies.sum(axis=1), np.bincount(drawn, minlength=len(weights)))
+    assert not tallies[weights == 0].any()
 
 
-def stand_in_generator(u32: np.ndarray) -> SimpleNamespace:
-    """A generator whose 32-bit stream is u32: the low, then the high half of each word."""
-    words = np.append(u32, u32[:len(u32) % 2]).astype("<u4").view("<u8")
+def stand_in_generator(lead: list[int], extensions: list[int]) -> SimpleNamespace:
+    """A generator whose stream is the lead bytes, then the 32-bit extensions, each packed
+    least significant first into 64-bit words; reading past them fails."""
+    words = np.concatenate([np.array(lead + [0] * (-len(lead) % 8), dtype=np.uint8).view("<u8"),
+                            np.array(extensions + [0] * (len(extensions) % 2), "<u4").view("<u8")])
+    read = 0
 
     def random_raw(size):
-        assert size == words.size  # one slice
-        return words
+        nonlocal read
+        read += size
+        assert read <= words.size, "read past the stream"
+        return words[read - size:read]
     return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=random_raw))
 
 
 @settings(max_examples=200, deadline=None)
 @given(weights=DRAW_WEIGHTS)
-def test_draw_cells_are_the_thresholds_rounded_up_to_32_bits(weights):
-    """Cell k is [B_(k-1), B_k) with B_k = ceil(t_k * 2**32) clipped to 2**32.
+@example(weights=HALVES)
+@example(weights=THIRDS)
+def test_each_class_holds_its_rounded_up_threshold_spacing(weights):
+    """Class c is the 32-bit values in [B_(c-1), B_c), B_k = ceil(t_k * 2**32) clipped to 2**32.
 
-    The values either side of every boundary, 0 and 2**32 - 1 land in the
-    cells the float oracle names, and the top value at or below the last
-    positive weight.  So each cell's probability is its float thresholds'
-    spacing to within 2**-32, exactly, and weights[k] / sum(weights) to
-    within 2**-32 plus the float rounding of cumsum and division.
+    The stream feeds all 256 lead bytes; a byte that ties comes once for
+    each extension either side of every threshold's low 24 bits l_k (l_k = 0
+    too) and at both ends.  Each draw lands in the class its value names,
+    so counting each class's 32-bit values from the draws gives B_c - B_(c-1):
+    its probability is the thresholds' spacing to within 2**-32, exactly,
+    and weights[c] / sum(weights) to within 2**-32 plus the float rounding.
     """
-    cumulative = np.cumsum(weights)
-    thresholds = cumulative[:-1] / cumulative[-1]
-    bounds = np.array([0, *(min(math.ceil(t * 2**32), 2**32) for t in thresholds), 2**32])
-    probes = np.unique(np.clip(np.concatenate([bounds - 1, bounds]), 0, 2**32 - 1))
-    drawn, _ = protocol._draw_indices(stand_in_generator(probes.astype(np.uint32)), weights,
-                                      probes.size)
-    indices = np.frombuffer(drawn, dtype=np.uint8)
-    np.testing.assert_array_equal(indices, threshold_oracle(weights, probes))
-    np.testing.assert_array_equal(indices, np.searchsorted(bounds[1:-1], probes, side="right"))
-    assert indices[-1] <= np.flatnonzero(weights)[-1]
-    edges = [Fraction(0), *map(Fraction, thresholds.tolist()), Fraction(1)]
-    for k in range(weights.size):
-        implied = Fraction(int(bounds[k + 1] - bounds[k]), 2**32)
-        assert abs(implied - (edges[k + 1] - edges[k])) < Fraction(1, 2**32), k
-        assert abs(float(implied) - weights[k] / weights.sum()) <= 2.0**-32 + 1e-13, k
+    cumulative = np.cumsum(weights.sum(axis=1))
+    edges = [Fraction(0), *map(Fraction, (cumulative[:-1] / cumulative[-1]).tolist()), Fraction(1)]
+    bounds = [min(math.ceil(edge * 2**32), 2**32) for edge in edges]
+    inner = [bound for bound in bounds[1:-1] if bound < 2**32]
+    tops = sorted({0, 2**24 - 1} | {x for b in inner for x in (b % 2**24 - 1, b % 2**24) if x >= 0})
+    tied = {b >> 24 for b in inner if b % 2**24}
+    draws = [(byte, top) for byte in range(256) for top in (tops if byte in tied else [None])]
+    extensions = [top << 8 | 0xFF for _, top in draws if top is not None]  # 0xFF must be dropped
+    drawn, _ = protocol._draw_indices(stand_in_generator([byte for byte, _ in draws], extensions),
+                                      weights, len(draws))
+    values = [byte << 24 | (top or 0) for byte, top in draws]
+    np.testing.assert_array_equal(drawn, np.searchsorted(bounds[1:-1], values, side="right"))
+    widths = dict(zip(tops, np.diff([*tops, 2**24]).tolist()))
+    measure = [0] * len(weights)
+    for (_, top), c in zip(draws, drawn.tolist()):
+        measure[c] += 2**24 if top is None else widths[top]
+    for c in range(len(weights)):
+        implied = Fraction(measure[c], 2**32)
+        assert implied == Fraction(bounds[c + 1] - bounds[c], 2**32), c
+        assert abs(implied - (edges[c + 1] - edges[c])) < Fraction(1, 2**32), c
+        assert abs(float(implied) - weights[c, 0] / weights.sum()) <= 2.0**-32 + 1e-13, c
 
 
-@pytest.mark.parametrize("protocol_name, rounds", [("e91", 100_000), ("bbm92", 30_000)])
-@pytest.mark.parametrize("eve", ["none", "xz"])
-def test_run_draws_the_key_from_the_32_bit_stream_after_the_multinomial(protocol_name,
-                                                                        rounds, eve):
-    """run_protocol's key draws are the 32-bit values that follow the multinomial, in order.
-
-    The replay starts from the bit generator's state as the draw is entered;
-    integers() would read a half word left over in that state first, so
-    agreement also shows that the multinomial leaves none.
-    """
-    calls, draw = [], protocol._draw_indices
+def recording_draws(seen):
+    """_draw_indices that first appends (the generator state it starts from, weights, n,
+    classes, tallies) to seen; the classes are copied, as run_protocol spells them in place."""
+    draw = protocol._draw_indices
 
     def recording(rng, weights, n):
         state = rng.bit_generator.state
-        result = draw(rng, weights, n)
-        calls.append((state, weights, n, result))
-        return result
+        drawn, tallies = draw(rng, weights, n)
+        seen.append((state, weights, n, drawn.copy(), tallies))
+        return drawn, tallies
+    return recording
 
-    cfg = ProtocolConfig(protocol=Protocol(protocol_name), rounds=rounds, eve=GOLDEN_EVES[eve],
-                         seed=11)
-    with mock.patch.object(protocol, "_draw_indices", recording):
+
+@pytest.mark.parametrize("protocol_name, rounds", [("e91", 100_000), ("bbm92", 30_000)])
+@pytest.mark.parametrize("source", ["singlet", "werner"])
+def test_run_draws_the_key_classes_from_the_stream_after_the_multinomial(protocol_name,
+                                                                         rounds, source):
+    """run_protocol's key classes are the lead-byte oracle's, and they spell both keys.
+
+    The replay starts from the bit generator's state as the draw is entered.
+    E91's classes on the singlet have weights 1/2, 0, 0, 1/2 to the last
+    bit, so lead byte 128 decides every draw; on a Werner source lead bytes
+    tie.
+    """
+    calls = []
+    cfg = ProtocolConfig(protocol=Protocol(protocol_name), rounds=rounds, seed=11,
+                         source_state=singlet() if source == "singlet" else werner_state(0.9))
+    with mock.patch.object(protocol, "_draw_indices", recording_draws(calls)):
         report = run_protocol(cfg)
-    [(state, weights, n, (drawn, _))] = calls
+    [(state, weights, n, drawn, _)] = calls
     assert n == report.rounds_used["key"] > SLICE
-    replay = np.random.Generator(np.random.Philox())
-    replay.bit_generator.state = state
-    u32 = replay.integers(0, 2**32, n, dtype=np.uint32)
-    np.testing.assert_array_equal(np.frombuffer(drawn, dtype=np.uint8),
-                                  threshold_oracle(weights, u32))
+    replay = np.random.Philox()
+    replay.state = state
+    np.testing.assert_array_equal(drawn, lead_byte_oracle(weights, replay, n))
+    np.testing.assert_array_equal(key_bit_pairs((report.sifted_key_a, report.sifted_key_b)), drawn)
+
 
 def whole_array_reference(cfg: ProtocolConfig):
-    """Round-by-round draws as whole arrays: (test tallies, keys, rounds_used)."""
+    """Round-by-round draws as whole arrays: (test tallies, keys, key bases, rounds_used).
+
+    The key bases index plan.keys, one per key position.
+    """
     plan = protocol._SCHEDULES[cfg.protocol]
     state = effective_state(cfg.source_state, cfg.eve)
     n_b = len(plan.bob)
@@ -565,17 +622,20 @@ def whole_array_reference(cfg: ProtocolConfig):
                for label, i, j, _ in plan.tests}
     rounds_used = {label: int(np.sum(pair == i * n_b + j)) for label, i, j, _ in plan.tests}
     key, flip = np.zeros(cfg.rounds, bool), np.zeros(cfg.rounds, bool)
-    for _, i, j in plan.keys:
+    basis = np.zeros(cfg.rounds, int)
+    for k, (_, i, j) in enumerate(plan.keys):
         a, b = SpinSetting.alice(plan.alice[i]), SpinSetting.bob(plan.bob[j])
         key |= (pair == i * n_b + j) & ~(test & plan.split)
         flip |= (pair == i * n_b + j) & (correlator(cfg.source_state, a, b) < 0.0)
+        basis[pair == i * n_b + j] = k
     if plan.split:
         rounds_used["test"] = int(sum(t.sum() for t in tallies.values()))
     rounds_used["key"] = int(key.sum())
     tested = np.isin(pair, [i * n_b + j for _, i, j, _ in plan.tests])
     rounds_used["discarded"] = cfg.rounds - int(np.sum(tested | key))
     bits = (outcome >= 2, (outcome % 2 == 1) ^ flip)
-    return tallies, ["".join(str(int(bit)) for bit in row[key]) for row in bits], rounds_used
+    keys = ["".join(str(int(bit)) for bit in row[key]) for row in bits]
+    return tallies, keys, basis[key], rounds_used
 
 
 def recording_tallies(seen):
@@ -587,7 +647,8 @@ def recording_tallies(seen):
 
 
 def category_law(cfg: ProtocolConfig) -> np.ndarray:
-    """Exact probability of each category: test tallies, key bit pairs (ab), discarded."""
+    """Exact probability of each category: test tallies, key rounds by bit pair (ab) and
+    then key basis, discarded."""
     plan = protocol._SCHEDULES[cfg.protocol]
     state = effective_state(cfg.source_state, cfg.eve)
     weight = 1.0 / (len(plan.alice) * len(plan.bob))
@@ -596,13 +657,13 @@ def category_law(cfg: ProtocolConfig) -> np.ndarray:
     for _, i, j, _ in plan.tests:
         a, b = SpinSetting.alice(plan.alice[i]), SpinSetting.bob(plan.bob[j])
         law += list(weight * test_share * outcome_distribution(state, a, b).probabilities)
-    key = np.zeros(4)
-    for _, i, j in plan.keys:
+    key = np.zeros((4, len(plan.keys)))
+    for basis, (_, i, j) in enumerate(plan.keys):
         a, b = SpinSetting.alice(plan.alice[i]), SpinSetting.bob(plan.bob[j])
         flip = correlator(cfg.source_state, a, b) < 0.0
         for outcome, p in enumerate(outcome_distribution(state, a, b).probabilities):
-            key[2 * (outcome >= 2) + ((outcome % 2 == 1) ^ flip)] += weight * key_share * p
-    law += list(key)
+            key[2 * (outcome >= 2) + ((outcome % 2 == 1) ^ flip), basis] += weight * key_share * p
+    law += list(key.ravel())
     return np.array(law + [1.0 - sum(law)])
 
 
@@ -622,28 +683,35 @@ SIGNIFICANCE = 1e-6  # fixed before the first run; the panel is seeded, so each 
 def test_law_sampler_and_round_reference_draw_the_exact_law(protocol_name, eve):
     """Pooled over a seed panel, both engines' categories fit their exact expected counts.
 
-    The categories partition the rounds: test tallies, key bit pairs and
-    the discarded count.  A second test per engine checks the key's order:
-    the bit pairs of each key's first and second halves must be alike.
+    The categories partition the rounds: test tallies, key rounds by bit
+    pair and key basis (BBM92 splits each bit pair's tally between x and z
+    after drawing the key), and the discarded count.  A second test per
+    engine checks the key's order: the bit pairs of each key's first and
+    second halves must be alike.
     """
     cfg = ProtocolConfig(protocol=Protocol(protocol_name), rounds=DISTRIBUTION_ROUNDS,
                          eve=GOLDEN_EVES[eve])
     law = category_law(cfg)
+    n_bases = len(protocol._SCHEDULES[cfg.protocol].keys)
     pooled = {"sampler": np.zeros(law.size), "reference": np.zeros(law.size)}
     halves = {"sampler": np.zeros((2, 4)), "reference": np.zeros((2, 4))}
     for seed in DISTRIBUTION_SEEDS:
         run = dataclasses.replace(cfg, seed=seed)
-        seen = []
-        with mock.patch.object(protocol, "estimate_statistic", recording_tallies(seen)):
+        seen, draws = [], []
+        with mock.patch.object(protocol, "estimate_statistic", recording_tallies(seen)), \
+                mock.patch.object(protocol, "_draw_indices", recording_draws(draws)):
             report = run_protocol(run)
-        tallies, keys, rounds_used = whole_array_reference(run)
-        for engine, tally, key, used in (
-            ("sampler", seen[0], (report.sifted_key_a, report.sifted_key_b), report.rounds_used),
-            ("reference", tallies, keys, rounds_used),
+        [(*_, cells)] = draws  # key rounds by (bit pair, key basis)
+        sampled = key_bit_pairs((report.sifted_key_a, report.sifted_key_b))
+        np.testing.assert_array_equal(cells.sum(axis=1), np.bincount(sampled, minlength=4))
+        tallies, keys, bases, rounds_used = whole_array_reference(run)
+        reference = key_bit_pairs(keys)
+        for engine, tally, pairs, key_cells, used in (
+            ("sampler", seen[0], sampled, cells.ravel(), report.rounds_used),
+            ("reference", tallies, reference,
+             np.bincount(reference * n_bases + bases, minlength=4 * n_bases), rounds_used),
         ):
-            pairs = key_bit_pairs(key)
-            pooled[engine] += np.concatenate(
-                [*tally.values(), np.bincount(pairs, minlength=4), [used["discarded"]]])
+            pooled[engine] += np.concatenate([*tally.values(), key_cells, [used["discarded"]]])
             for half, part in enumerate(np.array_split(pairs, 2)):
                 halves[engine][half] += np.bincount(part, minlength=4)
     expected = law * DISTRIBUTION_ROUNDS * len(DISTRIBUTION_SEEDS)
@@ -733,8 +801,8 @@ PEAK_BYTES_FIXED = 128 * 1024
 def test_peak_memory_scales_with_the_key_not_the_rounds(rounds, test_fraction):
     """A BBM92 run's traced peak stays within a few bytes per key bit plus a constant.
 
-    The key codes, the two keys and the uniforms of one slice of the draw
-    are the only buffers that grow with the run; at 4e6 rounds and a 99%
+    The key classes, the two keys and the random bytes of one slice of the
+    draw are the only buffers that grow with the run; at 4e6 rounds and a 99%
     test fraction the key holds only about 2e4 bits.
     """
     cfg = ProtocolConfig(protocol=Protocol.BBM92, rounds=rounds, test_fraction=test_fraction,
