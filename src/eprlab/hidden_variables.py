@@ -42,11 +42,10 @@ from .qstate import (
 )
 from .witnesses import (
     _ROWS,
+    _TABLE,
     _values,
     BBM_BOUND,
-    BBM_FUNCTIONAL,
     EKERT_BOUND,
-    EKERT_FUNCTIONAL,
     KS_BOUND,
     EkertSettings,
     KSCase,
@@ -270,12 +269,12 @@ class SeparableFunctional(Enum):
     KS_III = "ks-iii"
 
 
-# Each functional, offset + <W, T>, with its analytic bound on product states.
+# Each functional's table row, offset then W flattened, with its analytic bound on product states.
 SEPARABLE_WITNESSES = {
-    SeparableFunctional.EKERT_S: (EKERT_FUNCTIONAL, EKERT_BOUND),
-    SeparableFunctional.BBM_T: (BBM_FUNCTIONAL, BBM_BOUND),
-    **{SeparableFunctional["KS_" + case.name.partition("_")[2]]: (case.functional, KS_BOUND)
-       for case in KSCase},
+    SeparableFunctional.EKERT_S: (_TABLE[_ROWS.index("ekert-s")], EKERT_BOUND),
+    SeparableFunctional.BBM_T: (_TABLE[_ROWS.index("bbm-t")], BBM_BOUND),
+    **{SeparableFunctional["KS_" + case.name.partition("_")[2]]:
+       (_TABLE[_ROWS.index(case.value)], KS_BOUND) for case in KSCase},
 }
 
 
@@ -311,11 +310,11 @@ def separable_bound(functional: SeparableFunctional) -> BoundReport:
     offset + u.W.v, and |u.W.v| <= sigma_max(W) with equality at the top
     singular vectors; mixing product states cannot exceed that.
     """
-    linear, _ = SEPARABLE_WITNESSES[functional]
-    left, singular_values, right = np.linalg.svd(linear.weights)
+    row, _ = SEPARABLE_WITNESSES[functional]
+    left, singular_values, right = np.linalg.svd(row[1:].reshape(3, 3))
     return BoundReport(
         functional=functional,
-        supremum=linear.offset + float(singular_values[0]),
+        supremum=float(row[0] + singular_values[0]),
         argmax_bloch_a=tuple(float(x) for x in left[:, 0]),
         argmax_bloch_b=tuple(float(x) for x in right[0]),
     )
@@ -339,11 +338,12 @@ def separable_expansion_check(
     of nA.W.nB terms over the ensemble.  Raises if the routes disagree
     beyond ATOL_ALARM.
     """
-    ekert_linear = EKERT_FUNCTIONAL if settings is None else ekert_functional(settings)
+    weights = _TABLE[[_ROWS.index("ekert-s"), _ROWS.index("bbm-t")], 1:].reshape(2, 3, 3)
+    if settings is not None:
+        weights = np.array([ekert_functional(settings), weights[1]])
     state = product_mixture(ensemble)
-    expanded_s, expanded_t = np.einsum(
-        "k,ki,fij,kj->f", ensemble.weights, ensemble.blochs_a,
-        np.array([ekert_linear.weights, BBM_FUNCTIONAL.weights]), ensemble.blochs_b)
+    expanded_s, expanded_t = np.einsum("k,ki,fij,kj->f", ensemble.weights, ensemble.blochs_a,
+                                       weights, ensemble.blochs_b)
     residuals = ExpansionResiduals(ekert=abs(ekert_statistic(state, settings) - expanded_s),
                                    bbm=abs(bbm_statistic(state) - expanded_t))
     if residuals.ekert > ATOL_ALARM or residuals.bbm > ATOL_ALARM:

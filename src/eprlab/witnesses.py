@@ -2,7 +2,8 @@
 
 Every statistic here is an offset plus a linear functional of the
 state's correlation matrix T, offset + sum_ij W_ij T_ij, and each is one
-row (offset, W) of one table, which one product evaluates on a state:
+row (offset, W) of one table, which one product evaluates on a state and
+from which hidden_variables reads the separable bounds:
 
 - The four-setting statistic S with W = a1 (b1 - b3)^T + a3 (b1 + b3)^T,
   separable bound sqrt(2) at the anticommuting default settings and
@@ -50,28 +51,6 @@ VERDICT_SLACK = 1e-10  # non-strict comparison: the boundary is not a violation
 DISTILL_THRESHOLD = 0.5  # a Bell fidelity above 1/2 certifies distillability
 
 
-@dataclass(frozen=True, eq=False)
-class LinearFunctional:
-    """The statistic offset + sum_ij W_ij T_ij of a state's correlation matrix T."""
-
-    offset: float
-    weights: np.ndarray  # W, 3x3, read-only
-
-    def __post_init__(self) -> None:
-        weights = np.asarray(self.weights, dtype=float)
-        weights = weights.copy() if weights.flags.writeable else weights  # table rows stay views
-        if weights.shape != (3, 3):
-            raise ValueError(f"weights must be 3x3, got shape {weights.shape}")
-        if not (math.isfinite(self.offset) and np.isfinite(weights).all()):
-            raise ValueError(f"offset and weights must be finite, got {self.offset!r} and "
-                             f"{weights.tolist()}")
-        weights.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
-
-    def __call__(self, state: TwoQubitState) -> float:
-        return self.offset + float(np.vdot(self.weights, state.correlations))
-
-
 class KSCase(Enum):
     """The three value-assignment functionals, each keyed by the Bell state it witnesses.
 
@@ -86,10 +65,6 @@ class KSCase(Enum):
     @property
     def bell_label(self) -> BellLabel:
         return self.value
-
-    @property
-    def functional(self) -> LinearFunctional:
-        return BELL_FUNCTIONALS[self.value]
 
 
 @dataclass(frozen=True)
@@ -108,11 +83,11 @@ class EkertSettings:
                 raise ValueError(f"setting {name} must belong to {party.value.title()}")
 
 
-def ekert_functional(settings: Optional[EkertSettings] = None) -> LinearFunctional:
-    """S = E(a1,b1) - E(a1,b3) + E(a3,b1) + E(a3,b3) = a1.T.(b1 - b3) + a3.T.(b1 + b3)."""
+def ekert_functional(settings: Optional[EkertSettings] = None) -> np.ndarray:
+    """W of S = E(a1,b1) - E(a1,b3) + E(a3,b1) + E(a3,b3) = a1.T.(b1 - b3) + a3.T.(b1 + b3)."""
     s = settings if settings is not None else default_ekert_settings()
     a1, a3, b1, b3 = (x.direction for x in (s.a1, s.a3, s.b1, s.b3))
-    return LinearFunctional(0.0, np.outer(a1, b1 - b3) + np.outer(a3, b1 + b3))
+    return np.outer(a1, b1 - b3) + np.outer(a3, b1 + b3)
 
 
 def default_ekert_settings() -> EkertSettings:
@@ -128,12 +103,9 @@ def default_ekert_settings() -> EkertSettings:
 
 # One row (offset, W flattened) per functional in the docstring's order, Bell rows by BellLabel.
 _ROWS = ("ekert-s", "bbm-t", *BellLabel)
-_TABLE = _read_only(np.array([[0.0, *ekert_functional().weights.flat],
+_TABLE = _read_only(np.array([[0.0, *ekert_functional().flat],
                               [0.0, *np.diag([1.0, 0.0, 1.0]).flat],
                               *([1.0, *np.diag(BELL_CORRELATORS[b]).flat] for b in BellLabel)]))
-EKERT_FUNCTIONAL, BBM_FUNCTIONAL, *_BELL = (LinearFunctional(float(row[0]), row[1:].reshape(3, 3))
-                                            for row in _TABLE)
-BELL_FUNCTIONALS = dict(zip(BellLabel, _BELL))
 
 
 def _values(correlations: np.ndarray, rows=slice(None)) -> np.ndarray:
@@ -221,7 +193,9 @@ def pair_correlator_sum(state: TwoQubitState, axes: CorrelatorAxes) -> float:
 
 def ekert_statistic(state: TwoQubitState, settings: Optional[EkertSettings] = None) -> float:
     """S = E(a1,b1) - E(a1,b3) + E(a3,b1) + E(a3,b3)."""
-    value = _statistics(state)[0] if settings is None else ekert_functional(settings)(state)
+    # Other settings add S's zero offset as the table does, so -0.0 reads 0.0 on both routes.
+    value = (_statistics(state)[0] if settings is None
+             else 0.0 + float(np.vdot(ekert_functional(settings), state.correlations)))
     if abs(value) > TSIRELSON_BOUND + 1e-9:
         raise RuntimeError(f"statistic {value!r} exceeds the quantum maximum; state corrupted")
     return value

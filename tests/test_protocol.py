@@ -45,7 +45,8 @@ from eprlab.qstate import (
     phase_epr_state,
     werner_state,
 )
-from eprlab.witnesses import BBM_BOUND, BBM_FUNCTIONAL, EKERT_BOUND, EKERT_FUNCTIONAL
+from eprlab.hidden_variables import SEPARABLE_WITNESSES, SeparableFunctional
+from eprlab.witnesses import BBM_BOUND, EKERT_BOUND, ekert_functional
 
 
 def singlet():
@@ -199,13 +200,15 @@ class TestEstimator:
         with pytest.raises(ValueError, match=r"^tally for z:z must hold counts, got \["):
             estimate_statistic(tallies, Protocol.BBM92)
 
-    @pytest.mark.parametrize("flavour, functional", [(Protocol.E91, EKERT_FUNCTIONAL),
-                                                     (Protocol.BBM92, BBM_FUNCTIONAL)])
+    @pytest.mark.parametrize("flavour, functional", [
+        (Protocol.E91, ekert_functional()),
+        (Protocol.BBM92, SEPARABLE_WITNESSES[SeparableFunctional.BBM_T][0][1:].reshape(3, 3)),
+    ])
     def test_test_pairs_spell_the_witness(self, flavour, functional):
-        """The signed test pairs of each schedule sum to the weights of its statistic."""
+        """The signed test pairs of each schedule sum to the weights W of its statistic."""
         plan = protocol._SCHEDULES[flavour]
         weights = sum(sign * np.outer(plan.alice[i], plan.bob[j]) for _, i, j, sign in plan.tests)
-        assert np.array_equal(weights, functional.weights)
+        assert np.array_equal(weights, functional)
 
     def test_minimum_is_thirty(self):
         assert MIN_SAMPLES_PER_PAIR == 30

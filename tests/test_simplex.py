@@ -1,5 +1,7 @@
 """Tests for the two-phase equality-form simplex solver."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -51,6 +53,13 @@ class TestStatuses:
     def test_infeasible_by_contradiction(self):
         result = solve_lp([0.0], [[1.0], [1.0]], [1.0, 2.0])
         assert result.status == INFEASIBLE
+
+    def test_feasibility_tolerance_boundary(self):
+        """A phase-one residual of exactly 1e-8 counts as feasible; one ulp more does not."""
+        result = solve_lp([0.0], [[1.0]], [-1e-8])
+        assert result.status == OPTIMAL
+        assert result.x.tolist() == [0.0]
+        assert solve_lp([0.0], [[1.0]], [-math.nextafter(1e-8, 1)]).status == INFEASIBLE
 
     def test_unbounded(self):
         """min -x1 with only x2 pinned lets x1 grow without limit."""

@@ -2,13 +2,19 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from eprlab import witnesses
-from eprlab.hidden_variables import BoundReport, LocalModel, SeparableFunctional
+from eprlab.hidden_variables import (
+    SEPARABLE_WITNESSES,
+    BoundReport,
+    LocalModel,
+    SeparableFunctional,
+)
 from eprlab.protocol import Protocol, ProtocolReport
 from eprlab.qstate import (
     BellLabel,
@@ -28,24 +34,22 @@ from eprlab.qstate import (
 )
 from eprlab.witnesses import (
     BBM_BOUND,
-    BBM_FUNCTIONAL,
-    BELL_FUNCTIONALS,
     EKERT_BOUND,
-    EKERT_FUNCTIONAL,
     KS_BOUND,
+    TSIRELSON_BOUND,
     VERDICT_SLACK,
     BellFidelities,
     CorrelatorAxes,
     DistillabilityVerdict,
     EkertSettings,
     KSCase,
-    LinearFunctional,
     WitnessVerdict,
     bbm_statistic,
     bbm_verdict,
     bell_fidelities,
     default_ekert_settings,
     distillable_witness,
+    ekert_functional,
     ekert_statistic,
     ekert_verdict,
     fidelity_identities_check,
@@ -91,13 +95,21 @@ def test_table_rows_match_per_functional_oracle_bit_for_bit(state):
     assert ekert_statistic(state, default_ekert_settings()).hex() == got["S"].hex()
 
 
-def test_named_functionals_are_read_only_rows_of_the_table():
-    named = {"S": EKERT_FUNCTIONAL, "T": BBM_FUNCTIONAL, **BELL_FUNCTIONALS}
-    for key, functional in named.items():
-        offset, weights = ORACLE_FUNCTIONALS[key]
-        assert functional.offset == offset and np.array_equal(functional.weights, weights)
-        assert functional.weights.base is not None and not functional.weights.flags.writeable
-    assert all(case.functional is BELL_FUNCTIONALS[case.bell_label] for case in KSCase)
+def test_functionals_match_oracle_bit_for_bit_and_rows_are_read_only():
+    """ekert_functional() is S's W, and each separable bound reads its functional's table
+    row, (offset, W flattened), bit for bit the oracle's and not writable."""
+    assert ekert_functional().tobytes() == ORACLE_FUNCTIONALS["S"][1].tobytes()
+    oracle_key = {SeparableFunctional.EKERT_S: "S", SeparableFunctional.BBM_T: "T",
+                  SeparableFunctional.KS_I: BellLabel.PSI_PLUS,
+                  SeparableFunctional.KS_II: BellLabel.PSI_MINUS,
+                  SeparableFunctional.KS_III: BellLabel.PHI_PLUS}
+    assert set(SEPARABLE_WITNESSES) == set(oracle_key)
+    for functional, (row, _) in SEPARABLE_WITNESSES.items():
+        offset, weights = ORACLE_FUNCTIONALS[oracle_key[functional]]
+        assert row.tobytes() == np.array([offset, *weights.flat]).tobytes()
+        assert not row.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 0.0
 
 
 class TestEkertStatistic:
@@ -108,6 +120,19 @@ class TestEkertStatistic:
     def test_phase_state_value(self):
         rho = density_from_pure(phase_epr_state(np.pi / 4.0))
         assert ekert_statistic(rho) == pytest.approx(2.0, abs=1e-10)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    def test_tsirelson_guard_boundary(self, sign):
+        """|S| = TSIRELSON_BOUND + 1e-9 is returned; the next |S| that T = c W reaches raises."""
+        assert 2.8284271257461904 == TSIRELSON_BOUND + 1e-9
+        ekert_settings = default_ekert_settings()
+        weights = ekert_functional(ekert_settings)
+        at_guard = SimpleNamespace(correlations=sign * 0.7071067814365477 * weights)
+        assert ekert_statistic(at_guard, ekert_settings) == sign * 2.8284271257461904
+        beyond = SimpleNamespace(correlations=sign * 0.7071067814365479 * weights)
+        assert float(np.vdot(weights, beyond.correlations)) == sign * 2.8284271257461913
+        with pytest.raises(RuntimeError, match="exceeds the quantum maximum"):
+            ekert_statistic(beyond, ekert_settings)
 
     def test_werner_scales_linearly(self):
         for w in (0.2, 0.5, 0.9):
@@ -381,13 +406,9 @@ def report(**changes) -> ProtocolReport:
         (lambda: report(statistic=NAN), "report statistic must be finite, got nan"),
         (lambda: report(stderr=NAN), "report stderr must be finite, got nan"),
         (lambda: report(abort_sigma=NAN), "report abort_sigma must be finite, got nan"),
-        (lambda: LinearFunctional(NAN, np.eye(3)), "offset and weights must be finite, got nan"),
-        (lambda: LinearFunctional(0.0, np.diag([1.0, INF, 1.0])), "offset and weights must be finite"),
-        (lambda: LinearFunctional(0.0, np.eye(2)), "weights must be 3x3, got shape (2, 2)"),
     ],
     ids=["distribution", "local-model", "verdict-nan", "verdict-inf", "verdict-margin",
-         "bound-report", "report-statistic", "report-stderr", "report-abort-sigma",
-         "functional-offset", "functional-weights", "functional-shape"],
+         "bound-report", "report-statistic", "report-stderr", "report-abort-sigma"],
 )
 def test_non_finite_or_misshapen_values_rejected(build, message):
     """Each comparison a NaN would make False is preceded by a check that names the field."""
