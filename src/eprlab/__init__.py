@@ -4,7 +4,6 @@ import types
 
 from .qstate import (
     BellLabel,
-    OutcomeDistribution,
     Party,
     ProductEnsemble,
     PureState,

@@ -32,6 +32,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .qstate import (
+    _OUTCOME_SIGNS,
     ATOL_ALARM,
     ATOL_CONSTRUCT,
     ProductEnsemble,
@@ -163,10 +164,11 @@ class CorrelatorQuad:
 
 def quad_from_state(state: TwoQubitState, settings: EkertSettings) -> CorrelatorQuad:
     """Measure all four correlators and the four marginals of a state."""
-    d11, d13, d31, d33 = (outcome_distribution(state, a, b)
-                          for a in (settings.a1, settings.a3) for b in (settings.b1, settings.b3))
-    return CorrelatorQuad(d11.correlator, d13.correlator, d31.correlator, d33.correlator,
-                          d11.marginal_a, d33.marginal_a, d11.marginal_b, d33.marginal_b)
+    # Each pair's (<A>, <B>, <AB>), read back off its outcome distribution.
+    (m_a1, m_b1, c11), (_, _, c13), (_, _, c31), (m_a3, m_b3, c33) = (
+        (_OUTCOME_SIGNS * outcome_distribution(state, a, b)).sum(axis=1).tolist()
+        for a in (settings.a1, settings.a3) for b in (settings.b1, settings.b3))
+    return CorrelatorQuad(c11, c13, c31, c33, m_a1, m_a3, m_b1, m_b3)
 
 
 @dataclass(frozen=True)

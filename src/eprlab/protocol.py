@@ -15,18 +15,19 @@ One engine runs both protocol flavors from a constant schedule table:
 Rounds are independent and identically distributed, so a run samples
 the law of a round, not its rounds.  Each round packs into one small
 integer, 4 * (n_pairs * coin + setting pair) + outcome (outcomes in
-OutcomeDistribution order), whose law is the test/key coin times the
+qstate.OUTCOMES order), whose law is the test/key coin times the
 uniform setting-pair weight times the joint outcome table read from
-(r_A, r_B, T).  One multinomial draw gives every tally and the key
-length K.  Given K and the other tallies, the key rounds are K
-independent draws from the key codes' conditional law, so the key is
-drawn that way: a report shows only each position's bit pair, so each
-draws its class 2a + b of Alice's bit a and Bob's bit b, 8 bits per key
-bit plus 32 for each tie, and one multinomial draw per class splits its
-tally among its key codes (BBM92's x and z).  The result has the law of
-drawing the rounds one by one, with each class's probability read at a
-resolution of 2**-32.  Error counts are table lookups on the packed
-code, and memory scales with the key, not with the round count.
+(r_A, r_B, T), a probability within ATOL_PSD of zero read as 0.0.  One
+multinomial draw gives every tally and the key length K.  Given K and
+the other tallies, the key rounds are K independent draws from the key
+codes' conditional law, so the key is drawn that way: a report shows
+only each position's bit pair, so each draws its class 2a + b of Alice's
+bit a and Bob's bit b, 8 bits per key bit plus 32 for each tie, and one
+multinomial draw per class splits its tally among its key codes (BBM92's
+x and z).  The result has the law of drawing the rounds one by one, with
+each class's probability read at a resolution of 2**-32.  Error counts
+are table lookups on the packed code, and memory scales with the key,
+not with the round count.
 
 The eavesdropper acts on Bob's wing of each pair before it reaches him.
 Intercept-resend along d, outcome forgotten, keeps Bob's spin component
@@ -53,8 +54,8 @@ from .qstate import (
     Y_AXIS,
     Z_AXIS,
     ATOL_CONSTRUCT,
-    ATOL_PSD,
     _OUTCOME_SIGNS,
+    _physical,
     BellLabel,
     ProductEnsemble,
     SpinSetting,
@@ -379,16 +380,15 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
     # (r_A, r_B, T).  Each mean is the vector product outcome_distribution
     # takes: a matrix product can round it differently in the last bit.
     r_a, r_b, t = state.bloch_a, state.bloch_b, state.correlations
-    probs = joint_probabilities([[r_a @ a] for a in plan.alice], [r_b @ b for b in plan.bob],
-                                [[a @ t @ b for b in plan.bob] for a in plan.alice])
-    if probs.min() < -ATOL_PSD:
-        raise ValueError(f"negative probability {probs.min():.3e}; state not physical")
+    probs = _physical(joint_probabilities(
+        [[r_a @ a] for a in plan.alice], [r_b @ b for b in plan.bob],
+        [[a @ t @ b for b in plan.bob] for a in plan.alice]))
     coin = [1.0 - cfg.test_fraction, cfg.test_fraction] if plan.split else [1.0]
-    law = np.multiply.outer(coin, np.clip(probs, 0.0, None)).ravel()
+    law = np.multiply.outer(coin, probs).ravel()
     # Parties fix each key basis's sign from the advertised source, not
     # from what Eve actually delivers.  Alice's bit is 1 for outcome -1,
-    # Bob's for his sign-corrected outcome -1; outcome o (OutcomeDistribution
-    # order) of pair p has bit pair class 2a + b = o ^ flip[p].
+    # Bob's for his sign-corrected outcome -1; outcome o (OUTCOMES order) of
+    # pair p has bit pair class 2a + b = o ^ flip[p].
     flip = np.zeros(n_pairs, dtype=bool)
     for _, i, j in plan.keys:
         setting_a, setting_b = SpinSetting.alice(plan.alice[i]), SpinSetting.bob(plan.bob[j])

@@ -14,7 +14,8 @@ Conventions
   Alice's Bloch vector r_A, Bob's r_B, and the correlation matrix
   T_ij = tr(rho sigma_i (x) sigma_j).  A correlator is n_a.T.n_b and a
   joint outcome probability is (1 + a r_A.n_a + b r_B.n_b + ab n_a.T.n_b)/4,
-  written once, in joint_probabilities.
+  written once, in joint_probabilities, in OUTCOMES order; one rule,
+  _physical, reads it as 0.0 within ATOL_PSD of zero and raises below.
 - Every state the package builds itself (product mixtures, Werner states,
   channel images) is assembled once, from (r_A, r_B, T), in
   state_from_bloch, and then passes every TwoQubitState check.
@@ -218,54 +219,10 @@ class ProductEnsemble:
             raise ValueError(f"ensemble weights sum to {total!r}, not 1")
 
 
-class OutcomeDistribution:
-    """Joint probabilities for a pair of spin measurements.
-
-    Outcome order is fixed: (+1,+1), (+1,-1), (-1,+1), (-1,-1).
-    """
-
-    OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-    def __init__(self, probabilities: Sequence[float]) -> None:
-        p = np.asarray(probabilities, dtype=float)
-        if p.shape != (4,):
-            raise ValueError(f"need 4 joint probabilities, got shape {p.shape}")
-        total = float(p.sum())
-        if not math.isfinite(total):  # a NaN or infinite entry, or a sum that overflows
-            raise ValueError(f"probabilities must be finite and sum to 1, got {p.tolist()}")
-        if p.min() < -ATOL_CONSTRUCT:
-            raise ValueError(f"negative probability {p.min():.3e}")
-        if abs(total - 1.0) > ATOL_DERIVED:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-        self.probabilities = _read_only(np.clip(p, 0.0, None))
-
-    def probability(self, outcome_a: int, outcome_b: int) -> float:
-        """Probability of the joint outcome (outcome_a, outcome_b)."""
-        try:
-            idx = self.OUTCOMES.index((outcome_a, outcome_b))
-        except ValueError:
-            raise ValueError(f"outcomes must be +1 or -1, got {(outcome_a, outcome_b)}") from None
-        return float(self.probabilities[idx])
-
-    @property
-    def correlator(self) -> float:
-        """Expectation of the outcome product implied by this distribution."""
-        return float((_OUTCOME_SIGNS[2] * self.probabilities).sum())
-
-    @property
-    def marginal_a(self) -> float:
-        """Expectation of Alice's outcome."""
-        return float((_OUTCOME_SIGNS[0] * self.probabilities).sum())
-
-    @property
-    def marginal_b(self) -> float:
-        """Expectation of Bob's outcome."""
-        return float((_OUTCOME_SIGNS[1] * self.probabilities).sum())
-
-
+# Joint outcomes (Alice's, Bob's) in the order of every outcome axis.
+OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 # Rows a, b and ab: Alice's outcome, Bob's and their product, in OUTCOMES order.
-_OUTCOME_SIGNS = _read_only(np.array([(a, b, a * b) for a, b in OutcomeDistribution.OUTCOMES],
-                                      dtype=float).T)
+_OUTCOME_SIGNS = _read_only(np.array([(a, b, a * b) for a, b in OUTCOMES], dtype=float).T)
 
 
 def bell_state(label: BellLabel) -> PureState:
@@ -330,8 +287,8 @@ def joint_probabilities(mean_a, mean_b, mean_ab) -> Array:
     """Joint outcome probabilities (1 + a <A> + b <B> + ab <AB>)/4 of two spin measurements.
 
     The means broadcast against each other; the result gains a last axis
-    of length 4 in OutcomeDistribution.OUTCOMES order.  Nothing is
-    validated: a negative entry means the means are not physical.
+    of length 4 in OUTCOMES order.  Nothing is validated: a negative entry
+    means the means are not physical (see _physical).
     """
     a, b, ab = _OUTCOME_SIGNS
     mean_a, mean_b, mean_ab = np.asarray(mean_a), np.asarray(mean_b), np.asarray(mean_ab)
@@ -339,14 +296,21 @@ def joint_probabilities(mean_a, mean_b, mean_ab) -> Array:
             + ab * mean_ab[..., None]) / 4.0
 
 
-def outcome_distribution(
-    state: TwoQubitState, setting_a: SpinSetting, setting_b: SpinSetting
-) -> OutcomeDistribution:
-    """Joint outcome probabilities (1 + a r_A.n_a + b r_B.n_b + ab n_a.T.n_b)/4."""
-    _require_pair(setting_a, setting_b)
-    probs = joint_probabilities(state.bloch_a @ setting_a.direction,
-                                state.bloch_b @ setting_b.direction,
-                                correlator(state, setting_a, setting_b))
+def _physical(probs: Array) -> Array:
+    """probs with each entry within ATOL_PSD of zero read as exactly 0.0; a lower one raises.
+
+    The flush keeps rounding from weighing an impossible outcome: the singlet's
+    T_ii = -0.9999999999999998 would leave 5.6e-17 on each agreeing outcome.
+    """
     if probs.min() < -ATOL_PSD:
         raise ValueError(f"negative probability {probs.min():.3e}; state not physical")
-    return OutcomeDistribution(np.clip(probs, 0.0, None))
+    return np.where(probs <= ATOL_PSD, 0.0, probs)
+
+
+def outcome_distribution(state: TwoQubitState, setting_a: SpinSetting,
+                         setting_b: SpinSetting) -> Array:
+    """Read-only (4,) joint probabilities in OUTCOMES order, read through _physical."""
+    _require_pair(setting_a, setting_b)
+    return _read_only(_physical(joint_probabilities(state.bloch_a @ setting_a.direction,
+                                                    state.bloch_b @ setting_b.direction,
+                                                    correlator(state, setting_a, setting_b))))

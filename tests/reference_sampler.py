@@ -6,7 +6,9 @@ its multinomial count and then shuffled, where run_protocol draws the key
 codes i.i.d. from their conditional law given the key length.  Both give
 the same test tallies, statistic, error rates of the test sample and key
 length for every seed; only the keys and how the key splits among its
-codes differ.  It calls protocol.estimate_statistic through the module, so
+codes differ.  It reads the law through qstate._physical, as run_protocol
+does: the multinomial draws no uniform for a zero weight, so both must see
+the same zeros.  It calls protocol.estimate_statistic through the module, so
 a test that patches it sees the tallies of both samplers.  Inputs are
 trusted.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from eprlab import protocol
-from eprlab.qstate import ATOL_PSD, SpinSetting, correlator, joint_probabilities
+from eprlab.qstate import SpinSetting, _physical, correlator, joint_probabilities
 
 
 def run_protocol(cfg: protocol.ProtocolConfig) -> protocol.ProtocolReport:
@@ -29,12 +31,11 @@ def run_protocol(cfg: protocol.ProtocolConfig) -> protocol.ProtocolReport:
     used = sorted(set(tested + keyed))
 
     r_a, r_b, t = state.bloch_a, state.bloch_b, state.correlations
-    probs = joint_probabilities([[r_a @ a] for a in plan.alice], [r_b @ b for b in plan.bob],
-                                [[a @ t @ b for b in plan.bob] for a in plan.alice])
-    if probs.min() < -ATOL_PSD:
-        raise ValueError(f"negative probability {probs.min():.3e}; state not physical")
+    probs = _physical(joint_probabilities(
+        [[r_a @ a] for a in plan.alice], [r_b @ b for b in plan.bob],
+        [[a @ t @ b for b in plan.bob] for a in plan.alice]))
     coin = [1.0 - cfg.test_fraction, cfg.test_fraction] if plan.split else [1.0]
-    law = np.multiply.outer(coin, np.clip(probs, 0.0, None)).ravel()
+    law = np.multiply.outer(coin, probs).ravel()
     codes = np.arange(law.size, dtype=np.uint8)
     in_key = np.isin(codes // 4, keyed)
 

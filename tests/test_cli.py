@@ -627,9 +627,11 @@ class TestFormatsAndCodes:
              "1e-10", "FILE (a 4x4 matrix of [re, im] pairs) holds a NaN or infinite number"),
             ([[[0.3 * (i == j), 0.0] for j in range(4)] for i in range(4)], "0.1",
              "FILE violates unit trace"),
+            ([[0.25 * (i == j) for j in range(4)] for i in range(4)], "1e-10",
+             "FILE (a 4x4 matrix of [re, im] pairs) must have shape (4, 4, 2), got shape (4, 4)"),
         ],
         ids=["negative-trace", "zero-matrix", "boolean-weight", "boolean-entry", "nan-literal",
-             "trace-off"],
+             "trace-off", "real-matrix"],
     )
     def test_invalid_state_file_rejected(self, capsys, tmp_path, payload, tolerance, message):
         """Exit 2 with a message naming the file, and no NumPy warning on the way."""

@@ -50,7 +50,11 @@ def test_all_holds_every_name_the_quick_start_imports():
 
 def test_quick_start_runs(capsys):
     exec(compile(QUICK_START, "README.md", "exec"), {})
-    assert "violated=True" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "violated=True" in out
+    for value in ("statistic=-2.8284271247461894", "statistic=-1.9999999999999996",
+                  "psi_minus=0.9999999999999998"):  # as the comments say
+        assert value in out
 
 
 @pytest.mark.parametrize("argv", COMMAND_LINES, ids=" ".join)

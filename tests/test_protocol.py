@@ -32,6 +32,7 @@ from eprlab.protocol import (
     run_protocol,
 )
 from eprlab.qstate import (
+    ATOL_PSD,
     BellLabel,
     ProductEnsemble,
     SpinSetting,
@@ -41,6 +42,7 @@ from eprlab.qstate import (
     bell_state,
     correlator,
     density_from_pure,
+    joint_probabilities,
     outcome_distribution,
     phase_epr_state,
     werner_state,
@@ -154,6 +156,11 @@ class TestEveStrategies:
         assert ez == pytest.approx(-1.0, abs=1e-12)
         assert ex == pytest.approx(0.0, abs=1e-12)
 
+    def test_unknown_strategy_rejected(self):
+        cfg = ProtocolConfig(protocol=Protocol.E91, rounds=1000, eve="x")
+        with pytest.raises(ValueError, match="^unknown eavesdropper strategy 'x'$"):
+            run_protocol(cfg)
+
     def test_substitution_needs_an_ensemble(self):
         with pytest.raises(TypeError, match="must be a ProductEnsemble"):
             SeparableSubstitution(ensemble=[(1.0, Z_AXIS, tuple(-Z_AXIS))])
@@ -198,6 +205,11 @@ class TestEstimator:
     def test_non_count_tally_rejected(self, tally):
         tallies = {"x:x": (30, 10, 10, 30), "z:z": tally}
         with pytest.raises(ValueError, match=r"^tally for z:z must hold counts, got \["):
+            estimate_statistic(tallies, Protocol.BBM92)
+
+    def test_tally_of_three_entries_rejected(self):
+        tallies = {"x:x": (30, 10, 10, 30), "z:z": (30, 10, 40)}
+        with pytest.raises(ValueError, match=r"^tally for z:z must have 4 entries$"):
             estimate_statistic(tallies, Protocol.BBM92)
 
     @pytest.mark.parametrize("flavour, functional", [
@@ -380,14 +392,17 @@ GOLDEN_EVES = {
 # same report, bit for bit.  Recorded on CPython 3.11.7 with NumPy 2.4.6 on
 # scipy-openblas 0.3.31.188.0 (DYNAMIC_ARCH), whose run-time kernel was
 # SkylakeX; the pytest header names the build and the kernel a run uses.
+# bbm92-none, bbm92-x and e91-none were re-recorded when probabilities within
+# ATOL_PSD of zero came to be read as 0.0: the singlet's impossible outcomes
+# lost their 5.6e-17, and the multinomial draws no uniform for a zero weight.
 GOLDEN_DIGESTS = {
-    ("e91", "none"): "9539d1855ed74ce3c8a5229c270954785b713a18c9dc9952c253c80ab745c009",
+    ("e91", "none"): "2a2df32700b96c88c3d2a61af2c2953179be84af031726ccd41453f4f0b26bec",
     ("e91", "x"): "527a229addc2b73eb3a121e702f5103de1ada3a62446e240fa9716dfd4756a18",
     ("e91", "xz"): "69b7781c948ffa0e828bd950c0d39240d7d052c0e26372c32523db23b077388a",
     ("e91", "tilted"): "8020dc42a725e1aa6c7d98b86355a0ab5e09a6de9d8f72fcea17e66eca608099",
     ("e91", "substitution"): "131ccad35f18875bff80181314a8fb363bfc8095f79cb28dbdde6c0ff2ecf4f2",
-    ("bbm92", "none"): "e95cd831e77e2b12b2bbf54a502c18f7990cb4703bf788fa8a9e96bae0e02553",
-    ("bbm92", "x"): "e18c97c754edc33348d15cecde4ee9f1d2444fd4f1c39f7edc1c394eedce8f99",
+    ("bbm92", "none"): "a6eec487ff87ef14626a7927bfdbbf82df111e14c9f5427e8c11ce501693d352",
+    ("bbm92", "x"): "61a8128049fda600fd66bbdb7b987e344bbbbe2322f39e815371f019875d2c81",
     ("bbm92", "xz"): "db359b15374b140ca9439c2ba8a6ebc5c29f69da28fc77a1f0059fcc7d997145",
     ("bbm92", "tilted"): "8d843dc71cfeba3b905100d58c2948f4a01945707c9f4a86e46990b351a1aff1",
     ("bbm92", "substitution"): "2034372f8eb6737f562b06b08fab3868c6a7c60a1e35163ee1c2e2dcd84edf4f",
@@ -395,15 +410,15 @@ GOLDEN_DIGESTS = {
 # The same runs' digests when the key codes were repeated by their counts and
 # shuffled; the reference sampler must still give them.  Recorded on CPython
 # 3.11.7 with NumPy 2.4.6 on the same scipy-openblas build, before the header
-# named the run-time kernel.
+# named the run-time kernel; the same three were re-recorded, for the same law.
 SHUFFLE_DIGESTS = {
-    ("e91", "none"): "60b23e3f8579a7a44dd61a33d22c45695ea707860a0bcc68f7bde2bf1ac6f823",
+    ("e91", "none"): "4c19126d6a66d699c031f5fb1ce7aeef486f35e6715acf75f2e3b747903e029e",
     ("e91", "x"): "5d2a38ca55885c36e12ab0971c76f1d073e8a59a862fabe32002c890f8dba081",
     ("e91", "xz"): "c306de8b0f3bf56fb427735ca8b7bf4337f966eeba2f6b6ddc009d2fab2bb5c8",
     ("e91", "tilted"): "e306b5369715a4bc56334ab7effa2eec92b1709a65325fdf6ba3893dffde93e3",
     ("e91", "substitution"): "078ddc1a4d5f82a02e1a4f051e7569d97362ec3f470e718ff8e8ac6729afb5fa",
-    ("bbm92", "none"): "f3949bff291cd2e82327da7402de8340eca533c2870e94e17bb609b7fc776577",
-    ("bbm92", "x"): "7b95db5e89a430a74da340863c2fed9355f54435b607daea20ec61b4695404c1",
+    ("bbm92", "none"): "025a24386496223391f28331059f05d6f64d9266fe7fb2ef25d78096aa75d76b",
+    ("bbm92", "x"): "227ffdcb9b1bd86555285d85be09793a9b7b6e55bff89e2aa85c8f2dc18a667a",
     ("bbm92", "xz"): "2dc87215a5f1419e8a3c9fc33f0b248a236677bbf4f6a1e2a5bf7eb5f9911219",
     ("bbm92", "tilted"): "75ba5b6fa3a63b797af4529532a8f12a0fa1d154a33da931c856a2b81cecda9f",
     ("bbm92", "substitution"): "18c4372f91aba9590f50f0b0b533fe948d1a0cd7cf133d6bdfa7ff5e46b024ce",
@@ -603,6 +618,63 @@ def test_run_draws_the_key_classes_from_the_stream_after_the_multinomial(protoco
     np.testing.assert_array_equal(key_bit_pairs((report.sifted_key_a, report.sifted_key_b)), drawn)
 
 
+@pytest.mark.parametrize("protocol_name", [p.value for p in Protocol])
+def test_singlet_key_gives_no_weight_to_bits_that_differ(protocol_name):
+    """The singlet's built correlators are -0.9999999999999998, which leaves 5.6e-17 on
+    each outcome where its key bits would differ.  Read as 0.0, key classes 1 and 2 weigh
+    exactly nothing, and classes 0 and 3 weigh the same, so the one class threshold is
+    2**31, lead byte 128 with no tie, and no draw lands on an impossible class."""
+    assert (np.diag(singlet().correlations) > -1.0).all()
+    calls = []
+    cfg = ProtocolConfig(protocol=Protocol(protocol_name), rounds=1_000, seed=3)
+    with mock.patch.object(protocol, "_draw_indices", recording_draws(calls)):
+        run_protocol(cfg)
+    [(_, weights, *_)] = calls
+    assert not weights[1:3].any()
+    assert weights[0].sum() == weights[3].sum() > 0.0
+
+
+def skewed_source(t: float) -> SimpleNamespace:
+    """A stand-in state whose x-x outcome (-1, +1) has probability exactly -t/4.
+
+    r_A.x = 1/2, r_B.x = -1/2 and T_xx = t; BBM92's other x/z outcomes all
+    have probability at least 1/8.
+    """
+    assert joint_probabilities(0.5, -0.5, t)[2] == -t / 4
+    return SimpleNamespace(bloch_a=np.array([0.5, 0.0, 0.0]), bloch_b=np.array([-0.5, 0.0, 0.0]),
+                           correlations=np.diag([t, 0.0, 0.0]))
+
+
+def xx_weight_read_by_outcome_distribution(state) -> float:
+    return outcome_distribution(state, SpinSetting.alice(X_AXIS), SpinSetting.bob(X_AXIS))[2]
+
+
+def xx_weight_read_by_run_protocol(state) -> float:
+    """The key weight BBM92 gives the x-x outcome (-1, +1), key basis x being column 0."""
+    calls = []
+    cfg = ProtocolConfig(protocol=Protocol.BBM92, rounds=2_000, source_state=state)
+    with mock.patch.object(protocol, "_draw_indices", recording_draws(calls)):
+        run_protocol(cfg)
+    [(_, weights, *_)] = calls
+    return weights[2 ^ int(state.correlations[0, 0] < 0.0), 0]
+
+
+XX_WEIGHT_READERS = [xx_weight_read_by_outcome_distribution, xx_weight_read_by_run_protocol]
+
+
+@pytest.mark.parametrize("read", XX_WEIGHT_READERS, ids=lambda read: read.__name__[15:])
+def test_probability_of_minus_atol_psd_reads_as_zero_and_one_step_lower_raises(read):
+    assert read(skewed_source(4 * ATOL_PSD)) == 0.0
+    with pytest.raises(ValueError, match="negative probability -1.000e-10; state not physical"):
+        read(skewed_source(np.nextafter(4 * ATOL_PSD, 1.0)))
+
+
+@pytest.mark.parametrize("read", XX_WEIGHT_READERS, ids=lambda read: read.__name__[15:])
+def test_probability_of_atol_psd_reads_as_zero_and_one_step_higher_is_kept(read):
+    assert read(skewed_source(-4 * ATOL_PSD)) == 0.0
+    assert read(skewed_source(np.nextafter(-4 * ATOL_PSD, -1.0))) > 0.0
+
+
 def whole_array_reference(cfg: ProtocolConfig):
     """Round-by-round draws as whole arrays: (test tallies, keys, key bases, rounds_used).
 
@@ -619,7 +691,7 @@ def whole_array_reference(cfg: ProtocolConfig):
     outcome = np.zeros(cfg.rounds, dtype=int)
     for p in np.unique(pair):
         a, b = SpinSetting.alice(plan.alice[p // n_b]), SpinSetting.bob(plan.bob[p % n_b])
-        cdf = np.cumsum(outcome_distribution(state, a, b).probabilities)[:3]
+        cdf = np.cumsum(outcome_distribution(state, a, b))[:3]
         outcome[pair == p] = (cdf[:, None] <= u[pair == p]).sum(axis=0)
     tallies = {label: np.bincount(outcome[(pair == i * n_b + j) & test], minlength=4)
                for label, i, j, _ in plan.tests}
@@ -659,12 +731,12 @@ def category_law(cfg: ProtocolConfig) -> np.ndarray:
     law = []
     for _, i, j, _ in plan.tests:
         a, b = SpinSetting.alice(plan.alice[i]), SpinSetting.bob(plan.bob[j])
-        law += list(weight * test_share * outcome_distribution(state, a, b).probabilities)
+        law += list(weight * test_share * outcome_distribution(state, a, b))
     key = np.zeros((4, len(plan.keys)))
     for basis, (_, i, j) in enumerate(plan.keys):
         a, b = SpinSetting.alice(plan.alice[i]), SpinSetting.bob(plan.bob[j])
         flip = correlator(cfg.source_state, a, b) < 0.0
-        for outcome, p in enumerate(outcome_distribution(state, a, b).probabilities):
+        for outcome, p in enumerate(outcome_distribution(state, a, b)):
             key[2 * (outcome >= 2) + ((outcome % 2 == 1) ^ flip), basis] += weight * key_share * p
     law += list(key.ravel())
     return np.array(law + [1.0 - sum(law)])

@@ -10,8 +10,8 @@ from eprlab.qstate import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    OUTCOMES,
     BellLabel,
-    OutcomeDistribution,
     Party,
     ProductEnsemble,
     PureState,
@@ -250,12 +250,10 @@ class TestErrorMessages:
             (lambda: ProductEnsemble([(1.0, X_AXIS, (np.nan, 0.0, 1.0))]),
              "blochB at index 0 is not finite, got [nan, 0.0, 1.0]"),
             (lambda: TwoQubitState(np.eye(4) / 2.0), "density matrix trace (2+0j) deviates from 1"),
-            (lambda: OutcomeDistribution([0.5, 0.5, 0.5, 0.0]), "probabilities sum to 1.5, not 1"),
             (lambda: SpinSetting.alice([1.0, 0.0]),
              "spin direction must be a 3-vector, got shape (2,)"),
             (lambda: ProductEnsemble([(1.0, (1.0, 0.0), Z_AXIS)]),
              "blochA at index 0 must be a 3-vector, got shape (2,)"),
-            (lambda: OutcomeDistribution([0.5, 0.5]), "need 4 joint probabilities, got shape (2,)"),
             (lambda: bell_state("psi-minus"), "label must be a BellLabel, got 'psi-minus'"),
             (lambda: bloch_qubit([1.0, 0.0]), "Bloch vector must be a 3-vector, got shape (2,)"),
             (lambda: ProductEnsemble([(0.5, X_AXIS, Z_AXIS), (0.5, X_AXIS, (0.0, 0.6, 0.9))]),
@@ -273,10 +271,9 @@ class TestErrorMessages:
              "blochA at index 0 has norm inf above 1"),
         ],
         ids=["pure-norm", "spin-norm", "bloch-qubit-norm", "ensemble-norm", "ensemble-nan-weight",
-             "ensemble-nan-bloch", "trace", "distribution-sum", "spin-shape", "ensemble-shape",
-             "distribution-shape", "bell-label", "bloch-qubit-shape", "ensemble-norm-later-term",
-             "ensemble-ragged", "ensemble-column", "ensemble-negative-later-term",
-             "ensemble-inf-bloch", "ensemble-norm-overflow"],
+             "ensemble-nan-bloch", "trace", "spin-shape", "ensemble-shape", "bell-label",
+             "bloch-qubit-shape", "ensemble-norm-later-term", "ensemble-ragged", "ensemble-column",
+             "ensemble-negative-later-term", "ensemble-inf-bloch", "ensemble-norm-overflow"],
     )
     def test_messages_name_the_fault_in_plain_numbers(self, build, message):
         """Non-finite input is named as such, and no NumPy repr leaks into a message."""
@@ -356,40 +353,37 @@ class TestCorrelator:
             assert abs(correlator(rho, a, b)) <= 1.0 + 1e-12
 
 
+def probability(dist: np.ndarray, outcome_a: int, outcome_b: int) -> float:
+    return float(dist[OUTCOMES.index((outcome_a, outcome_b))])
+
+
 class TestOutcomeDistribution:
-    def test_rejects_negative_probability(self):
-        with pytest.raises(ValueError, match="negative"):
-            OutcomeDistribution([0.5, 0.6, -0.1, 0.0])
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError, match="sum"):
-            OutcomeDistribution([0.5, 0.3, 0.1, 0.0])
-
-    def test_probability_lookup(self):
-        dist = OutcomeDistribution([0.4, 0.3, 0.2, 0.1])
-        assert dist.probability(1, 1) == pytest.approx(0.4)
-        assert dist.probability(-1, 1) == pytest.approx(0.2)
-        with pytest.raises(ValueError, match="outcomes"):
-            dist.probability(0, 1)
+    def test_is_a_read_only_array_of_four(self):
+        rho = density_from_pure(bell_state(BellLabel.PHI_PLUS))
+        dist = outcome_distribution(rho, SpinSetting.alice(X_AXIS), SpinSetting.bob(Z_AXIS))
+        assert dist.shape == (4,) and dist.dtype == float
+        with pytest.raises(ValueError, match="read-only"):
+            dist[0] = 1.0
 
     def test_singlet_z_outcomes_anticorrelate(self):
         """Matching z measurements on the singlet never agree."""
         rho = density_from_pure(bell_state(BellLabel.PSI_MINUS))
         dist = outcome_distribution(rho, SpinSetting.alice(Z_AXIS), SpinSetting.bob(Z_AXIS))
-        assert dist.probability(1, -1) == pytest.approx(0.5, abs=1e-12)
-        assert dist.probability(-1, 1) == pytest.approx(0.5, abs=1e-12)
-        assert dist.probability(1, 1) == pytest.approx(0.0, abs=1e-12)
-        assert dist.probability(-1, -1) == pytest.approx(0.0, abs=1e-12)
+        assert probability(dist, 1, -1) == pytest.approx(0.5, abs=1e-12)
+        assert probability(dist, -1, 1) == pytest.approx(0.5, abs=1e-12)
+        assert probability(dist, 1, 1) == pytest.approx(0.0, abs=1e-12)
+        assert probability(dist, -1, -1) == pytest.approx(0.0, abs=1e-12)
 
     def test_phi_plus_x_outcomes_correlate(self):
         rho = density_from_pure(bell_state(BellLabel.PHI_PLUS))
         dist = outcome_distribution(rho, SpinSetting.alice(X_AXIS), SpinSetting.bob(X_AXIS))
-        assert dist.probability(1, 1) == pytest.approx(0.5, abs=1e-12)
-        assert dist.probability(-1, -1) == pytest.approx(0.5, abs=1e-12)
+        assert probability(dist, 1, 1) == pytest.approx(0.5, abs=1e-12)
+        assert probability(dist, -1, -1) == pytest.approx(0.5, abs=1e-12)
 
     def test_distribution_matches_correlator(self):
         """Implied and analytic correlators agree on random states and axes."""
         rng = np.random.default_rng(23)
+        products = [a * b for a, b in OUTCOMES]
         for _ in range(200):
             rho = random_density(rng)
             u = rng.normal(size=3)
@@ -397,19 +391,29 @@ class TestOutcomeDistribution:
             a = SpinSetting.alice(u / np.linalg.norm(u))
             b = SpinSetting.bob(v / np.linalg.norm(v))
             dist = outcome_distribution(rho, a, b)
-            assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-10)
-            assert dist.correlator == pytest.approx(correlator(rho, a, b), abs=1e-10)
+            assert dist.sum() == pytest.approx(1.0, abs=1e-10)
+            assert dist @ products == pytest.approx(correlator(rho, a, b), abs=1e-10)
 
     def test_marginals_consistent_across_partner_settings(self):
         """Alice's marginal cannot depend on Bob's choice of axis."""
         rng = np.random.default_rng(31)
+        alice_signs = [a for a, _ in OUTCOMES]
         for _ in range(50):
             rho = random_density(rng)
             u = rng.normal(size=3)
             a = SpinSetting.alice(u / np.linalg.norm(u))
             d1 = outcome_distribution(rho, a, SpinSetting.bob(X_AXIS))
             d2 = outcome_distribution(rho, a, SpinSetting.bob(Z_AXIS))
-            assert d1.marginal_a == pytest.approx(d2.marginal_a, abs=1e-10)
+            assert d1 @ alice_signs == pytest.approx(d2 @ alice_signs, abs=1e-10)
+
+    def test_state_at_the_eigenvalue_floor_has_a_distribution(self):
+        """A state TwoQubitState accepts, eigenvalues -0.9e-10 included, is measured: its
+        z-z probabilities sum to 1 + 1.8e-10, and the two at -0.9e-10 read as 0.0."""
+        e = 0.9e-10
+        rho = TwoQubitState(np.diag([0.5 + e, 0.5 + e, -e, -e]))
+        dist = outcome_distribution(rho, SpinSetting.alice(Z_AXIS), SpinSetting.bob(Z_AXIS))
+        assert dist.tolist() == pytest.approx([0.5 + e, 0.5 + e, 0.0, 0.0], abs=1e-15)
+        assert dist[2:].tolist() == [0.0, 0.0]
 
 
 class TestWernerState:

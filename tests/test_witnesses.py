@@ -18,7 +18,6 @@ from eprlab.hidden_variables import (
 from eprlab.protocol import Protocol, ProtocolReport
 from eprlab.qstate import (
     BellLabel,
-    OutcomeDistribution,
     ProductEnsemble,
     SpinSetting,
     TwoQubitState,
@@ -396,7 +395,6 @@ def report(**changes) -> ProtocolReport:
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: OutcomeDistribution([NAN, 0.0, 0.0, 1.0]), "probabilities must be finite"),
         (lambda: LocalModel((NAN,) * 16), "weights must be finite"),
         (lambda: WitnessVerdict(NAN, 1.0), "verdict statistic must be finite, got nan"),
         (lambda: WitnessVerdict(INF, 1.0), "verdict statistic must be finite, got inf"),
@@ -407,7 +405,7 @@ def report(**changes) -> ProtocolReport:
         (lambda: report(stderr=NAN), "report stderr must be finite, got nan"),
         (lambda: report(abort_sigma=NAN), "report abort_sigma must be finite, got nan"),
     ],
-    ids=["distribution", "local-model", "verdict-nan", "verdict-inf", "verdict-margin",
+    ids=["local-model", "verdict-nan", "verdict-inf", "verdict-margin",
          "bound-report", "report-statistic", "report-stderr", "report-abort-sigma"],
 )
 def test_non_finite_or_misshapen_values_rejected(build, message):
@@ -415,6 +413,12 @@ def test_non_finite_or_misshapen_values_rejected(build, message):
     with pytest.raises(ValueError) as error:
         build()
     assert message in str(error.value)
+
+
+def test_report_rejects_a_qber_outside_the_unit_interval():
+    assert report(qber=1.0).qber == 1.0
+    with pytest.raises(ValueError, match=r"^qber 1\.5 outside \[0, 1\]$"):
+        report(qber=1.5)
 
 
 def test_abort_rule_boundary_is_an_abort():
