@@ -25,9 +25,11 @@ only each position's bit pair, so each draws its class 2a + b of Alice's
 bit a and Bob's bit b, 8 bits per key bit plus 32 for each tie, and one
 multinomial draw per class splits its tally among its key codes (BBM92's
 x and z).  The result has the law of drawing the rounds one by one, with
-each class's probability read at a resolution of 2**-32.  Error counts
-are table lookups on the packed code, and memory scales with the key,
-not with the round count.
+each class's probability read at a resolution of 2**-32.  Two-basis runs
+count errors by table lookups on the packed code, four-correlator runs by
+qber on the keys' ASCII codes before the strings are made (qber takes a
+uint8 buffer of codes or a str of '0' and '1').  Memory scales with the
+key, about 3 bytes per key bit, not with the round count.
 
 The eavesdropper acts on Bob's wing of each pair before it reaches him.
 Intercept-resend along d, outcome forgotten, keeps Bob's spin component
@@ -163,6 +165,11 @@ class ProtocolConfig:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed!r}")
         if not 0.0 < self.abort_sigma < np.inf:
             raise ValueError(f"abort_sigma must be positive and finite, got {self.abort_sigma!r}")
+        if not isinstance(self.source_state, TwoQubitState):
+            raise TypeError(f"source_state must be a TwoQubitState, got {self.source_state!r}")
+        if not isinstance(self.eve, (NoEve, InterceptResend, SeparableSubstitution)):
+            raise TypeError("eve must be NoEve, InterceptResend or SeparableSubstitution, "
+                            f"got {self.eve!r}")
 
 
 @dataclass(frozen=True)
@@ -208,19 +215,19 @@ def effective_state(source: TwoQubitState, eve: EveStrategy) -> TwoQubitState:
     raise ValueError(f"unknown eavesdropper strategy {eve!r}")
 
 
-def qber(key_a: str, key_b: str) -> float:
-    """Fraction of positions where two equal-length bit strings differ."""
-    if len(key_a) != len(key_b):
-        raise ValueError(f"key lengths differ: {len(key_a)} vs {len(key_b)}")
-    if not key_a:
+def qber(key_a: Union[str, bytes, np.ndarray], key_b: Union[str, bytes, np.ndarray]) -> float:
+    """Fraction of positions where two equal-length keys differ: each a str of '0' and '1' or
+    a C-contiguous uint8 buffer (bytes, array) of those ASCII codes; only a str is encoded."""
+    codes_a, codes_b = (np.frombuffer(key.encode("ascii", "replace") if isinstance(key, str)
+                                      else key, dtype=np.uint8) for key in (key_a, key_b))
+    if codes_a.size != codes_b.size:  # a buffer's length is its byte count, whatever its shape
+        raise ValueError(f"key lengths differ: {codes_a.size} vs {codes_b.size}")
+    if not codes_a.size:
         raise ValueError("cannot compute an error rate on empty keys")
-    # One byte per character; anything but '0' or '1' lands above 1 after the unsigned shift.
-    bits_a, bits_b = (np.frombuffer(key.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
-                      for key in (key_a, key_b))
-    for bits in (bits_a, bits_b):
-        if (bits > 1).any():
+    for codes in (codes_a, codes_b):
+        if codes.min() < ord("0") or codes.max() > ord("1"):
             raise ValueError("keys must contain only '0' and '1'")
-    return int(np.count_nonzero(bits_a != bits_b)) / len(key_a)
+    return int(np.count_nonzero(codes_a != codes_b)) / codes_a.size
 
 
 @dataclass(frozen=True)
@@ -414,11 +421,12 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
         {label: tests[i * n_b + j] for label, i, j, _ in plan.tests}, cfg.protocol
     )
 
-    # Alice's bit is the class's high bit and Bob's its low bit; at most three
-    # key-sized buffers are alive at once.
-    key_a = str(np.bitwise_or(drawn >> 1, ord("0")), "ascii")
-    key_b = str(np.bitwise_or(drawn & 1, ord("0"), out=drawn), "ascii")
-    del drawn
+    # Alice's bit is the class's high bit, Bob's its low bit; the error count reads their ASCII
+    # codes and each string comes after it, so at most three key-sized buffers live at once.
+    codes_a = drawn >> 1
+    codes_a |= ord("0")
+    codes_b = np.bitwise_and(drawn, 1, out=drawn)
+    codes_b |= ord("0")
 
     if plan.split:
         # The bits differ on outcomes of product -1, unless the pair's sign is flipped.
@@ -429,7 +437,10 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
         error_rate = sum(n_err.values()) / sum(n_test.values())
     else:
         qber_by_basis = None
-        error_rate = qber(key_a, key_b)
+        error_rate = qber(codes_a, codes_b)
+    key_a = str(codes_a, "ascii")
+    del codes_a
+    key_b = str(codes_b, "ascii")
 
     return ProtocolReport(
         protocol=cfg.protocol,

@@ -102,6 +102,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="Protocol"):
             ProtocolConfig(protocol="e91", rounds=1000)
 
+    def test_source_state_must_be_a_state(self):
+        with pytest.raises(TypeError, match=r"^source_state must be a TwoQubitState, got 'x'$"):
+            ProtocolConfig(protocol=Protocol.E91, rounds=1000, source_state="x")
+        with pytest.raises(TypeError, match="^source_state must be a TwoQubitState"):
+            ProtocolConfig(protocol=Protocol.E91, rounds=1000, source_state=np.eye(4) / 4)
+
 
 class TestEveStrategies:
     def test_intercept_basis_validation(self):
@@ -157,9 +163,11 @@ class TestEveStrategies:
         assert ex == pytest.approx(0.0, abs=1e-12)
 
     def test_unknown_strategy_rejected(self):
-        cfg = ProtocolConfig(protocol=Protocol.E91, rounds=1000, eve="x")
+        message = "^eve must be NoEve, InterceptResend or SeparableSubstitution, got 'x'$"
+        with pytest.raises(TypeError, match=message):
+            ProtocolConfig(protocol=Protocol.E91, rounds=1000, eve="x")
         with pytest.raises(ValueError, match="^unknown eavesdropper strategy 'x'$"):
-            run_protocol(cfg)
+            effective_state(singlet(), "x")
 
     def test_substitution_needs_an_ensemble(self):
         with pytest.raises(TypeError, match="must be a ProductEnsemble"):
@@ -255,6 +263,37 @@ class TestQber:
     def test_non_bits_rejected(self):
         with pytest.raises(ValueError, match="'0' and '1'"):
             qber("01a", "010")
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.sampled_from("01"), st.sampled_from("01")),
+                          min_size=1, max_size=300))
+    def test_strings_codes_and_bytes_agree(self, pairs):
+        key_a, key_b = ("".join(bits) for bits in zip(*pairs))
+        fraction = sum(a != b for a, b in pairs) / len(pairs)
+        as_bytes = [key.encode("ascii") for key in (key_a, key_b)]
+        as_codes = [np.frombuffer(key, dtype=np.uint8).copy() for key in as_bytes]
+        rates = [qber(key_a, key_b), qber(*as_codes), qber(*as_bytes)]
+        assert [rate.hex() for rate in rates] == [fraction.hex()] * 3
+
+    @pytest.mark.parametrize("key_a, key_b, message", [
+        (np.array([48, 47], dtype=np.uint8), "00", "keys must contain only '0' and '1'"),
+        ("00", np.array([49, 50], dtype=np.uint8), "keys must contain only '0' and '1'"),
+        ("01é", "010", "keys must contain only '0' and '1'"),
+        (np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.uint8),
+         "cannot compute an error rate on empty keys"),
+        (np.array([48, 49], dtype=np.uint8), "010", "key lengths differ: 2 vs 3"),
+    ], ids=["code-47", "code-50", "non-ascii", "empty-array", "array-vs-longer-str"])
+    def test_each_form_is_rejected_with_the_same_messages(self, key_a, key_b, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            qber(key_a, key_b)
+
+    def test_a_buffer_is_read_as_all_its_bytes(self):
+        """A 2-D code array is one key of all its codes, so the rate never passes 1."""
+        codes = np.frombuffer(b"0110", dtype=np.uint8).reshape(2, 2)
+        assert qber(codes, "0111") == 0.25
+        assert qber(codes, np.frombuffer(b"1001", dtype=np.uint8).reshape(2, 2)) == 1.0
+        with pytest.raises(ValueError, match=r"^key lengths differ: 4 vs 2$"):
+            qber(codes, "01")
 
 
 class TestE91Runs:
@@ -650,9 +689,14 @@ def xx_weight_read_by_outcome_distribution(state) -> float:
 
 
 def xx_weight_read_by_run_protocol(state) -> float:
-    """The key weight BBM92 gives the x-x outcome (-1, +1), key basis x being column 0."""
+    """The key weight BBM92 gives the x-x outcome (-1, +1), key basis x being column 0.
+
+    The config refuses a source that is not a TwoQubitState, so the stand-in
+    replaces the default source after construction.
+    """
     calls = []
-    cfg = ProtocolConfig(protocol=Protocol.BBM92, rounds=2_000, source_state=state)
+    cfg = ProtocolConfig(protocol=Protocol.BBM92, rounds=2_000)
+    object.__setattr__(cfg, "source_state", state)
     with mock.patch.object(protocol, "_draw_indices", recording_draws(calls)):
         run_protocol(cfg)
     [(_, weights, *_)] = calls
@@ -872,16 +916,19 @@ PEAK_BYTES_PER_KEY_BIT = 3.5
 PEAK_BYTES_FIXED = 128 * 1024
 
 
-@pytest.mark.parametrize("rounds, test_fraction", [(4_000_000, 0.99), (2_000_000, 0.25)])
-def test_peak_memory_scales_with_the_key_not_the_rounds(rounds, test_fraction):
-    """A BBM92 run's traced peak stays within a few bytes per key bit plus a constant.
+@pytest.mark.parametrize("protocol_name, rounds, test_fraction", [
+    ("bbm92", 4_000_000, 0.99), ("bbm92", 2_000_000, 0.25), ("e91", 2_000_000, 0.25)])
+def test_peak_memory_scales_with_the_key_not_the_rounds(protocol_name, rounds, test_fraction):
+    """A run's traced peak stays within a few bytes per key bit plus a constant.
 
     The key classes, the two keys and the random bytes of one slice of the
     draw are the only buffers that grow with the run; at 4e6 rounds and a 99%
-    test fraction the key holds only about 2e4 bits.
+    test fraction the BBM92 key holds only about 2e4 bits.  E91 counts its
+    errors on the keys' ASCII codes before the strings are made, so the
+    count fits in the same three key-sized buffers as the strings.
     """
-    cfg = ProtocolConfig(protocol=Protocol.BBM92, rounds=rounds, test_fraction=test_fraction,
-                         eve=InterceptResend(basis="xz"), seed=5)
+    cfg = ProtocolConfig(protocol=Protocol(protocol_name), rounds=rounds,
+                         test_fraction=test_fraction, eve=InterceptResend(basis="xz"), seed=5)
     run_protocol(dataclasses.replace(cfg, rounds=MIN_ROUNDS * 100))  # first-call set-up
     gc.collect()
     tracemalloc.start()
