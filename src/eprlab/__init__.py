@@ -43,7 +43,6 @@ from .hidden_variables import (
     BoundReport,
     ChshPanel,
     CorrelatorQuad,
-    KSAssignment,
     LocalModel,
     SeparableFunctional,
     chsh_panel,

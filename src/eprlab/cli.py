@@ -2,7 +2,8 @@
 
 Subcommands
 -----------
-- witness: all witness statistics, fidelities, and verdicts for a state.
+- witness: all witness statistics, fidelities, and verdicts for a state;
+  distillability is the KS verdict (4 f against 2) of the same Bell row.
 - ks: the value-assignment enumeration and its bound, optionally
   evaluated on a state.
 - fine: CHSH panel and local-model construction for a correlator quad.
@@ -36,7 +37,9 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from .hidden_variables import (
-    _assignment_values,
+    _ASSIGNMENT_VALUES,
+    PRODUCT_KEYS,
+    SINGLE_KEYS,
     STRATEGIES,
     CorrelatorQuad,
     SeparableFunctional,
@@ -149,12 +152,11 @@ def _matrix_from_json(data: Any, path: str, tolerance: float) -> TwoQubitState:
             f"state file {path} violates unit trace (trace {trace!r}, "
             f"tolerance {tolerance:.3e})"
         )
+    least = float(np.linalg.eigvalsh(matrix).min())  # as TwoQubitState reads it
+    if not least >= -tolerance:
+        raise ValueError(f"state file {path} violates positivity (eigenvalue {least:.3e})")
     matrix = matrix / trace
     eigvals, eigvecs = np.linalg.eigh(matrix)
-    if not eigvals[0] >= -tolerance:
-        raise ValueError(
-            f"state file {path} violates positivity (eigenvalue {eigvals[0]:.3e})"
-        )
     if eigvals[0] < 0.0:
         # Shift tiny negative eigenvalues inside tolerance back to the cone.
         matrix = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.conj().T
@@ -260,11 +262,12 @@ def cmd_witness(args: argparse.Namespace) -> dict[str, Any]:
 
 def cmd_ks(args: argparse.Namespace) -> dict[str, Any]:
     assignments = enumerate_ks_assignments()
+    values = dict(zip(KSCase, _ASSIGNMENT_VALUES.T.tolist()))
     doc: dict[str, Any] = {
         "bound": KS_BOUND,
         "assignmentCount": len(assignments),
         "maxima": _by_case(ks_classical_bound),
-        "valueSets": _by_case(lambda c: sorted(set(_assignment_values()[c]))),
+        "valueSets": _by_case(lambda c: sorted(set(values[c]))),
     }
     if args.state is None:
         flags = sorted(flag for flag, *_ in _PARAMETRIC_STATES.values())
@@ -278,9 +281,9 @@ def cmd_ks(args: argparse.Namespace) -> dict[str, Any]:
         doc["values"] = _by_case(lambda case: ks[case].statistic)
         doc["violated"] = _by_case(lambda case: ks[case].violated)
     if args.assignments:
-        doc["assignments"] = [
-            {"singles": dict(a.singles), "products": dict(a.products)} for a in assignments
-        ]
+        doc["assignments"] = [{"singles": dict(zip(SINGLE_KEYS, row[:6])),
+                               "products": dict(zip(PRODUCT_KEYS, row[6:]))}
+                              for row in assignments.tolist()]
     return doc
 
 

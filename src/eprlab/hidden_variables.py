@@ -21,18 +21,17 @@ Three classical constructions live here:
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
 from .qstate import (
     _OUTCOME_SIGNS,
+    _read_only,
     ATOL_ALARM,
     ATOL_CONSTRUCT,
     ProductEnsemble,
@@ -57,6 +56,7 @@ from .witnesses import (
 from .simplex import INFEASIBLE, OPTIMAL, solve_lp
 
 SINGLE_KEYS = ("ax", "ay", "az", "bx", "by", "bz")
+PRODUCT_KEYS = ("xx", "yy", "xy", "yx", "zz")
 
 CHSH_BOUND = 2.0
 LP_FEAS_TOL = 1e-8   # weight nonnegativity and normalization slack
@@ -73,67 +73,44 @@ CHSH_SIGN_PATTERNS = tuple(
 # lexicographic with +1 first; LocalModel weights follow this order.
 STRATEGIES = tuple(itertools.product((1, -1), repeat=4))
 # Row s is what strategy s predicts, in CorrelatorQuad field order.
-_FEATURES = np.array([(a1 * b1, a1 * b3, a3 * b1, a3 * b3, a1, a3, b1, b3)
-                      for a1, a3, b1, b3 in STRATEGIES], dtype=float)
-_FEATURES.flags.writeable = False
+_FEATURES = _read_only(np.array([(a1 * b1, a1 * b3, a3 * b1, a3 * b3, a1, a3, b1, b3)
+                                 for a1, a3, b1, b3 in STRATEGIES], dtype=float))
 # Fine's LP in w_s = v_s + t: rows are normalization then the eight features;
 # the last column is t's coefficient, each row's sum.
 _FINE_A_EQ = np.vstack([np.ones(16), _FEATURES.T])
-_FINE_A_EQ = np.column_stack([_FINE_A_EQ, _FINE_A_EQ.sum(axis=1)])
-_FINE_A_EQ.flags.writeable = False
+_FINE_A_EQ = _read_only(np.column_stack([_FINE_A_EQ, _FINE_A_EQ.sum(axis=1)]))
 
 
-@dataclass(frozen=True)
-class KSAssignment:
-    """One noncontextual valuation of the single and product spin observables.
-
-    Only the singles are given.  Product observables factor over commuting
-    single-party pieces, so the singles fix the x and y products, and the
-    commuting decompositions zz = xx * yy = xy * yx (which agree
-    identically) fix the zz product rather than the z singles.
-    """
-
-    singles: Mapping[str, int]
-    products: Mapping[str, int] = field(init=False)
-
-    def __post_init__(self) -> None:
-        if set(self.singles) != set(SINGLE_KEYS):
-            raise ValueError(f"singles must have keys {SINGLE_KEYS}")
-        for key, value in self.singles.items():
-            if value not in (1, -1):
-                raise ValueError(f"assignment value {key}={value!r} must be +1 or -1")
-        s = MappingProxyType(dict(self.singles))
-        xx, yy = s["ax"] * s["bx"], s["ay"] * s["by"]
-        products = {"xx": xx, "yy": yy, "xy": s["ax"] * s["by"], "yx": s["ay"] * s["bx"],
-                    "zz": xx * yy}
-        object.__setattr__(self, "singles", s)
-        object.__setattr__(self, "products", MappingProxyType(products))
+# Row k of the assignment table: the k-th sign choice on SINGLE_KEYS (lexicographic, +1
+# first), then its PRODUCT_KEYS values.  A product factors over commuting single-party
+# pieces, so the singles fix xx, yy, xy and yx, and the commuting decompositions
+# zz = xx * yy = xy * yx (which agree identically) fix zz, not az * bz.
+_SINGLES = np.array(list(itertools.product((1, -1), repeat=6)))
+_XY = _SINGLES[:, [0, 1, 0, 1]] * _SINGLES[:, [3, 4, 4, 3]]  # xx, yy, xy, yx
+_ASSIGNMENTS = _read_only(np.column_stack([_SINGLES, _XY, _XY[:, 0] * _XY[:, 1]]))
+# The KSCase rows on each assignment, read as T = diag(xx, yy, zz): (64, 3), KSCase order.
+_ASSIGNMENT_VALUES = _read_only(_values(
+    _ASSIGNMENTS[:, [6, 7, 10]].astype(float)[..., None] * np.eye(3),
+    [_ROWS.index(c.value) for c in KSCase]))
 
 
-@functools.cache
-def enumerate_ks_assignments() -> tuple[KSAssignment, ...]:
-    """All 64 assignments, one per sign choice on the six singles, built once and shared."""
-    singles = (dict(zip(SINGLE_KEYS, values)) for values in itertools.product((1, -1), repeat=6))
-    return tuple(KSAssignment(singles=s) for s in singles)
+def enumerate_ks_assignments() -> np.ndarray:
+    """The read-only (64, 11) assignment table: SINGLE_KEYS, then PRODUCT_KEYS, per row."""
+    return _ASSIGNMENTS
 
 
-@functools.cache
-def _assignment_values() -> dict[KSCase, tuple[float, ...]]:
-    """The KSCase rows on the 64 assignments, each read as T = diag(xx, yy, zz), in one product."""
-    same_axis = np.array([[a.products[k] for k in ("xx", "yy", "zz")]
-                          for a in enumerate_ks_assignments()], dtype=float)
-    values = _values(same_axis[..., None] * np.eye(3), [_ROWS.index(c.value) for c in KSCase])
-    return dict(zip(KSCase, map(tuple, values.T.tolist())))
-
-
-def ks_functional_value(assignment: KSAssignment, case: KSCase) -> float:
-    """Value of 1 + s_xx f(xx) + s_yy f(yy) + s_zz f(zz) under the assignment."""
-    return _assignment_values()[case][enumerate_ks_assignments().index(assignment)]
+def ks_functional_value(row, case: KSCase) -> float:
+    """Value of 1 + s_xx f(xx) + s_yy f(yy) + s_zz f(zz) on one row of the assignment table."""
+    row = np.asarray(row)
+    match = np.flatnonzero((_ASSIGNMENTS == row).all(axis=1)) if row.shape == (11,) else []
+    if not len(match):
+        raise ValueError(f"not a row of the assignment table: {row.tolist()}")
+    return float(_ASSIGNMENT_VALUES[match.item(), tuple(KSCase).index(case)])
 
 
 def ks_classical_bound(case: KSCase) -> float:
     """Largest functional value over all assignments (equals 2 for each case)."""
-    return max(_assignment_values()[case])
+    return float(_ASSIGNMENT_VALUES[:, tuple(KSCase).index(case)].max())
 
 
 @dataclass(frozen=True)
@@ -163,11 +140,12 @@ class CorrelatorQuad:
 
 
 def quad_from_state(state: TwoQubitState, settings: EkertSettings) -> CorrelatorQuad:
-    """Measure all four correlators and the four marginals of a state."""
+    """Measure all four correlators and the four marginals of a state, each clipped to
+    [-1, 1]: a mean of +-1 outcomes reaches rho's trace norm, 1 + 6 ATOL_PSD at the floor."""
     # Each pair's (<A>, <B>, <AB>), read back off its outcome distribution.
     (m_a1, m_b1, c11), (_, _, c13), (_, _, c31), (m_a3, m_b3, c33) = (
-        (_OUTCOME_SIGNS * outcome_distribution(state, a, b)).sum(axis=1).tolist()
-        for a in (settings.a1, settings.a3) for b in (settings.b1, settings.b3))
+        np.clip((_OUTCOME_SIGNS * outcome_distribution(state, a, b)).sum(axis=1), -1.0, 1.0)
+        .tolist() for a in (settings.a1, settings.a3) for b in (settings.b1, settings.b3))
     return CorrelatorQuad(c11, c13, c31, c33, m_a1, m_a3, m_b1, m_b3)
 
 
@@ -228,8 +206,9 @@ class LocalModel:
             raise ValueError(f"weights sum to {float(w.sum())!r}, not 1")
 
     def predicted_quad(self) -> CorrelatorQuad:
-        """Correlators and marginals generated by the strategy mixture."""
-        return CorrelatorQuad(*(np.asarray(self.weights) @ _FEATURES).tolist())
+        """Correlators and marginals generated by the strategy mixture.  The weights sum to 1
+        only within LP_FEAS_TOL, so each value is clipped to [-1, 1]."""
+        return CorrelatorQuad(*np.clip(np.asarray(self.weights) @ _FEATURES, -1.0, 1.0).tolist())
 
     def reproduces(self, quad: CorrelatorQuad) -> bool:
         ours, theirs = (q.correlators() + q.marginals() for q in (self.predicted_quad(), quad))

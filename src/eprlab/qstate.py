@@ -15,7 +15,7 @@ Conventions
   T_ij = tr(rho sigma_i (x) sigma_j).  A correlator is n_a.T.n_b and a
   joint outcome probability is (1 + a r_A.n_a + b r_B.n_b + ab n_a.T.n_b)/4,
   written once, in joint_probabilities, in OUTCOMES order; one rule,
-  _physical, reads it as 0.0 within ATOL_PSD of zero and raises below.
+  _physical, reads it as 0.0 within ATOL_PSD of zero and raises below PROJECTOR_FLOOR.
 - Every state the package builds itself (product mixtures, Werner states,
   channel images) is assembled once, from (r_A, r_B, T), in
   state_from_bloch, and then passes every TwoQubitState check.
@@ -37,6 +37,9 @@ Array = np.ndarray
 # Tolerance policy, shared across the package.
 ATOL_CONSTRUCT = 1e-12  # construction-time equality checks (norms, trace, weights)
 ATOL_PSD = 1e-10        # eigenvalue floor for positive semidefiniteness
+# Least value a projector's mean can read on a state the floor accepts: it is at least the
+# least eigenvalue, less the rounding of the few terms of order 1 it is read from.
+PROJECTOR_FLOOR = -ATOL_PSD - 1e-14
 ATOL_DERIVED = 1e-10    # derived algebraic identities
 ATOL_ALARM = 1e-8       # corruption alarms (imaginary parts, cross-checks)
 
@@ -124,7 +127,8 @@ class TwoQubitState:
         tr = complex(m.trace())
         if abs(tr - 1.0) > ATOL_CONSTRUCT:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1 beyond {ATOL_CONSTRUCT}")
-        eigmin = float(np.linalg.eigvalsh(m).min())
+        # The Hermitian part, which every expectation reads; eigvalsh alone reads one triangle.
+        eigmin = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
         if eigmin < -ATOL_PSD:
             raise ValueError(f"density matrix has negative eigenvalue {eigmin:.3e}")
         self.matrix = _read_only(m.copy())
@@ -297,12 +301,12 @@ def joint_probabilities(mean_a, mean_b, mean_ab) -> Array:
 
 
 def _physical(probs: Array) -> Array:
-    """probs with each entry within ATOL_PSD of zero read as exactly 0.0; a lower one raises.
+    """probs, each entry within ATOL_PSD of zero read as 0.0; one below PROJECTOR_FLOOR raises.
 
     The flush keeps rounding from weighing an impossible outcome: the singlet's
     T_ii = -0.9999999999999998 would leave 5.6e-17 on each agreeing outcome.
     """
-    if probs.min() < -ATOL_PSD:
+    if probs.min() < PROJECTOR_FLOOR:
         raise ValueError(f"negative probability {probs.min():.3e}; state not physical")
     return np.where(probs <= ATOL_PSD, 0.0, probs)
 

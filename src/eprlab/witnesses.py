@@ -34,6 +34,7 @@ from .qstate import (
     _read_only,
     ATOL_DERIVED,
     BELL_CORRELATORS,
+    PROJECTOR_FLOOR,
     X_AXIS,
     Y_AXIS,
     BellLabel,
@@ -48,7 +49,6 @@ TSIRELSON_BOUND = 2.0 * float(np.sqrt(2.0))
 BBM_BOUND = 1.0  # separable bound for T
 KS_BOUND = 2.0  # noncontextual value-assignment bound for U1, U2, U3
 VERDICT_SLACK = 1e-10  # non-strict comparison: the boundary is not a violation
-DISTILL_THRESHOLD = 0.5  # a Bell fidelity above 1/2 certifies distillability
 
 
 class KSCase(Enum):
@@ -147,8 +147,8 @@ class BellFidelities:
 
     def __post_init__(self) -> None:
         values = self.as_tuple()
-        for v in values:
-            if not -ATOL_DERIVED <= v <= 1.0 + ATOL_DERIVED:
+        for v in values:  # a projector's mean: the largest is 1 less the other three eigenvalues
+            if not PROJECTOR_FLOOR <= v <= 1.0 - 3.0 * PROJECTOR_FLOOR:
                 raise ValueError(f"fidelity {v!r} outside [0, 1]")
         if abs(sum(values) - 1.0) > ATOL_DERIVED:
             raise ValueError(f"fidelities sum to {sum(values)!r}, not 1")
@@ -162,8 +162,9 @@ class BellFidelities:
 
 @dataclass(frozen=True)
 class DistillabilityVerdict:
-    """Whether the largest Bell fidelity exceeds 1/2, and whose it is; all three are derived.
-    At most one can exceed 1/2, as all four sum to 1, and only then is its label kept."""
+    """Whether the largest Bell fidelity f exceeds 1/2, and whose it is; all three are derived.
+    The rule is ks_verdict's on the same Bell row, 4 f against KS_BOUND, so U > 2 and f > 1/2
+    agree.  The label is kept only then; no other f exceeds 1/2 beyond the eigenvalue floor."""
 
     fidelities: BellFidelities
     distillable: bool = field(init=False)
@@ -172,7 +173,7 @@ class DistillabilityVerdict:
 
     def __post_init__(self) -> None:
         label, value = max(self.fidelities.by_label().items(), key=lambda kv: kv[1])
-        distillable = value > DISTILL_THRESHOLD + VERDICT_SLACK
+        distillable = WitnessVerdict(4.0 * value, KS_BOUND).violated
         object.__setattr__(self, "distillable", distillable)
         object.__setattr__(self, "bell_label", label if distillable else None)
         object.__setattr__(self, "fidelity", value)
@@ -196,7 +197,8 @@ def ekert_statistic(state: TwoQubitState, settings: Optional[EkertSettings] = No
     # Other settings add S's zero offset as the table does, so -0.0 reads 0.0 on both routes.
     value = (_statistics(state)[0] if settings is None
              else 0.0 + float(np.vdot(ekert_functional(settings), state.correlations)))
-    if abs(value) > TSIRELSON_BOUND + 1e-9:
+    # |S| is at most TSIRELSON_BOUND times rho's trace norm, 1 + 6 ATOL_PSD at the floor.
+    if abs(value) > TSIRELSON_BOUND * (1.0 - 6.0 * PROJECTOR_FLOOR):
         raise RuntimeError(f"statistic {value!r} exceeds the quantum maximum; state corrupted")
     return value
 
@@ -223,9 +225,9 @@ def ks_functional(state: TwoQubitState, case: KSCase) -> float:
 
 def ks_verdict(state: TwoQubitState, case: KSCase) -> WitnessVerdict:
     """One-sided comparison of the functional against the assignment bound 2; the functional
-    is 4 f(bell) >= 0, so the absolute-value verdict coincides with the one-sided one."""
+    is 4 f(bell) >= 4 PROJECTOR_FLOOR, so |U| > 2 exactly when U > 2."""
     value = ks_functional(state, case)
-    if value < -ATOL_DERIVED:
+    if value < 4.0 * PROJECTOR_FLOOR:
         raise RuntimeError(f"assignment functional {value!r} negative; state corrupted")
     return WitnessVerdict(value, KS_BOUND)
 

@@ -164,6 +164,17 @@ class TestWitnessCommand:
         assert doc["distillable"] is True
         assert doc["distillableBellState"] == "psiMinus"
 
+    def test_distillability_and_the_ks_verdict_agree_just_above_the_bound(self, capsys):
+        """U2 = 4 f(psi-minus) = 2.0000000002 violates KS_BOUND beyond its slack, and the
+        distillability verdict reads the same Bell row by the same rule (it said false)."""
+        code, out, _ = run_cli(capsys, "witness", "--state", "werner:0.3333333334")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["U2"], doc["maxFidelity"]) == (2.0000000002, 0.50000000005)
+        assert doc["ksViolated"] == {"caseI": False, "caseII": True, "caseIII": False}
+        assert doc["distillable"] is True
+        assert doc["distillableBellState"] == "psiMinus"
+
     def test_werner_flag(self, capsys):
         code, out, _ = run_cli(capsys, "witness", "--state", "werner", "--w", "0.25")
         assert code == 0
@@ -599,6 +610,33 @@ class TestFormatsAndCodes:
         assert code == 2
         assert out == ""
         assert "error: " in err
+
+    def test_positivity_gate_admits_an_eigenvalue_of_exactly_minus_the_tolerance(
+            self, capsys, tmp_path):
+        """The file's matrix as written, before it is divided by its trace: -0.25 passes at
+        --tolerance 0.25 and fails one ulp below it."""
+        path = tmp_path / "edge.json"
+        diagonal = [0.75, 0.25, 0.25, -0.25]
+        path.write_text(json.dumps([[[v if i == j else 0.0, 0.0] for j in range(4)]
+                                    for i, v in enumerate(diagonal)]))
+        for tolerance, code in ((0.25, 0), (float(np.nextafter(0.25, 0.0)), 2)):
+            got, out, err = run_cli(capsys, "witness", "--state", str(path),
+                                    "--tolerance", repr(tolerance))
+            assert got == code, err
+            assert ("violates positivity (eigenvalue -2.500e-01)" in err) == bool(code)
+
+    def test_trace_may_miss_one_by_exactly_the_tolerance(self, capsys, tmp_path):
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps([[[0.3125 * (i == j), 0.0] for j in range(4)]
+                                    for i in range(4)]))  # trace 1.25
+        for tolerance, code in (("0.25", 0), (repr(float(np.nextafter(0.25, 0.0))), 2)):
+            got, _, err = run_cli(capsys, "witness", "--state", str(path),
+                                  "--tolerance", tolerance)
+            assert got == code, err
+            assert ("violates unit trace" in err) == bool(code)
+
+    def test_zero_tolerance_is_accepted(self, capsys):
+        assert run_cli(capsys, "ks", "--tolerance", "0")[0] == 0
 
     def test_nan_tolerance_keeps_the_positivity_gate(self, capsys, tmp_path):
         """A file state with eigenvalue -0.5 is rejected, never clipped into the cone."""

@@ -1,6 +1,7 @@
 """Tests for assignments, local models, and product-state suprema."""
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -14,8 +15,9 @@ from eprlab.hidden_variables import (
     BoundReport,
     ChshPanel,
     SEPARABLE_WITNESSES,
+    PRODUCT_KEYS,
+    SINGLE_KEYS,
     CorrelatorQuad,
-    KSAssignment,
     LocalModel,
     SeparableFunctional,
     chsh_panel,
@@ -32,6 +34,7 @@ from eprlab.qstate import (
     ProductEnsemble,
     SpinSetting,
     X_AXIS,
+    Y_AXIS,
     Z_AXIS,
     bell_state,
     density_from_pure,
@@ -55,47 +58,50 @@ def random_ensemble(rng: np.random.Generator) -> ProductEnsemble:
     )
 
 
+COLUMNS = ("ax", "ay", "az", "bx", "by", "bz", "xx", "yy", "xy", "yx", "zz")
+
+
 class TestAssignments:
     def test_exactly_sixty_four(self):
-        assignments = enumerate_ks_assignments()
-        assert len(assignments) == 64
-        keys = {tuple(sorted(a.singles.items())) for a in assignments}
-        assert len(keys) == 64
+        """64 rows of 11 integer columns, SINGLE_KEYS then PRODUCT_KEYS, all sign choices."""
+        table = enumerate_ks_assignments()
+        assert table.shape == (64, 11) and table.dtype.kind == "i"
+        assert SINGLE_KEYS + PRODUCT_KEYS == COLUMNS
+        assert {tuple(row) for row in table[:, :6].tolist()} == \
+            set(itertools.product((1, -1), repeat=6))
+        assert table[:, :6].tolist() == [list(s) for s in itertools.product((1, -1), repeat=6)]
 
-    def test_product_rule_enforced(self):
-        """The products are derived from the singles, so none can be passed in to break the rule."""
-        singles = {"ax": 1, "ay": -1, "az": 1, "bx": -1, "by": -1, "bz": 1}
-        with pytest.raises(TypeError):
-            KSAssignment(singles=singles, products={"xx": 1, "yy": 1, "xy": 1, "yx": 1, "zz": 1})
-        assignment = KSAssignment(singles=singles)
-        assert dict(assignment.products) == {"xx": -1, "yy": 1, "xy": -1, "yx": 1, "zz": -1}
-        flipped = dataclasses.replace(assignment, singles=dict(singles, ax=-1))
-        assert dict(flipped.products) == {"xx": 1, "yy": 1, "xy": 1, "yx": 1, "zz": 1}
+    def test_product_rule_holds_on_every_row(self):
+        """Each product is the product of its commuting single-party factors."""
+        for row in enumerate_ks_assignments().tolist():
+            a = dict(zip(COLUMNS, row))
+            assert (a["xx"], a["yy"], a["xy"], a["yx"]) == (
+                a["ax"] * a["bx"], a["ay"] * a["by"], a["ax"] * a["by"], a["ay"] * a["bx"])
+            assert a["zz"] == a["xx"] * a["yy"] == a["xy"] * a["yx"]
 
     @pytest.mark.parametrize(
-        "singles, message",
-        [
-            ({"ax": 1, "ay": 1, "az": 1, "bx": 1, "by": 1}, "singles must have keys"),
-            ({"ax": 0, "ay": 1, "az": 1, "bx": 1, "by": 1, "bz": 1},
-             r"assignment value ax=0 must be \+1 or -1"),
-        ],
-        ids=["missing-key", "zero-value"],
+        "edit",
+        [lambda r: r[:10], lambda r: [0, *r[1:]], lambda r: [*r[:10], -r[10]],
+         lambda r: [*r[:6], *(-v for v in r[6:])], lambda r: [r, r], lambda r: [np.nan] * 11],
+        ids=["ten-columns", "zero-value", "zz-not-xx-yy", "products-flipped", "two-rows", "nan"],
     )
-    def test_malformed_assignment_rejected(self, singles, message):
-        with pytest.raises(ValueError, match=message):
-            KSAssignment(singles=singles)
+    def test_anything_but_a_row_of_the_table_rejected(self, edit):
+        row = edit(enumerate_ks_assignments()[5].tolist())
+        with pytest.raises(ValueError, match="not a row of the assignment table"):
+            ks_functional_value(row, KSCase.CASE_I)
+
+    def test_any_spelling_of_a_row_is_accepted(self):
+        row = enumerate_ks_assignments()[5]
+        values = {ks_functional_value(r, KSCase.CASE_II)
+                  for r in (row, row.tolist(), tuple(row.tolist()), row.astype(float))}
+        assert values == {ks_functional_value(row, KSCase.CASE_II)}
 
     def test_zz_follows_xy_products_not_z_singles(self):
         """The zz value is pinned by the x/y products; z singles are free."""
-        for a in enumerate_ks_assignments():
-            assert a.products["zz"] == a.products["xx"] * a.products["yy"]
-            assert a.products["zz"] == a.products["xy"] * a.products["yx"]
-        values = {
-            (a.products["zz"], a.singles["az"] * a.singles["bz"])
-            for a in enumerate_ks_assignments()
-        }
+        table = enumerate_ks_assignments()
+        zz, z_singles = table[:, COLUMNS.index("zz")], table[:, 2] * table[:, 5]
         # Both agreeing and disagreeing combinations occur across the set.
-        assert (1, -1) in values or (-1, 1) in values
+        assert {(1, -1), (-1, 1), (1, 1), (-1, -1)} == set(zip(zz.tolist(), z_singles.tolist()))
 
     def test_values_are_plus_minus_two(self):
         assignments = enumerate_ks_assignments()
@@ -112,36 +118,33 @@ class TestAssignments:
         written out here, to the last bit, sign bits included; one call reads the same cell."""
         signs = {KSCase.CASE_I: (1.0, 1.0, -1.0), KSCase.CASE_II: (-1.0, -1.0, -1.0),
                  KSCase.CASE_III: (1.0, -1.0, 1.0)}
-        table = hidden_variables._assignment_values()
-        for k, a in enumerate(enumerate_ks_assignments()):
-            p = a.products
-            for case, (sxx, syy, szz) in signs.items():
+        values = hidden_variables._ASSIGNMENT_VALUES
+        assert values.shape == (64, 3)
+        for k, row in enumerate(enumerate_ks_assignments()):
+            p = dict(zip(COLUMNS, row.tolist()))
+            for c, (case, (sxx, syy, szz)) in enumerate(signs.items()):
                 expected = 1.0 + sxx * p["xx"] + syy * p["yy"] + szz * p["zz"]
-                assert table[case][k].hex() == expected.hex()
-                assert ks_functional_value(KSAssignment(dict(a.singles)), case).hex() == \
-                    expected.hex()
-        assert {case: len(column) for case, column in table.items()} == dict.fromkeys(KSCase, 64)
-
-    def test_immutable(self):
-        a = enumerate_ks_assignments()[0]
-        with pytest.raises(TypeError):
-            a.singles["ax"] = -1
+                assert values[k, c].hex() == expected.hex()
+                assert ks_functional_value(row.tolist(), case).hex() == expected.hex()
 
     def test_enumeration_is_shared_and_stays_immutable(self):
-        """Repeated calls return the one cached tuple, and no caller can alter it."""
+        """Repeated calls return the one table, and no caller can alter it or its values."""
         first = enumerate_ks_assignments()
         assert enumerate_ks_assignments() is first
-        for a in first:
-            with pytest.raises(TypeError):
-                a.products["zz"] = -a.products["zz"]
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                a.singles = {}
+        for array in (first, first[0], hidden_variables._ASSIGNMENT_VALUES):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = -array[0]
         assert enumerate_ks_assignments() is first
-        assert len({tuple(sorted(a.singles.items())) for a in first}) == 64
 
 
 class TestCorrelatorQuad:
     def test_range_validation(self):
+        """Each value may exceed 1 in magnitude by ATOL_CONSTRUCT = 1e-12, and not one ulp more."""
+        edge = 1.0 + 1e-12
+        CorrelatorQuad(edge, 0.0, 0.0, -edge, m_a1=edge, m_b3=-edge)
+        for beyond in (np.nextafter(edge, 2.0), -np.nextafter(edge, 2.0)):
+            with pytest.raises(ValueError, match="c31=.* outside"):
+                CorrelatorQuad(0.0, 0.0, float(beyond), 0.0)
         with pytest.raises(ValueError, match="outside"):
             CorrelatorQuad(c11=1.2, c13=0.0, c31=0.0, c33=0.0)
         with pytest.raises(ValueError, match="outside"):
@@ -224,9 +227,22 @@ class TestChshPanel:
             ChshPanel(values=(0.0,) * 8, max_value=0.0, passes=True, min_joint_probability=0.0)
         panel = ChshPanel(values=(0.0,) * 7 + (2.0 + 2e-8,), min_joint_probability=0.0)
         assert (panel.max_value, panel.passes) == (2.0 + 2e-8, False)
+        # The CHSH bound plus LP_FEAS_TOL itself still passes.
+        assert ChshPanel(values=(2.0 + 1e-8,) * 8, min_joint_probability=0.0).passes
 
 
 class TestLocalModel:
+    def test_weight_may_dip_to_minus_lp_feas_tol(self):
+        """A weight of exactly -LP_FEAS_TOL is accepted, one ulp lower is refused."""
+        weights = [1.0 / 16.0] * 16
+        for low, accepted in ((-1e-8, True), (float(np.nextafter(-1e-8, -1.0)), False)):
+            weights[0], weights[1] = low, 2.0 / 16.0 - low
+            if accepted:
+                LocalModel(weights=tuple(weights))
+            else:
+                with pytest.raises(ValueError, match="negative weight"):
+                    LocalModel(weights=tuple(weights))
+
     def test_weight_validation(self):
         with pytest.raises(ValueError, match="16"):
             LocalModel(weights=(1.0,))
@@ -268,6 +284,15 @@ class TestFineLocalModel:
         model = fine_local_model(CorrelatorQuad(0.0, 0.0, 0.0, 0.0))
         assert model is not None
         assert model.weights == pytest.approx(tuple([1.0 / 16.0] * 16), abs=1e-9)
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_quad_within_feasibility_slack_of_a_facet_gets_a_model(self, sign):
+        """Its least joint probability is -3e-12; the LP's weights sum to 1 + 1.8e-11, and the
+        prediction, clipped to [-1, 1], still builds (it raised 'c13 outside [-1, 1]')."""
+        quad = CorrelatorQuad(0.0, sign, 0.0, 0.0, 0.0, 0.0, 0.0, -sign * 1.225131492874702e-11)
+        model = fine_local_model(quad)
+        assert model is not None and sum(model.weights) > 1.0 + 1e-12
+        assert model.predicted_quad().c13 == sign
 
     def test_singlet_xz_quad_feasible(self):
         model = fine_local_model(CorrelatorQuad(-1.0, 0.0, 0.0, -1.0))
@@ -368,13 +393,17 @@ class TestSeparableBound:
         assert np.linalg.norm(report.argmax_bloch_b) == pytest.approx(1.0, abs=1e-9)
 
     def test_report_rejects_bound_overshoot(self):
-        with pytest.raises(RuntimeError, match="above the analytic bound"):
-            BoundReport(
-                functional=SeparableFunctional.BBM_T,
-                supremum=1.1,
-                argmax_bloch_a=(1.0, 0.0, 0.0),
-                argmax_bloch_b=(1.0, 0.0, 0.0),
-            )
+        """T's bound 1 plus BOUND_SLACK = 1e-6 is accepted; one ulp more, or 1.1, raises."""
+        report = BoundReport(SeparableFunctional.BBM_T, 1.000001, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+        assert report.supremum == 1.0 + 1e-6
+        for supremum in (float(np.nextafter(1.000001, 2.0)), 1.1):
+            with pytest.raises(RuntimeError, match="above the analytic bound"):
+                BoundReport(
+                    functional=SeparableFunctional.BBM_T,
+                    supremum=supremum,
+                    argmax_bloch_a=(1.0, 0.0, 0.0),
+                    argmax_bloch_b=(1.0, 0.0, 0.0),
+                )
 
     @pytest.mark.parametrize("functional", list(SeparableFunctional))
     def test_bound_and_evaluations_are_derived(self, functional):
@@ -405,6 +434,26 @@ class TestExpansionCheck:
             assert separable_expansion_check(ensemble) == separable_expansion_check(
                 ensemble, default_ekert_settings()
             )
+
+    @pytest.mark.parametrize("route, axis", [("ekert", Z_AXIS), ("bbm", Y_AXIS)])
+    def test_alarm_sits_at_atol_alarm(self, monkeypatch, route, axis):
+        """Along z (for S) or y (for T) the expanded statistic is exactly 0, so a stand-in
+        trace route reading 1e-8 (ATOL_ALARM) passes as the residual; one ulp more raises."""
+        ensemble = ProductEnsemble([(1.0, axis, axis)])
+        for statistic, passes in ((1e-8, True), (float(np.nextafter(1e-8, 1.0)), False)):
+            monkeypatch.setattr(hidden_variables, f"{route}_statistic", lambda *_: statistic)
+            if passes:
+                assert getattr(separable_expansion_check(ensemble), route) == 1e-8
+            else:
+                with pytest.raises(RuntimeError, match="expansion routes disagree"):
+                    separable_expansion_check(ensemble)
+
+    def test_other_settings_expand_their_own_functional(self):
+        """Settings a1 = x, a3 = z, b1 = z, b3 = x give S = 1 on |+z +z>, not the default 0."""
+        ensemble = ProductEnsemble([(1.0, Z_AXIS, Z_AXIS)])
+        custom = EkertSettings(SpinSetting.alice(X_AXIS), SpinSetting.alice(Z_AXIS),
+                               SpinSetting.bob(Z_AXIS), SpinSetting.bob(X_AXIS))
+        assert dataclasses.astuple(separable_expansion_check(ensemble, custom)) == (0.0, 0.0)
 
     def test_pure_product_case(self):
         ens = ProductEnsemble([(1.0, X_AXIS, X_AXIS)])

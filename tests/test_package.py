@@ -3,8 +3,11 @@
 import ast
 import importlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -68,6 +71,14 @@ def test_command_line_examples_run(capsys, tmp_path, monkeypatch, argv):
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert captured.out and captured.err == ""
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(eprlab.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-m", "eprlab", "bound", "bbm-t"], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["functional"] == "bbm-t"
 
 
 def test_every_command_line_example_is_collected():

@@ -33,6 +33,7 @@ from eprlab.protocol import (
 )
 from eprlab.qstate import (
     ATOL_PSD,
+    PROJECTOR_FLOOR,
     BellLabel,
     ProductEnsemble,
     SpinSetting,
@@ -63,8 +64,11 @@ def xx_zz(state):
 
 class TestConfigValidation:
     def test_rounds_floor(self):
-        with pytest.raises(ValueError, match="rounds"):
-            ProtocolConfig(protocol=Protocol.E91, rounds=50)
+        """100 rounds are enough to configure; 99 and 50 are not."""
+        ProtocolConfig(protocol=Protocol.E91, rounds=100)
+        for rounds in (99, 50):
+            with pytest.raises(ValueError, match=f"need at least 100 rounds, got {rounds}"):
+                ProtocolConfig(protocol=Protocol.E91, rounds=rounds)
 
     def test_test_fraction_range(self):
         with pytest.raises(ValueError, match="test_fraction"):
@@ -568,6 +572,22 @@ def test_draw_indices_read_a_lead_byte_each_and_32_bits_per_tie(weights, n, key,
     assert not tallies[weights == 0].any()
 
 
+@pytest.mark.parametrize("max_slices, min_slice", [(1, 8), (64, 4096), (5, 8)])
+@pytest.mark.parametrize("flavour", list(Protocol), ids=lambda p: p.value)
+@pytest.mark.parametrize("eve", ["none", "xz"])
+def test_slicing_cannot_change_a_report(monkeypatch, max_slices, min_slice, flavour, eve):
+    """The slices read the stream's bytes in order, so their count and size leave every
+    report bit-identical: _MAX_SLICES and _MIN_SLICE are equivalent under mutation.  The
+    keys (over 40,000 bits) take more than 8 default slices' worth of _MIN_SLICE, so one
+    slice, 4096-bit slices and five slices each cut them differently."""
+    cfg = ProtocolConfig(protocol=flavour, rounds=400_000, eve=GOLDEN_EVES[eve], seed=11)
+    report = run_protocol(cfg)
+    assert len(report.sifted_key_a) > 8 * protocol._MIN_SLICE
+    monkeypatch.setattr(protocol, "_MAX_SLICES", max_slices)
+    monkeypatch.setattr(protocol, "_MIN_SLICE", min_slice)
+    assert report_digest(run_protocol(cfg)) == report_digest(report)
+
+
 def stand_in_generator(lead: list[int], extensions: list[int]) -> SimpleNamespace:
     """A generator whose stream is the lead bytes, then the 32-bit extensions, each packed
     least significant first into 64-bit words; reading past them fails."""
@@ -707,10 +727,14 @@ XX_WEIGHT_READERS = [xx_weight_read_by_outcome_distribution, xx_weight_read_by_r
 
 
 @pytest.mark.parametrize("read", XX_WEIGHT_READERS, ids=lambda read: read.__name__[15:])
-def test_probability_of_minus_atol_psd_reads_as_zero_and_one_step_lower_raises(read):
-    assert read(skewed_source(4 * ATOL_PSD)) == 0.0
+def test_probability_at_the_projector_floor_reads_as_zero_and_one_step_lower_raises(read):
+    """-ATOL_PSD, the least eigenvalue a state may have, reads as zero, and so does the
+    rounding allowance below it down to PROJECTOR_FLOOR; one ulp lower raises."""
+    assert PROJECTOR_FLOOR == -1.0001e-10
+    for t in (4 * ATOL_PSD, np.nextafter(-4 * PROJECTOR_FLOOR, 0.0), -4 * PROJECTOR_FLOOR):
+        assert read(skewed_source(t)) == 0.0
     with pytest.raises(ValueError, match="negative probability -1.000e-10; state not physical"):
-        read(skewed_source(np.nextafter(4 * ATOL_PSD, 1.0)))
+        read(skewed_source(np.nextafter(-4 * PROJECTOR_FLOOR, 1.0)))
 
 
 @pytest.mark.parametrize("read", XX_WEIGHT_READERS, ids=lambda read: read.__name__[15:])

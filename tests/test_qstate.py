@@ -128,6 +128,20 @@ class TestPureState:
 
 
 class TestTwoQubitState:
+    def test_hermiticity_and_trace_may_miss_by_exactly_atol_construct(self):
+        """A 1e-12 gap between m and its adjoint, or between the trace and 1, is accepted;
+        one ulp more is refused."""
+        for gap, accepted in ((5e-13, True), (float(np.nextafter(5e-13, 1.0)), False)):
+            m = np.eye(4, dtype=complex) / 4.0
+            m[0, 1], m[1, 0] = gap, -gap
+            diagonal = np.diag([0.25 + 0.5j * gap] * 4)
+            for matrix, message in ((m, "not Hermitian"), (diagonal, "trace")):
+                if accepted:
+                    TwoQubitState(matrix)
+                else:
+                    with pytest.raises(ValueError, match=message):
+                        TwoQubitState(matrix)
+
     def test_rejects_non_hermitian(self):
         m = np.eye(4, dtype=complex) / 4.0
         m[0, 1] = 0.3
@@ -184,6 +198,12 @@ class TestSpinSetting:
 
 
 class TestProductEnsemble:
+    def test_bloch_norm_may_exceed_one_by_exactly_atol_construct(self):
+        edge = 1.0 + ATOL_CONSTRUCT
+        ProductEnsemble([(1.0, (edge, 0.0, 0.0), (0.0, 0.0, 1.0))])
+        with pytest.raises(ValueError, match="blochA at index 0 has norm"):
+            ProductEnsemble([(1.0, (float(np.nextafter(edge, 2.0)), 0.0, 0.0), (0.0, 0.0, 1.0))])
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):
             ProductEnsemble([(0.5, X_AXIS, X_AXIS), (0.4, Z_AXIS, Z_AXIS)])

@@ -61,6 +61,32 @@ class TestStatuses:
         assert result.x.tolist() == [0.0]
         assert solve_lp([0.0], [[1.0]], [-math.nextafter(1e-8, 1)]).status == INFEASIBLE
 
+    def test_reduced_cost_must_fall_below_minus_pivot_tol(self):
+        """From the vertex x1 = 1, x2 enters only when its reduced cost lies below -PIVOT_TOL:
+        -1e-9 stays put, one ulp lower pivots to x2 = 1."""
+        for cost, vertex in ((-1e-9, [1.0, 0.0]), (float(np.nextafter(-1e-9, -1.0)), [0.0, 1.0])):
+            result = solve_lp([0.0, cost], [[1.0, 1.0]], [1.0])
+            assert result.status == OPTIMAL and result.x.tolist() == vertex
+
+    @pytest.mark.parametrize("gap, leaving_var", [(1e-12, 0), (math.nextafter(1e-12, 1), 1)])
+    def test_ratios_within_1e_12_of_the_least_tie(self, gap, leaving_var):
+        """Column 2 enters with ratios 0 (row 0, basic var 1) and gap (row 1, basic var 0): a
+        gap of 1e-12 ties, and Bland's rule lets the lower variable, 0, leave; one ulp more
+        does not tie, and the least ratio's row leaves."""
+        tab = np.array([[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 1.0, gap], [0.0, 0.0, -1.0, 0.0]])
+        basis = [1, 0]
+        assert simplex._bland_iterate(tab, basis) == (OPTIMAL, 2)
+        assert leaving_var not in basis and 2 in basis
+
+    @pytest.mark.parametrize("d, leaving_var", [(1e-9, 1), (math.nextafter(1e-9, 1), 0)])
+    def test_pivot_element_must_exceed_pivot_tol(self, d, leaving_var):
+        """Row 0 (basic var 0, ratio 0 / d) joins the ratio test only when d > PIVOT_TOL;
+        otherwise row 1 (basic var 1, ratio 1) is the only one, and var 1 leaves."""
+        tab = np.array([[1.0, 0.0, d, 0.0], [0.0, 1.0, 1.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
+        basis = [0, 1]
+        simplex._bland_iterate(tab, basis)
+        assert leaving_var not in basis and 2 in basis
+
     def test_unbounded(self):
         """min -x1 with only x2 pinned lets x1 grow without limit."""
         result = solve_lp([-1.0, 0.0], [[0.0, 1.0]], [1.0])

@@ -14,11 +14,12 @@ per-pair distributions, bit for bit.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eprlab.hidden_variables import SeparableFunctional, separable_bound
 from eprlab.protocol import InterceptResend, effective_state
 from eprlab.qstate import (
+    ATOL_PSD,
     ProductEnsemble,
     PureState,
     SpinSetting,
@@ -79,10 +80,10 @@ def oracle_correlator(rho: np.ndarray, na, nb) -> float:
 
 
 def oracle_probabilities(rho: np.ndarray, na, nb) -> list[float]:
-    return [
-        float(np.trace(rho @ np.kron((EYE + a * spin(na)) / 2, (EYE + b * spin(nb)) / 2)).real)
-        for a, b in OUTCOMES
-    ]
+    """Born's rule, each probability within ATOL_PSD of zero read as 0.0, as documented."""
+    born = [float(np.trace(rho @ np.kron((EYE + a * spin(na)) / 2, (EYE + b * spin(nb)) / 2)).real)
+            for a, b in OUTCOMES]
+    return [0.0 if p <= ATOL_PSD else p for p in born]
 
 
 def oracle_statistics(rho: np.ndarray) -> dict:
@@ -184,8 +185,15 @@ def intercept_axes(basis) -> np.ndarray:
     return np.array([basis])
 
 
+# The singlet measured along z and z tilted by 1e-5: two outcomes have Born probability
+# 1.25e-11, which the package reads as 0.0.
+SINGLET = density_from_pure(PureState(np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)))
+TILTED_Z = np.array([0.0, 1e-5, 1.0]) / np.hypot(1e-5, 1.0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(state=states, na=unit_vectors(), nb=unit_vectors())
+@example(state=SINGLET, na=np.array([0.0, 0.0, 1.0]), nb=TILTED_Z)
 def test_tensor_route_matches_born_rule(state, na, nb):
     rho = state.matrix
     a, b = SpinSetting.alice(na), SpinSetting.bob(nb)

@@ -17,6 +17,7 @@ from eprlab.hidden_variables import (
 )
 from eprlab.protocol import Protocol, ProtocolReport
 from eprlab.qstate import (
+    PROJECTOR_FLOOR,
     BellLabel,
     ProductEnsemble,
     SpinSetting,
@@ -122,14 +123,19 @@ class TestEkertStatistic:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
     def test_tsirelson_guard_boundary(self, sign):
-        """|S| = TSIRELSON_BOUND + 1e-9 is returned; the next |S| that T = c W reaches raises."""
-        assert 2.8284271257461904 == TSIRELSON_BOUND + 1e-9
+        """The guard is TSIRELSON_BOUND times the largest trace norm a state at the eigenvalue
+        floor can have, 1 - 6 PROJECTOR_FLOOR: |S| exactly at it is returned, one ulp above
+        raises."""
+        guard = TSIRELSON_BOUND * (1.0 - 6.0 * PROJECTOR_FLOOR)
+        assert guard == 2.828427126443416
         ekert_settings = default_ekert_settings()
         weights = ekert_functional(ekert_settings)
-        at_guard = SimpleNamespace(correlations=sign * 0.7071067814365477 * weights)
-        assert ekert_statistic(at_guard, ekert_settings) == sign * 2.8284271257461904
-        beyond = SimpleNamespace(correlations=sign * 0.7071067814365479 * weights)
-        assert float(np.vdot(weights, beyond.correlations)) == sign * 2.8284271257461913
+        at_guard = SimpleNamespace(
+            correlations=sign * np.diag([2.00000000120012, 3.1401849173675503e-16, 0.0]))
+        assert ekert_statistic(at_guard, ekert_settings) == sign * guard
+        beyond = SimpleNamespace(
+            correlations=sign * np.diag([2.00000000120012, 6.280369834735101e-16, 0.0]))
+        assert float(np.vdot(weights, beyond.correlations)) == sign * np.nextafter(guard, 3.0)
         with pytest.raises(RuntimeError, match="exceeds the quantum maximum"):
             ekert_statistic(beyond, ekert_settings)
 
@@ -266,6 +272,13 @@ class TestKSFunctionals:
 
 
 class TestBellFidelities:
+    def test_sum_may_miss_one_by_atol_derived(self):
+        """1.0000000000999998 misses 1 by 9.99998e-11 <= ATOL_DERIVED = 1e-10; the next float
+        up misses it by 1.0000000827e-10 and is refused."""
+        BellFidelities(0.0, 0.0, 0.0, 1.0000000000999998)
+        with pytest.raises(ValueError, match="fidelities sum to 1.0000000001, not 1"):
+            BellFidelities(0.0, 0.0, 0.0, float(np.nextafter(1.0000000000999998, 2.0)))
+
     def test_sum_to_one_random(self):
         rng = np.random.default_rng(37)
         for _ in range(200):
@@ -465,12 +478,22 @@ def test_distillability_fields_cannot_be_passed(name):
         DistillabilityVerdict(fidelities, **{name: getattr(verdict, name)})
 
 
-@pytest.mark.parametrize("top, distillable", [(0.5, False), (0.5 + VERDICT_SLACK / 2, False),
-                                              (0.5 + 2 * VERDICT_SLACK, True)])
+# The one rule: 4 f > KS_BOUND + VERDICT_SLACK, so f = (KS_BOUND + VERDICT_SLACK) / 4 is the
+# last fidelity that is not distillable (4 f is exact), and 1/2 + VERDICT_SLACK / 2 is.
+LAST_UNDISTILLABLE = (KS_BOUND + VERDICT_SLACK) / 4.0
+
+
+@pytest.mark.parametrize("top, distillable", [
+    (0.5, False), (LAST_UNDISTILLABLE, False), (np.nextafter(LAST_UNDISTILLABLE, 1.0), True),
+    (0.5 + VERDICT_SLACK / 2, True), (0.5 + 2 * VERDICT_SLACK, True)])
 def test_distillability_threshold_has_slack(top, distillable):
-    """The boundary, and anything within VERDICT_SLACK above it, is not distillable."""
+    """The rule is the KS verdict's on the same Bell row, 4 f against KS_BOUND with its slack:
+    anything within VERDICT_SLACK / 4 above f = 1/2 is not distillable."""
+    top = float(top)
+    assert LAST_UNDISTILLABLE == 0.500000000025
     verdict = DistillabilityVerdict(BellFidelities(0.0, 1.0 - top, top, 0.0))
     assert (verdict.distillable, verdict.fidelity) == (distillable, top)
+    assert verdict.distillable == WitnessVerdict(4.0 * top, KS_BOUND).violated
     assert verdict.bell_label is (BellLabel.PSI_PLUS if distillable else None)
 
 
@@ -478,8 +501,9 @@ def test_distillability_threshold_has_slack(top, distillable):
 @given(seed=st.integers(0, 2**32 - 1), label=st.sampled_from(BellLabel),
        weight=st.floats(0.0, 1.0))
 def test_distillability_follows_the_fidelities(seed, label, weight):
-    """The largest fidelity decides, above 1/2 + slack; only then, when it is the only one
-    above 1/2, is its label kept."""
+    """The largest fidelity f decides, by the KS rule 4 f > KS_BOUND + VERDICT_SLACK; only
+    then, when it is the only one above 1/2, is its label kept, and the KS verdict of its
+    Bell row agrees."""
     bell = density_from_pure(bell_state(label)).matrix
     noise = random_density(np.random.default_rng(seed)).matrix
     state = TwoQubitState(weight * bell + (1.0 - weight) * noise)
@@ -490,6 +514,10 @@ def test_distillability_follows_the_fidelities(seed, label, weight):
     top = max(by_label, key=by_label.get)
     assert verdict.fidelities is fidelities
     assert verdict.fidelity == best
-    assert verdict.distillable == (best > 0.5 + VERDICT_SLACK)
+    assert verdict.distillable == (4.0 * best > KS_BOUND + VERDICT_SLACK)
     assert verdict.bell_label is (top if verdict.distillable else None)
     assert distillable_witness(state) == DistillabilityVerdict(bell_fidelities(state))
+    for case in KSCase:
+        assert ks_verdict(state, case).statistic == 4.0 * by_label[case.bell_label]
+        if case.bell_label is top:
+            assert ks_verdict(state, case).violated == verdict.distillable
