@@ -152,7 +152,9 @@ def _matrix_from_json(data: Any, path: str, tolerance: float) -> TwoQubitState:
             f"state file {path} violates unit trace (trace {trace!r}, "
             f"tolerance {tolerance:.3e})"
         )
-    least = float(np.linalg.eigvalsh(matrix).min())  # as TwoQubitState reads it
+    # As written, like the gates above and as TwoQubitState reads a matrix: after the division,
+    # one it accepts at the floor with a trace just under 1 would read below -tolerance.
+    least = float(np.linalg.eigvalsh(matrix).min())
     if not least >= -tolerance:
         raise ValueError(f"state file {path} violates positivity (eigenvalue {least:.3e})")
     matrix = matrix / trace
@@ -281,8 +283,8 @@ def cmd_ks(args: argparse.Namespace) -> dict[str, Any]:
         doc["values"] = _by_case(lambda case: ks[case].statistic)
         doc["violated"] = _by_case(lambda case: ks[case].violated)
     if args.assignments:
-        doc["assignments"] = [{"singles": dict(zip(SINGLE_KEYS, row[:6])),
-                               "products": dict(zip(PRODUCT_KEYS, row[6:]))}
+        doc["assignments"] = [{"singles": dict(zip(SINGLE_KEYS, row[:len(SINGLE_KEYS)])),
+                               "products": dict(zip(PRODUCT_KEYS, row[len(SINGLE_KEYS):]))}
                               for row in assignments.tolist()]
     return doc
 

@@ -73,24 +73,27 @@ CHSH_SIGN_PATTERNS = tuple(
 # lexicographic with +1 first; LocalModel weights follow this order.
 STRATEGIES = tuple(itertools.product((1, -1), repeat=4))
 # Row s is what strategy s predicts, in CorrelatorQuad field order.
-_FEATURES = _read_only(np.array([(a1 * b1, a1 * b3, a3 * b1, a3 * b3, a1, a3, b1, b3)
-                                 for a1, a3, b1, b3 in STRATEGIES], dtype=float))
+_FEATURES = np.array([(a1 * b1, a1 * b3, a3 * b1, a3 * b3, a1, a3, b1, b3)
+                      for a1, a3, b1, b3 in STRATEGIES], dtype=float)
+_FEATURES.flags.writeable = False
 # Fine's LP in w_s = v_s + t: rows are normalization then the eight features;
 # the last column is t's coefficient, each row's sum.
 _FINE_A_EQ = np.vstack([np.ones(16), _FEATURES.T])
-_FINE_A_EQ = _read_only(np.column_stack([_FINE_A_EQ, _FINE_A_EQ.sum(axis=1)]))
+_FINE_A_EQ = np.column_stack([_FINE_A_EQ, _FINE_A_EQ.sum(axis=1)])
+_FINE_A_EQ.flags.writeable = False
 
 
-# Row k of the assignment table: the k-th sign choice on SINGLE_KEYS (lexicographic, +1
-# first), then its PRODUCT_KEYS values.  A product factors over commuting single-party
-# pieces, so the singles fix xx, yy, xy and yx, and the commuting decompositions
+# The assignment table's columns by name.  Row k takes the k-th sign choice on SINGLE_KEYS
+# (lexicographic, +1 first).  A product factors over commuting single-party pieces, so the
+# singles fix "pq" = a_p * b_q for the x and y axes, and the commuting decompositions
 # zz = xx * yy = xy * yx (which agree identically) fix zz, not az * bz.
-_SINGLES = np.array(list(itertools.product((1, -1), repeat=6)))
-_XY = _SINGLES[:, [0, 1, 0, 1]] * _SINGLES[:, [3, 4, 4, 3]]  # xx, yy, xy, yx
-_ASSIGNMENTS = _read_only(np.column_stack([_SINGLES, _XY, _XY[:, 0] * _XY[:, 1]]))
+_COLUMN = dict(zip(SINGLE_KEYS, np.array(list(itertools.product((1, -1), repeat=6))).T))
+_COLUMN.update({k: _COLUMN["a" + k[0]] * _COLUMN["b" + k[1]] for k in PRODUCT_KEYS if k != "zz"})
+_COLUMN["zz"] = _COLUMN["xx"] * _COLUMN["yy"]
+_ASSIGNMENTS = _read_only(np.column_stack([_COLUMN[k] for k in SINGLE_KEYS + PRODUCT_KEYS]))
 # The KSCase rows on each assignment, read as T = diag(xx, yy, zz): (64, 3), KSCase order.
 _ASSIGNMENT_VALUES = _read_only(_values(
-    _ASSIGNMENTS[:, [6, 7, 10]].astype(float)[..., None] * np.eye(3),
+    np.stack([_COLUMN[k] for k in ("xx", "yy", "zz")], axis=-1)[..., None] * np.eye(3),
     [_ROWS.index(c.value) for c in KSCase]))
 
 

@@ -12,7 +12,9 @@ import pytest
 
 from eprlab import cli, protocol
 from eprlab.protocol import InterceptResend
-from eprlab.qstate import Y_AXIS, BellLabel, bell_state, density_from_pure
+from eprlab.qstate import (
+    Y_AXIS, BellLabel, TwoQubitState, bell_state, density_from_pure, werner_state,
+)
 
 
 def run_cli(capsys, *argv):
@@ -613,8 +615,7 @@ class TestFormatsAndCodes:
 
     def test_positivity_gate_admits_an_eigenvalue_of_exactly_minus_the_tolerance(
             self, capsys, tmp_path):
-        """The file's matrix as written, before it is divided by its trace: -0.25 passes at
-        --tolerance 0.25 and fails one ulp below it."""
+        """A unit-trace file: -0.25 passes at --tolerance 0.25 and fails one ulp below it."""
         path = tmp_path / "edge.json"
         diagonal = [0.75, 0.25, 0.25, -0.25]
         path.write_text(json.dumps([[[v if i == j else 0.0, 0.0] for j in range(4)]
@@ -624,6 +625,45 @@ class TestFormatsAndCodes:
                                     "--tolerance", repr(tolerance))
             assert got == code, err
             assert ("violates positivity (eigenvalue -2.500e-01)" in err) == bool(code)
+
+    def test_positivity_gate_reads_the_matrix_as_written_whatever_its_trace(
+            self, capsys, tmp_path):
+        """Trace 0.8 and an eigenvalue of -0.22 as written (-0.275 once divided by the trace):
+        --tolerance 0.22 reads the file, clipped into the cone, and one ulp less refuses it."""
+        path = tmp_path / "light.json"
+        diagonal = [0.34, 0.34, 0.34, -0.22]
+        path.write_text(json.dumps([[[v if i == j else 0.0, 0.0] for j in range(4)]
+                                    for i, v in enumerate(diagonal)]))
+        state, _ = cli.resolve_state(str(path), tolerance=0.22)
+        assert np.allclose(state.matrix, np.diag([1.0, 1.0, 1.0, 0.0]) / 3.0, rtol=0.0, atol=1e-15)
+        code, out, err = run_cli(capsys, "witness", "--state", str(path),
+                                 "--tolerance", repr(float(np.nextafter(0.22, 0.0))))
+        assert (code, out) == (2, "")
+        assert "violates positivity (eigenvalue -2.200e-01)" in err
+
+    def test_a_floor_state_with_a_trace_under_one_is_read_at_the_default_tolerance(
+            self, capsys, tmp_path):
+        """TwoQubitState accepts eigenvalue -ATOL_PSD at trace 1 - 2.5e-13; divided by that
+        trace the eigenvalue would read -1.00000000000025e-10, below the default tolerance."""
+        e = 1e-10
+        state = TwoQubitState(np.diag([-e, 0.5 + e / 2 - 2.5e-13, 0.25 + e / 4, 0.25 + e / 4]))
+        path = tmp_path / "floor.json"
+        path.write_text(json.dumps([[[z.real, z.imag] for z in row]
+                                    for row in state.matrix.tolist()]))
+        for argv in (["witness", "--state", str(path)],
+                     ["qkd", "--protocol", "bbm92", "--source", str(path), "--rounds", "2000"]):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 0, err
+
+    def test_a_positive_file_state_is_read_as_written(self, tmp_path):
+        """Only a negative spectrum is rebuilt from its eigenvectors and clipped: a Werner
+        state whose least eigenvalue is 5e-10 comes back bit for bit."""
+        rho = werner_state(1.0 - 2e-9).matrix
+        assert 0.0 < np.linalg.eigh(rho)[0][0] < 1e-9
+        path = tmp_path / "werner.json"
+        path.write_text(json.dumps([[[z.real, z.imag] for z in row] for row in rho.tolist()]))
+        state, _ = cli.resolve_state(str(path))
+        assert np.array_equal(state.matrix, rho / rho.trace().real)
 
     def test_trace_may_miss_one_by_exactly_the_tolerance(self, capsys, tmp_path):
         path = tmp_path / "heavy.json"

@@ -58,7 +58,7 @@ def random_ensemble(rng: np.random.Generator) -> ProductEnsemble:
     )
 
 
-COLUMNS = ("ax", "ay", "az", "bx", "by", "bz", "xx", "yy", "xy", "yx", "zz")
+COLUMNS = SINGLE_KEYS + PRODUCT_KEYS  # the assignment table's layout
 
 
 class TestAssignments:
@@ -66,10 +66,9 @@ class TestAssignments:
         """64 rows of 11 integer columns, SINGLE_KEYS then PRODUCT_KEYS, all sign choices."""
         table = enumerate_ks_assignments()
         assert table.shape == (64, 11) and table.dtype.kind == "i"
-        assert SINGLE_KEYS + PRODUCT_KEYS == COLUMNS
-        assert {tuple(row) for row in table[:, :6].tolist()} == \
-            set(itertools.product((1, -1), repeat=6))
-        assert table[:, :6].tolist() == [list(s) for s in itertools.product((1, -1), repeat=6)]
+        assert COLUMNS == ("ax", "ay", "az", "bx", "by", "bz", "xx", "yy", "xy", "yx", "zz")
+        singles = table[:, :len(SINGLE_KEYS)].tolist()
+        assert singles == [list(s) for s in itertools.product((1, -1), repeat=6)]
 
     def test_product_rule_holds_on_every_row(self):
         """Each product is the product of its commuting single-party factors."""
@@ -99,7 +98,8 @@ class TestAssignments:
     def test_zz_follows_xy_products_not_z_singles(self):
         """The zz value is pinned by the x/y products; z singles are free."""
         table = enumerate_ks_assignments()
-        zz, z_singles = table[:, COLUMNS.index("zz")], table[:, 2] * table[:, 5]
+        zz, az, bz = (table[:, COLUMNS.index(k)] for k in ("zz", "az", "bz"))
+        z_singles = az * bz
         # Both agreeing and disagreeing combinations occur across the set.
         assert {(1, -1), (-1, 1), (1, 1), (-1, -1)} == set(zip(zz.tolist(), z_singles.tolist()))
 

@@ -43,6 +43,7 @@ FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
          ast.In: ast.NotIn, ast.NotIn: ast.In}
 NUDGE = 2.0 ** -6
+TIMEOUT = 600.0  # seconds per tier-1 run: a flipped loop condition can hang the suite
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ def parse_range(text: str) -> tuple[str, int, int]:
     return name, int(lo), int(hi or lo)
 
 
-def run_tier_one(workdir: Path, timeout: float) -> tuple[str, str]:
+def run_tier_one(workdir: Path) -> tuple[str, str]:
     """(outcome, detail): survived, killed (and the first test that failed) or timeout.
 
     Hypothesis's example database goes first: an example one mutant failed on would
@@ -127,7 +128,7 @@ def run_tier_one(workdir: Path, timeout: float) -> tuple[str, str]:
                "--continue-on-collection-errors", "-o", "addopts="]
     try:
         done = subprocess.run(command, cwd=workdir, env=env, capture_output=True,
-                              timeout=timeout)
+                              timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "timeout", ""
     lines = done.stdout.decode(errors="replace").splitlines()
@@ -144,7 +145,6 @@ def main(argv=None) -> int:
                         metavar="FILE:START[-END]", help="a line range of one module")
     parser.add_argument("--kind", choices=("compare", "number"), help="only this kind of mutant")
     parser.add_argument("--list", action="store_true", help="list the mutants and stop")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per run")
     args = parser.parse_args(argv)
 
     mutants = [m for path in sorted((ROOT / PACKAGE).glob("*.py"))
@@ -157,7 +157,7 @@ def main(argv=None) -> int:
     workdir = Path(tempfile.mkdtemp(prefix="eprlab-mutate-")) / "checkout"
     try:
         shutil.copytree(ROOT, workdir, ignore=SKIPPED)
-        outcome, detail = run_tier_one(workdir, args.timeout)
+        outcome, detail = run_tier_one(workdir)
         if outcome != "survived":
             print(f"tier 1 fails on the unmutated copy ({outcome}): {detail}", file=sys.stderr)
             return 1
@@ -167,7 +167,7 @@ def main(argv=None) -> int:
             original = target.read_text(encoding="utf-8")
             target.write_text(apply(original, m), encoding="utf-8")
             try:
-                outcome, detail = run_tier_one(workdir, args.timeout)
+                outcome, detail = run_tier_one(workdir)
             finally:
                 target.write_text(original, encoding="utf-8")
             print(f"[{k}/{len(mutants)}] {outcome:8} {m.path}:{m.start[0]}: {m.description}"
