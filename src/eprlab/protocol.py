@@ -23,7 +23,7 @@ the other tallies, the key rounds are K independent draws from the key
 codes' conditional law, so the key is drawn that way: a report shows
 only each position's bit pair, so each draws its class 2a + b of Alice's
 bit a and Bob's bit b, 8 bits per key bit plus 32 for each tie, and one
-multinomial draw per class splits its tally among its key codes (BBM92's
+binomial draw per class splits its tally between its key codes (BBM92's
 x and z).  The result has the law of drawing the rounds one by one, with
 each class's probability read at a resolution of 2**-32.  Two-basis runs
 count errors by table lookups on the packed code, four-correlator runs by
@@ -35,14 +35,23 @@ The eavesdropper acts on Bob's wing of each pair before it reaches him.
 Intercept-resend along d, outcome forgotten, keeps Bob's spin component
 along d: r_B -> (r_B.d) d and T -> T d d^T.  A fresh basis coin per
 round makes rounds independent draws from the coin-averaged channel, so
-the simulation applies the averaged map once.
+the simulation applies the averaged map once.  That map is a mixture of
+unitary conjugations, so its image keeps every check the source passed
+and is not validated again.
 
 Randomness comes from a counter-based generator keyed by the config
 seed, so every report is reproducible bit for bit.
+
+What a run reads off its schedule alone is built once, at import: each
+party's settings as one matrix, so that three products give every mean;
+the key settings; and, for each pattern of key-basis sign flips, the key
+cells and the books that read rounds and bit errors off the tallies.  A
+run does only what depends on its source, eavesdropper, seed and rounds.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -57,7 +66,9 @@ from .qstate import (
     Z_AXIS,
     ATOL_CONSTRUCT,
     _OUTCOME_SIGNS,
+    _unchecked_state_from_bloch,
     _physical,
+    _read_only,
     BellLabel,
     ProductEnsemble,
     SpinSetting,
@@ -67,7 +78,6 @@ from .qstate import (
     density_from_pure,
     joint_probabilities,
     product_mixture,
-    state_from_bloch,
 )
 from .witnesses import BBM_BOUND, EKERT_BOUND, default_ekert_settings
 
@@ -89,6 +99,9 @@ class NoEve:
 
 # The axes Eve measures along for each named basis; "xz" tosses a fair coin between them.
 _INTERCEPT_AXES = {"x": (X_AXIS,), "z": (Z_AXIS,), "xz": (X_AXIS, Z_AXIS)}
+# Each named basis's coin-averaged projector onto the measured axis.
+_INTERCEPT_KEEP = {basis: _read_only(sum(np.outer(d, d) for d in axes) / len(axes))
+                   for basis, axes in _INTERCEPT_AXES.items()}
 
 
 @dataclass(frozen=True)
@@ -206,10 +219,12 @@ def effective_state(source: TwoQubitState, eve: EveStrategy) -> TwoQubitState:
     if isinstance(eve, NoEve):
         return source
     if isinstance(eve, InterceptResend):
-        axes = _INTERCEPT_AXES.get(eve.basis) or (np.asarray(eve.basis),)
         # Coin-averaged projector onto the measured axis: r_B -> P r_B, T -> T P.
-        keep = sum(np.outer(d, d) for d in axes) / len(axes)
-        return state_from_bloch(source.bloch_a, keep @ source.bloch_b, source.correlations @ keep)
+        keep = _INTERCEPT_KEEP.get(eve.basis)
+        if keep is None:
+            keep = np.outer(eve.basis, eve.basis)
+        return _unchecked_state_from_bloch(source.bloch_a, keep @ source.bloch_b,
+                                           source.correlations @ keep)
     if isinstance(eve, SeparableSubstitution):
         return product_mixture(eve.ensemble)
     raise ValueError(f"unknown eavesdropper strategy {eve!r}")
@@ -230,16 +245,42 @@ def qber(key_a: Union[str, bytes, np.ndarray], key_b: Union[str, bytes, np.ndarr
     return int(np.count_nonzero(codes_a != codes_b)) / codes_a.size
 
 
-@dataclass(frozen=True)
 class _Schedule:
-    """One flavor's measurement plan; setting indices address alice and bob."""
+    """One flavor's measurement plan, and what a run reads off it alone, made once at import.
 
-    alice: tuple[np.ndarray, ...]
-    bob: tuple[np.ndarray, ...]
-    tests: tuple[tuple[str, int, int, float], ...]  # (label, i, j, sign in the statistic)
-    keys: tuple[tuple[str, int, int], ...]          # (basis label, i, j) of key rounds
-    split: bool  # matched rounds go to test or key by the test_fraction coin
-    bound: float
+    Setting indices address alice and bob; setting pair (i, j) is pair i * len(bob) + j.
+    """
+
+    def __init__(self, alice: tuple[np.ndarray, ...], bob: tuple[np.ndarray, ...],
+                 tests: tuple[tuple[str, int, int, float], ...],
+                 keys: tuple[tuple[str, int, int], ...], split: bool, bound: float) -> None:
+        self.alice, self.bob = alice, bob
+        self.tests = tests  # (label, i, j, sign in the statistic)
+        self.keys = keys  # (basis label, i, j) of key rounds
+        self.split = split  # matched rounds go to test or key by the test_fraction coin
+        self.bound = bound
+        self.rows_a = _read_only(np.array(alice))
+        # Bob's settings as the columns of a C-ordered matrix: a product with it rounds as
+        # the per-setting vector products do, which a product with rows does not.
+        self.columns_b = _read_only(np.ascontiguousarray(np.array(bob).T))
+        n_b = len(bob)
+        self.tested = tuple(i * n_b + j for _, i, j, _ in tests)  # the pair of each test
+        self.keyed = tuple(i * n_b + j for _, i, j in keys)  # the pair of each key basis
+        self.used = tuple(sorted(set(self.tested + self.keyed)))  # pairs whose rounds are kept
+        self.key_settings = tuple((SpinSetting.alice(alice[i]), SpinSetting.bob(bob[j]))
+                                  for _, i, j in keys)
+        # Per pattern of key-basis sign flips, (key_cells, books); see run_protocol.
+        self.signing = {}
+        keyed = list(self.keyed)
+        for flips in itertools.product((False, True), repeat=len(keyed)):
+            flip = np.zeros(len(alice) * n_b, dtype=bool)
+            flip[keyed] = flips
+            # Key rounds: the key side (0) of the test coin, by (class, key setting pair).
+            key_cells = 4 * np.array(keyed) + (np.arange(4)[:, None] ^ flip[keyed])
+            # The bits differ on outcomes of product -1, unless the pair's sign is flipped.
+            wrong = (_OUTCOME_SIGNS[2] < 0.0) != flip[:, None]
+            books = np.stack([np.ones_like(wrong), wrong], axis=-1).astype(np.int64)
+            self.signing[flips] = _read_only(key_cells), _read_only(books)
 
 
 _EKERT = default_ekert_settings()
@@ -272,17 +313,41 @@ def estimate_statistic(
     Each tally is (n++, n+-, n-+, n--) for one setting pair, in whole
     non-negative counts.  Correlators are estimated as mean outcome
     products; variances (1 - E^2)/n add across pairs (disjoint samples).
+    A bad tally raises ValueError naming the first bad pair in schedule order.
     """
     plan = _SCHEDULES[protocol]
+    try:
+        counts = np.array([tallies[label] for label, *_ in plan.tests], dtype=float)
+    except (KeyError, TypeError, ValueError):  # missing or ragged: the pair is named below
+        counts = None
+    if (counts is None or counts.shape != (len(plan.tests), 4)
+            or not _whole_counts(counts.ravel().tolist())):
+        _raise_first_bad_tally(tallies, plan)
+    totals = counts.sum(axis=1)
+    if totals.min() < MIN_SAMPLES_PER_PAIR:
+        _raise_first_bad_tally(tallies, plan)
+    e_hats = (_OUTCOME_SIGNS[2] * counts).sum(axis=1) / totals
     estimate = 0.0
     variance = 0.0
-    for label, _, _, sign in plan.tests:
+    for (*_, sign), e_hat, total in zip(plan.tests, e_hats, totals):
+        estimate += sign * e_hat
+        variance += (1.0 - e_hat**2) / total
+    return float(estimate), float(np.sqrt(variance))
+
+
+def _whole_counts(values: list[float]) -> bool:
+    """Whether every value is a whole non-negative count; is_integer() is False for NaN and inf."""
+    return all(value >= 0.0 and value.is_integer() for value in values)
+
+
+def _raise_first_bad_tally(tallies: Mapping[str, Sequence[int]], plan: _Schedule) -> None:
+    for label, *_ in plan.tests:
         if label not in tallies:
             raise ValueError(f"missing tally for setting pair {label}")
         counts = np.asarray(tallies[label], dtype=float)
         if counts.shape != (4,):
             raise ValueError(f"tally for {label} must have 4 entries")
-        if not (np.isfinite(counts).all() and counts.min() >= 0 and (counts % 1 == 0).all()):
+        if not _whole_counts(counts.tolist()):
             raise ValueError(f"tally for {label} must hold counts, got {counts.tolist()}")
         total = counts.sum()
         if total < MIN_SAMPLES_PER_PAIR:
@@ -291,10 +356,7 @@ def estimate_statistic(
                 f"need {MIN_SAMPLES_PER_PAIR}; increase rounds"
                 + (" or raise the test fraction" if plan.split else "")
             )
-        e_hat = (_OUTCOME_SIGNS[2] * counts).sum() / total
-        estimate += sign * e_hat
-        variance += (1.0 - e_hat**2) / total
-    return float(estimate), float(np.sqrt(variance))
+    raise AssertionError("the stacked tallies failed a check that no single pair fails")
 
 
 # The lead bytes of a key come in at most this many slices of at least
@@ -313,17 +375,21 @@ def _draw_indices(rng: np.random.Generator, weights: np.ndarray,
     weight comes up.  It reads 8 bits per draw plus 32 per tie: draw i's lead byte, byte i
     of the stream (Philox words read little-endian), is u's top byte and passes
     T_k = h_k * 2**24 + l_k above h_k, or at h_k if l_k = 0; at h_k with l_k > 0 it ties.
-    After all lead bytes, each tie in order takes the stream's next 32-bit value e and
-    counts the T_k <= (byte << 24) | (e >> 8).  One multinomial per class with two or more
-    positive cells then splits its tally in proportion to weights[c].
+    A zero-weight class repeats the threshold before it, so each distinct threshold is
+    compared once and counts as often as it repeats.  After all lead bytes, each tie in
+    order takes the stream's next 32-bit value e and counts the T_k <= (byte << 24) | (e >> 8).
+    A class with two positive cells (weights has at most two columns) then splits its
+    tally by one binomial draw, in class order: the stream of a two-category multinomial.
     """
-    cumulative = weights.sum(axis=1).cumsum()
-    scaled = np.ceil(cumulative[:-1] / cumulative[-1] * 2.0**32)
-    thresholds = scaled[scaled < 2.0**32].astype(np.uint32)
-    lead = [divmod(t, 2**24) for t in thresholds.tolist()]  # (h_k, l_k)
-    tie_bytes = sorted({h for h, low in lead if low})
+    *cumulative, total = weights.sum(axis=1).cumsum().tolist()
+    scaled = [math.ceil(t / total * 2.0**32) for t in cumulative]
+    thresholds = [t for t in scaled if t < 2**32]
+    # (h_k, l_k, how many k share it), in threshold order
+    lead = [(*top, len(list(same)))
+            for top, same in itertools.groupby(divmod(t, 2**24) for t in thresholds)]
+    tie_bytes = sorted({h for h, low, _ in lead if low})
     drawn = np.zeros(n, dtype=np.uint8)
-    exceed = [0] * scaled.size  # exceed[k]: draws whose class exceeds k
+    exceed = [0] * len(lead)  # exceed[g]: draws whose class passes distinct threshold g
     ties = []  # (positions, lead bytes) of the ties of each slice that has any
     step = max(_MIN_SLICE, -(-n // _MAX_SLICES))
     step += -step % 8  # whole words per slice, so the slices read the stream's bytes in order
@@ -332,12 +398,13 @@ def _draw_indices(rng: np.random.Generator, weights: np.ndarray,
         words = rng.bit_generator.random_raw(-(-size // 8))
         byte = words.astype("<u8", copy=False).view(np.uint8)[:size]
         index = drawn[start:start + size]
-        for k, (h, low) in enumerate(lead):
-            if not k or lead[k - 1] != (h, low):  # a zero-weight class repeats its threshold
-                past = byte > h if low else byte >= h
-                passed = np.count_nonzero(past)
-            index += past.view(np.uint8)
-            exceed[k] += passed
+        for g, (h, low, repeats) in enumerate(lead):
+            past = byte > h if low else byte >= h
+            exceed[g] += np.count_nonzero(past)
+            past = past.view(np.uint8)
+            if repeats > 1:
+                past *= repeats
+            index += past
         if tie_bytes:
             tied = byte == tie_bytes[0]
             for h in tie_bytes[1:]:
@@ -345,23 +412,26 @@ def _draw_indices(rng: np.random.Generator, weights: np.ndarray,
             where = np.flatnonzero(tied)
             if where.size:
                 ties.append((where + start, byte[where]))
-    bounds = [n, *exceed, 0]
+    passed = [count for count, (*_, repeats) in zip(exceed, lead) for _ in range(repeats)]
+    bounds = [n, *passed] + [0] * (len(weights) - len(passed))  # draws of class >= c, by c
     tallies = np.subtract(bounds[:-1], bounds[1:])
     if ties:
         where, tie_lead = (np.concatenate(part) for part in zip(*ties))
         extension = rng.bit_generator.random_raw(-(-where.size // 2))
         e = extension.astype("<u8", copy=False).view("<u4")[:where.size]
-        resolved = np.searchsorted(thresholds, tie_lead.astype(np.uint32) << 24 | e >> 8, "right")
+        resolved = np.searchsorted(np.array(thresholds, dtype=np.uint32),
+                                   tie_lead.astype(np.uint32) << 24 | e >> 8, "right")
         tallies += (np.bincount(resolved, minlength=tallies.size)
                     - np.bincount(drawn[where], minlength=tallies.size))
         drawn[where] = resolved
-    positive = weights > 0.0
-    split = tallies[:, None] * positive  # right for a class with at most one positive cell
-    several = positive.sum(axis=1) > 1
-    if several.any():  # one multinomial per such class, in class order
-        rows = weights[several]
-        split[several] = rng.multinomial(tallies[several], rows / rows.sum(axis=1, keepdims=True))
-    return drawn, split
+    split = []
+    for tally, row in zip(tallies.tolist(), weights.tolist()):
+        if len(row) == 2 and row[0] > 0.0 and row[1] > 0.0:
+            first = int(rng.binomial(tally, row[0] / (row[0] + row[1])))
+            split.append([first, tally - first])
+        else:  # at most one positive cell takes the whole tally
+            split.append([tally if w > 0.0 else 0 for w in row])
+    return drawn, np.array(split)
 
 
 def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
@@ -377,48 +447,41 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
     """
     plan = _SCHEDULES[cfg.protocol]
     state = effective_state(cfg.source_state, cfg.eve)
-    n_b = len(plan.bob)
-    n_pairs = len(plan.alice) * n_b
-    tested = [i * n_b + j for _, i, j, _ in plan.tests]
-    keyed = [i * n_b + j for _, i, j in plan.keys]
-    used = sorted(set(tested + keyed))
 
-    # The joint outcome table of every setting pair, read straight from
-    # (r_A, r_B, T).  Each mean is the vector product outcome_distribution
-    # takes: a matrix product can round it differently in the last bit.
-    r_a, r_b, t = state.bloch_a, state.bloch_b, state.correlations
-    probs = _physical(joint_probabilities(
-        [[r_a @ a] for a in plan.alice], [r_b @ b for b in plan.bob],
-        [[a @ t @ b for b in plan.bob] for a in plan.alice]))
+    # The joint outcome table of every setting pair, read straight from (r_A, r_B, T).
+    rows_a, columns_b = plan.rows_a, plan.columns_b
+    probs = _physical(joint_probabilities((rows_a @ state.bloch_a)[:, None],
+                                          state.bloch_b @ columns_b,
+                                          rows_a @ state.correlations @ columns_b))
     coin = [1.0 - cfg.test_fraction, cfg.test_fraction] if plan.split else [1.0]
     law = np.multiply.outer(coin, probs).ravel()
     # Parties fix each key basis's sign from the advertised source, not
     # from what Eve actually delivers.  Alice's bit is 1 for outcome -1,
     # Bob's for his sign-corrected outcome -1; outcome o (OUTCOMES order) of
-    # pair p has bit pair class 2a + b = o ^ flip[p].
-    flip = np.zeros(n_pairs, dtype=bool)
-    for _, i, j in plan.keys:
-        setting_a, setting_b = SpinSetting.alice(plan.alice[i]), SpinSetting.bob(plan.bob[j])
-        flip[i * n_b + j] = correlator(cfg.source_state, setting_a, setting_b) < 0.0
-    # Key rounds: the key side (0) of the test coin, by (class, key setting pair).
-    key_cells = 4 * np.array(keyed) + (np.arange(4)[:, None] ^ flip[keyed])
+    # pair p has bit pair class 2a + b = o ^ flip[p].  key_cells are the key
+    # codes by (class, key basis); books[p] reads a pair's rounds and wrong bits.
+    flips = tuple(correlator(cfg.source_state, *pair) < 0.0 for pair in plan.key_settings)
+    key_cells, books = plan.signing[flips]
 
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     counts = rng.multinomial(cfg.rounds, law / law.sum())
     drawn, counts[key_cells] = _draw_indices(rng, law[key_cells], int(counts[key_cells].sum()))
-    counts = counts.reshape(-1, n_pairs, 4)
-    tests, key_rounds = counts[-1], counts[0]
+    counts = counts.reshape(-1, len(books), 4)
+    tests = counts[-1]
 
-    rounds_used = {label: int(counts[:, i * n_b + j].sum()) for label, i, j, _ in plan.tests}
+    # (rounds, rounds whose bits differ) by (test coin side, setting pair), exact in ints
+    read = np.matmul(counts[:, :, None], books)[:, :, 0].tolist()
+    rounds_used = {label: sum(side[p][0] for side in read)
+                   for (label, *_), p in zip(plan.tests, plan.tested)}
     if plan.split:
-        rounds_used["test"] = int(tests[tested].sum())
-    rounds_used["key"] = int(key_rounds[keyed].sum())
-    rounds_used["discarded"] = cfg.rounds - int(counts[:, used].sum())
+        rounds_used["test"] = sum(read[-1][p][0] for p in plan.tested)
+    rounds_used["key"] = sum(read[0][p][0] for p in plan.keyed)
+    rounds_used["discarded"] = cfg.rounds - sum(side[p][0] for side in read for p in plan.used)
     if rounds_used["key"] == 0:
         raise ValueError("no rounds landed on the key settings; increase rounds"
                          + (" or lower the test fraction" if plan.split else ""))
     statistic, stderr = estimate_statistic(
-        {label: tests[i * n_b + j] for label, i, j, _ in plan.tests}, cfg.protocol
+        {label: tests[p] for (label, *_), p in zip(plan.tests, plan.tested)}, cfg.protocol
     )
 
     # Alice's bit is the class's high bit, Bob's its low bit; the error count reads their ASCII
@@ -429,10 +492,8 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
     codes_b |= ord("0")
 
     if plan.split:
-        # The bits differ on outcomes of product -1, unless the pair's sign is flipped.
-        wrong = (_OUTCOME_SIGNS[2] < 0.0) != flip[:, None]
-        n_test = {basis: int(tests[i * n_b + j].sum()) for basis, i, j in plan.keys}
-        n_err = {basis: int(tests[i * n_b + j] @ wrong[i * n_b + j]) for basis, i, j in plan.keys}
+        n_test, n_err = ({basis: read[-1][p][column]
+                          for (basis, *_), p in zip(plan.keys, plan.keyed)} for column in (0, 1))
         qber_by_basis = {basis: n_err[basis] / n_test[basis] for basis in n_test}
         error_rate = sum(n_err.values()) / sum(n_test.values())
     else:

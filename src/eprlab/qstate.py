@@ -17,8 +17,14 @@ Conventions
   written once, in joint_probabilities, in OUTCOMES order; one rule,
   _physical, reads it as 0.0 within ATOL_PSD of zero and raises below PROJECTOR_FLOOR.
 - Every state the package builds itself (product mixtures, Werner states,
-  channel images) is assembled once, from (r_A, r_B, T), in
-  state_from_bloch, and then passes every TwoQubitState check.
+  Eve's intercept-resend images) is assembled once, from (r_A, r_B, T).
+  Werner states go through state_from_bloch and pass every TwoQubitState
+  check.  Product mixtures and intercept-resend images go through
+  _unchecked_state_from_bloch, which skips the finite, Hermitian, trace and
+  eigenvalue checks: a mixture of a ProductEnsemble's validated product
+  terms is a state, and a mixture of unitary conjugations keeps every check
+  its source passed.  Checking again would read only the assembly's
+  rounding, which at the eigenvalue floor refused such an image.
 - BELL_CORRELATORS, the Bell states' same-axis correlators (c_x, c_y, c_z),
   is the one table of Bell-state data; the amplitudes are read off it:
   (|++> + c_x |-->)/sqrt 2 if c_z = +1, else (|+-> + c_x |-+>)/sqrt 2.
@@ -112,7 +118,7 @@ class TwoQubitState:
     """Density matrix on two qubits: Hermitian, unit trace, positive semidefinite.
 
     The read-only arrays bloch_a, bloch_b and correlations hold r_A, r_B and
-    T, computed once from the validated matrix.
+    T, read once off the matrix after it is validated.
     """
 
     def __init__(self, matrix: Sequence[Sequence[complex]]) -> None:
@@ -131,6 +137,10 @@ class TwoQubitState:
         eigmin = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
         if eigmin < -ATOL_PSD:
             raise ValueError(f"density matrix has negative eigenvalue {eigmin:.3e}")
+        self._read_pauli(m)
+
+    def _read_pauli(self, m: Array) -> None:
+        """Keep a copy of m and read r_A, r_B and T off it."""
         self.matrix = _read_only(m.copy())
         pauli = (_PAULI_PRODUCTS @ m.ravel()).reshape(4, 4)
         imaginary = np.abs(pauli.imag).max()
@@ -250,19 +260,39 @@ def density_from_pure(state: PureState) -> TwoQubitState:
     return TwoQubitState(np.outer(amp, amp.conj()))
 
 
+def _bloch_matrix(bloch_a, bloch_b, correlations) -> Array:
+    """(I + r_A.sigma (x) I + I (x) r_B.sigma + sum_ij T_ij sigma_i (x) sigma_j)/4, unchecked."""
+    table = np.ones((4, 4))  # Pauli coefficients [[1, r_B], [r_A, T]]
+    table[0, 1:], table[1:, 0], table[1:, 1:] = bloch_b, bloch_a, correlations
+    return (table.ravel() @ _PAULI_PRODUCTS).reshape(4, 4).T / 4.0
+
+
 def state_from_bloch(bloch_a: Sequence[float], bloch_b: Sequence[float],
                      correlations: Sequence[Sequence[float]]) -> TwoQubitState:
     """State (I + r_A.sigma (x) I + I (x) r_B.sigma + sum_ij T_ij sigma_i (x) sigma_j)/4."""
-    table = np.ones((4, 4))  # Pauli coefficients [[1, r_B], [r_A, T]]
-    table[0, 1:], table[1:, 0], table[1:, 1:] = bloch_b, bloch_a, correlations
-    return TwoQubitState((table.ravel() @ _PAULI_PRODUCTS).reshape(4, 4).T / 4.0)
+    return TwoQubitState(_bloch_matrix(bloch_a, bloch_b, correlations))
+
+
+def _unchecked_state_from_bloch(bloch_a: Array, bloch_b: Array,
+                                correlations: Array) -> TwoQubitState:
+    """state_from_bloch without the finite, Hermitian, trace and eigenvalue checks.
+
+    Only for (r_A, r_B, T) that are a state by construction: a mixture of a
+    ProductEnsemble's validated product terms, or the image of a
+    TwoQubitState under a mixture of unitary conjugations (Eve's
+    intercept-resend dephasing of Bob's qubit), which cannot lower the least
+    eigenvalue.  The imaginary-part alarm stays.
+    """
+    state = TwoQubitState.__new__(TwoQubitState)
+    state._read_pauli(_bloch_matrix(bloch_a, bloch_b, correlations))
+    return state
 
 
 def product_mixture(ensemble: ProductEnsemble) -> TwoQubitState:
     """Mixture of product states: r_A = sum_k w_k r_A,k, r_B likewise, T = sum_k w_k r_A,k r_B,k^T."""
     weights, blochs_a, blochs_b = ensemble.weights, ensemble.blochs_a, ensemble.blochs_b
-    return state_from_bloch(weights @ blochs_a, weights @ blochs_b,
-                            np.einsum("k,ki,kj->ij", weights, blochs_a, blochs_b))
+    return _unchecked_state_from_bloch(weights @ blochs_a, weights @ blochs_b,
+                                       np.einsum("k,ki,kj->ij", weights, blochs_a, blochs_b))
 
 
 def werner_state(w: float) -> TwoQubitState:

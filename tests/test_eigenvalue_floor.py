@@ -5,6 +5,8 @@ least the least eigenvalue, so every probability and Bell fidelity reads at
 least PROJECTOR_FLOOR (-ATOL_PSD less a rounding allowance), and each alarm
 derives its threshold from that: _physical at probability scale, ks_verdict
 at 4 f, BellFidelities at f, and the Tsirelson guard at rho's trace norm.
+Eve's image of such a state is not checked again; it keeps the source's floor
+less rounding, so the key simulation runs under every eavesdropper.
 """
 
 import contextlib
@@ -19,12 +21,21 @@ from hypothesis import assume, given, settings, strategies as st
 
 from eprlab import cli, witnesses
 from eprlab.hidden_variables import chsh_panel, fine_local_model, quad_from_state
-from eprlab.protocol import Protocol, ProtocolConfig, run_protocol
+from eprlab.protocol import (
+    InterceptResend,
+    NoEve,
+    Protocol,
+    ProtocolConfig,
+    SeparableSubstitution,
+    effective_state,
+    run_protocol,
+)
 from eprlab.qstate import (
     _BELL_AMPLITUDES,
     ATOL_CONSTRUCT,
     ATOL_PSD,
     PROJECTOR_FLOOR,
+    ProductEnsemble,
     SpinSetting,
     TwoQubitState,
     X_AXIS,
@@ -48,12 +59,34 @@ _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 ALIGNED_BASES = {"zz": np.eye(4), "xx": np.kron(_HADAMARD, _HADAMARD), "bell": _BELL_AMPLITUDES.T}
 
 
+# Every eavesdropper model: intercept-resend along x, z, a coin between them and a tilted
+# direction, and a separable substitute.
+EVES = {
+    "none": NoEve(),
+    "x": InterceptResend("x"),
+    "z": InterceptResend("z"),
+    "xz": InterceptResend("xz"),
+    "tilted": InterceptResend((0.6, 0.0, 0.8)),
+    "substitution": SeparableSubstitution(
+        ProductEnsemble([(0.6, (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)),
+                         (0.4, (0.6, 0.0, 0.8), (-1.0, 0.0, 0.0))])),
+}
+
+
 def state_with_spectrum(eigenvalues, eigenvectors) -> TwoQubitState:
     return TwoQubitState((eigenvectors * eigenvalues) @ eigenvectors.conj().T)
 
 
+def least_eigenvalue(state: TwoQubitState) -> float:
+    """The least eigenvalue of the matrix's Hermitian part, which every expectation reads."""
+    m = state.matrix
+    return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
+
+
 def run_chain(state: TwoQubitState) -> None:
-    """Every verdict, the Fine chain and both protocol flavours; none may raise."""
+    """Every verdict, the Fine chain and both protocol flavours under every eavesdropper;
+    none may raise.  Eve's image is a separable state or a mixture of unitary conjugations
+    of the source, so its least eigenvalue is at least the source's, less rounding."""
     ekert_verdict(state)
     bbm_verdict(state)
     fidelity_identities_check(state)
@@ -66,8 +99,11 @@ def run_chain(state: TwoQubitState) -> None:
     quad = quad_from_state(state, default_ekert_settings())
     chsh_panel(quad)
     fine_local_model(quad)
-    for flavour in Protocol:
-        run_protocol(ProtocolConfig(protocol=flavour, rounds=2_000, seed=3, source_state=state))
+    for eve in EVES.values():
+        assert least_eigenvalue(effective_state(state, eve)) >= least_eigenvalue(state) - 1e-14
+        for flavour in Protocol:
+            run_protocol(ProtocolConfig(protocol=flavour, rounds=2_000, seed=3, source_state=state,
+                                        eve=eve))
 
 
 class TestStatesAtTheFloor:
@@ -89,6 +125,12 @@ class TestStatesAtTheFloor:
         assert bell_fidelities(state).psi_minus == pytest.approx(-e, abs=1e-15)
         assert ks_verdict(state, KSCase.CASE_II).statistic == pytest.approx(-4 * e, abs=1e-15)
         run_chain(state)
+
+    def test_intercept_image_of_a_diagonal_state_at_the_floor_runs_end_to_end(self):
+        """Rebuilt through the constructor, Eve's z or xz image read its least eigenvalue as
+        -1.000e-10, past the floor by rounding, and both flavours raised 'negative eigenvalue'."""
+        e = ATOL_PSD
+        run_chain(TwoQubitState(np.diag([1.0 + 3.0 * e, -e, -e, -e])))
 
     @pytest.mark.parametrize("basis", ALIGNED_BASES)
     @pytest.mark.parametrize("top", [1, 2], ids=["rank-one", "rank-two"])

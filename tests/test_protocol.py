@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 import reference_sampler
+from test_eigenvalue_floor import floor_states
 from eprlab import protocol
 from eprlab.protocol import (
     InterceptResend,
@@ -37,6 +38,7 @@ from eprlab.qstate import (
     BellLabel,
     ProductEnsemble,
     SpinSetting,
+    TwoQubitState,
     X_AXIS,
     Y_AXIS,
     Z_AXIS,
@@ -234,21 +236,51 @@ class TestEstimator:
         weights = sum(sign * np.outer(plan.alice[i], plan.bob[j]) for _, i, j, sign in plan.tests)
         assert np.array_equal(weights, functional)
 
+    # One way to spoil a tally per fault, and the message it gets for pair {label}.
+    COUNTS = "tally for {label} must hold counts, got "
+    FAULTS = {
+        "missing": (None, "missing tally for setting pair {label}"),
+        "shape": ((40, 0, 0), "tally for {label} must have 4 entries"),
+        "negative": ((40, -1, 0, 0), COUNTS + "[40.0, -1.0, 0.0, 0.0]"),
+        "nan": ((40, np.nan, 0, 0), COUNTS + "[40.0, nan, 0.0, 0.0]"),
+        "fractional": ((40, 0.5, 0, 0), COUNTS + "[40.0, 0.5, 0.0, 0.0]"),
+        "starved": ((20, 0, 0, 9), "setting pair {label} has 29 samples, need 30; increase rounds"),
+    }
+
+    @pytest.mark.parametrize("later", sorted(FAULTS))
+    @pytest.mark.parametrize("first", sorted(FAULTS))
+    def test_first_bad_pair_in_schedule_order_is_named(self, first, later):
+        """With two pairs spoiled, whatever the faults, the error is the first pair's."""
+        tests = protocol._SCHEDULES[Protocol.E91].tests
+        for i, j in ((0, 1), (1, 3), (0, 3), (2, 3)):
+            tallies = {label: (40, 0, 0, 0) for label, *_ in tests}
+            for k, fault in ((i, first), (j, later)):
+                spoiled = self.FAULTS[fault][0]
+                if spoiled is None:
+                    del tallies[tests[k][0]]
+                else:
+                    tallies[tests[k][0]] = spoiled
+            message = self.FAULTS[first][1].format(label=tests[i][0])
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                estimate_statistic(tallies, Protocol.E91)
+
     def test_minimum_is_thirty(self):
         assert MIN_SAMPLES_PER_PAIR == 30
 
     @pytest.mark.parametrize("flavour, message", [
-        (Protocol.E91, "setting pair a1:b1 has 29 samples, need 30; increase rounds"),
-        (Protocol.BBM92, "setting pair x:x has 29 samples, need 30; increase rounds or raise "
-                         "the test fraction"),
+        (Protocol.E91, "setting pair {label} has 29 samples, need 30; increase rounds"),
+        (Protocol.BBM92, "setting pair {label} has 29 samples, need 30; increase rounds or "
+                         "raise the test fraction"),
     ])
     def test_thirty_samples_pass_and_twenty_nine_raise(self, flavour, message):
-        """The sample floor is inclusive: 30 per pair is enough, 29 in one pair is not."""
+        """The sample floor is inclusive: 30 per pair is enough, 29 in any one pair is not,
+        and the pairs before it, at exactly 30, are not the ones named."""
         tests = protocol._SCHEDULES[flavour].tests
         tallies = {label: (15, 0, 0, 15) for label, *_ in tests}
         assert estimate_statistic(tallies, flavour) == (sum(sign for *_, sign in tests), 0.0)
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            estimate_statistic({**tallies, tests[0][0]: (15, 0, 0, 14)}, flavour)
+        for label, *_ in tests:
+            with pytest.raises(ValueError, match=f"^{re.escape(message.format(label=label))}$"):
+                estimate_statistic({**tallies, label: (15, 0, 0, 14)}, flavour)
 
 
 class TestQber:
@@ -502,6 +534,22 @@ def test_mixed_source_report_digest_is_pinned(flavour):
 
 
 
+@pytest.mark.parametrize("flavour", list(Protocol), ids=lambda p: p.value)
+def test_schedule_products_round_as_the_per_setting_loops(flavour):
+    """run_protocol reads every mean off three products with the schedule's setting matrices;
+    on random (r_A, r_B, T) each is the per-setting vector product to the last bit, the
+    reference sampler's loops.  Bob's settings must be the columns of a C-ordered matrix:
+    as rows, r_B's products round differently on about 60% of E91's draws."""
+    plan = protocol._SCHEDULES[flavour]
+    rng = np.random.default_rng(2024)
+    for _ in range(2_000):
+        r_a, r_b, t = rng.normal(size=3), rng.normal(size=3), rng.normal(size=(3, 3))
+        assert (plan.rows_a @ r_a).tolist() == [r_a @ a for a in plan.alice]
+        assert (r_b @ plan.columns_b).tolist() == [r_b @ b for b in plan.bob]
+        assert ((plan.rows_a @ t @ plan.columns_b).tolist()
+                == [[a @ t @ b for b in plan.bob] for a in plan.alice])
+
+
 def threshold_oracle(weights: np.ndarray, u32: np.ndarray) -> np.ndarray:
     """Each value's class: how many float thresholds of the class weights u32 * 2**-32 reaches.
 
@@ -570,6 +618,30 @@ def test_draw_indices_read_a_lead_byte_each_and_32_bits_per_tie(weights, n, key,
     assert tallies.shape == weights.shape
     np.testing.assert_array_equal(tallies.sum(axis=1), np.bincount(drawn, minlength=len(weights)))
     assert not tallies[weights == 0].any()
+
+
+CELL_WEIGHTS = st.sampled_from([0.0, 1e-12, 0.3, 1.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(CELL_WEIGHTS, CELL_WEIGHTS), min_size=2, max_size=8)
+       .filter(lambda rows: sum(map(sum, rows)) > 0.0),
+       n=st.integers(1, 3 * SLICE), key=st.integers(0, 2**64 - 1))
+def test_each_two_cell_class_splits_as_the_two_category_multinomial(rows, n, key):
+    """A class with two positive cells splits its tally by one binomial draw, in class order,
+    which reads the stream NumPy's two-category multinomial reads, so the split is the
+    multinomial's bit for bit; a class with at most one positive cell draws nothing."""
+    weights = np.array(rows)
+    _, split = protocol._draw_indices(np.random.Generator(np.random.Philox(key=key)), weights, n)
+    replay = np.random.Philox(key=key)
+    tallies = np.bincount(lead_byte_oracle(weights, replay, n), minlength=len(weights))
+    expected = tallies[:, None] * (weights > 0.0)
+    several = (weights > 0.0).all(axis=1)
+    if several.any():
+        pairs = weights[several]
+        expected[several] = np.random.Generator(replay).multinomial(
+            tallies[several], pairs / pairs.sum(axis=1, keepdims=True))
+    np.testing.assert_array_equal(split, expected)
 
 
 @pytest.mark.parametrize("max_slices, min_slice", [(1, 8), (64, 4096), (5, 8)])
@@ -789,6 +861,15 @@ def recording_tallies(seen):
     return recording
 
 
+def recording_generator(laws):
+    """np.random.Generator whose multinomial first appends a copy of its probabilities to laws."""
+    class Recording(np.random.Generator):
+        def multinomial(self, n, pvals, size=None):
+            laws.append(np.array(pvals, dtype=float))
+            return super().multinomial(n, pvals, size)
+    return Recording
+
+
 def category_law(cfg: ProtocolConfig) -> np.ndarray:
     """Exact probability of each category: test tallies, key rounds by bit pair (ab) and
     then key basis, discarded."""
@@ -892,6 +973,18 @@ def test_adjacent_key_bit_pairs_are_independent(protocol_name, eve):
     assert order.pvalue >= SIGNIFICANCE, (table, order)
 
 
+@st.composite
+def ginibre_states(draw):
+    """A random full-rank state G G^dagger / tr(G G^dagger), G a complex Gaussian 4x4."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(4, 4)) + 1.0j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    return TwoQubitState(rho / np.trace(rho).real)
+
+
+SOURCES = st.one_of(st.builds(singlet), ginibre_states(), floor_states())
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     protocol_name=st.sampled_from([p.value for p in Protocol]),
@@ -899,27 +992,35 @@ def test_adjacent_key_bit_pairs_are_independent(protocol_name, eve):
     rounds=st.integers(MIN_ROUNDS, 20_000),
     seed=st.integers(0, 2**64 - 1),
     test_fraction=st.floats(0.05, 0.95),
+    source=SOURCES,
 )
 def test_key_draw_keeps_every_tally_of_the_shuffle_sampler(protocol_name, eve, rounds, seed,
-                                                           test_fraction):
+                                                           test_fraction, source):
     """Only the keys, E91's qber and how BBM92's key splits into x and z may move.
 
     Both samplers share the multinomial draw, so the test tallies, the
     statistic, the test sample's error rates, the key length and any
-    starvation error are the same, bit for bit.
+    starvation error are the same, bit for bit.  The sources are the
+    singlet, random full-rank states and states at the eigenvalue floor, so
+    the law read from three matrix products meets the per-setting loops of
+    the reference on general (r_A, r_B, T) and on every key-sign pattern.
     """
     cfg = ProtocolConfig(protocol=Protocol(protocol_name), rounds=rounds, eve=GOLDEN_EVES[eve],
-                         test_fraction=test_fraction, seed=seed)
+                         test_fraction=test_fraction, seed=seed, source_state=source)
     runs = []
     for sampler in (run_protocol, reference_sampler.run_protocol):
-        seen = []
-        with mock.patch.object(protocol, "estimate_statistic", recording_tallies(seen)):
+        seen, laws = [], []
+        with mock.patch.object(protocol, "estimate_statistic", recording_tallies(seen)), \
+                mock.patch.object(np.random, "Generator", recording_generator(laws)):
             try:
                 outcome = sampler(cfg)
             except ValueError as exc:
                 outcome = str(exc)
-        runs.append(([{k: v.tolist() for k, v in tally.items()} for tally in seen], outcome))
-    (tallies, ours), (reference_tallies, reference) = runs
+        law = laws[0]  # the first multinomial draws the rounds
+        runs.append((law.tobytes(), [{k: v.tolist() for k, v in tally.items()} for tally in seen],
+                     outcome))
+    (law, tallies, ours), (reference_law, reference_tallies, reference) = runs
+    assert law == reference_law  # a last-bit change rarely moves a tally, so the law is compared
     assert tallies == reference_tallies
     if isinstance(reference, str):
         assert ours == reference
