@@ -11,7 +11,8 @@ Three classical constructions live here:
   correlator quad and marginals exists exactly when the eight CHSH
   combinations stay at or below 2 and all 16 joint probabilities
   (1 + a m_x + b m_y + ab c_xy)/4 are nonnegative (Fine's theorem);
-  existence is decided by a linear-programming feasibility check.
+  that closed-form panel decides existence, and a linear program only
+  builds the mixture for a quad the panel passes.
 - Product (separable) states.  A product mixture has correlation matrix
   T = sum_k w_k r_A,k r_B,k^T, so a witness offset + <W, T> is at most
   offset + sigma_max(W) on it, attained at the top singular vectors of W
@@ -53,7 +54,7 @@ from .witnesses import (
     ekert_functional,
     ekert_statistic,
 )
-from .simplex import INFEASIBLE, OPTIMAL, solve_lp
+from .simplex import OPTIMAL, solve_lp
 
 SINGLE_KEYS = ("ax", "ay", "az", "bx", "by", "bz")
 PRODUCT_KEYS = ("xx", "yy", "xy", "yx", "zz")
@@ -156,15 +157,17 @@ def quad_from_state(state: TwoQubitState, settings: EkertSettings) -> Correlator
 class ChshPanel:
     """The eight CHSH combinations of a correlator quad, and its least joint probability.
 
-    max_value and passes, the CHSH test alone, are derived from the values;
-    fine_passes adds positivity of the 16 joint probabilities, which with it
-    decides whether a local model exists.
+    max_value, passes (the CHSH test alone) and gauge = max(max_value / 2, 1 - 4
+    min_joint_probability), the quad's gauge in the local polytope, are derived.  A local
+    model exists exactly when the gauge is at most 1 (Fine's theorem); fine_passes reads
+    it within LP_FEAS_TOL / 2, and its CHSH half is passes.
     """
 
     values: tuple[float, ...]
     max_value: float = field(init=False)
     passes: bool = field(init=False)
     min_joint_probability: float
+    gauge: float = field(init=False)
 
     def __post_init__(self) -> None:
         if len(self.values) != 8:
@@ -174,10 +177,12 @@ class ChshPanel:
         object.__setattr__(self, "min_joint_probability", float(self.min_joint_probability))
         object.__setattr__(self, "max_value", max(self.values))
         object.__setattr__(self, "passes", self.max_value <= CHSH_BOUND + LP_FEAS_TOL)
+        object.__setattr__(self, "gauge", max(self.max_value / CHSH_BOUND,
+                                              1.0 - 4.0 * self.min_joint_probability))
 
     @property
     def fine_passes(self) -> bool:
-        return self.passes and self.min_joint_probability >= -LP_FEAS_TOL
+        return self.gauge <= 1.0 + LP_FEAS_TOL / 2.0
 
 
 def chsh_panel(quad: CorrelatorQuad) -> ChshPanel:
@@ -221,23 +226,25 @@ class LocalModel:
 def fine_local_model(quad: CorrelatorQuad) -> Optional[LocalModel]:
     """Find a strategy mixture reproducing the quad, or None if none exists.
 
-    Feasibility is decided by a two-phase simplex over weights w_s >= 0
-    matching the normalization, the four correlators, and the four
-    marginals.  Among feasible mixtures the one maximizing the minimum
-    weight is returned (substituting w_s = v_s + t makes that a linear
-    objective), which pins a canonical, deterministic representative;
-    the all-zero quad yields exactly the uniform mixture.
+    The panel decides, with no LP solved: None exactly when chsh_panel(quad).fine_passes
+    is false.  Otherwise a two-phase simplex finds weights w_s >= 0 matching the
+    normalization, correlators and marginals of quad / max(gauge, 1), which is in the local
+    polytope (quad itself at gauge <= 1).  The one maximizing the minimum weight is returned
+    (w_s = v_s + t makes that linear), a canonical, deterministic representative; the
+    all-zero quad yields exactly the uniform mixture.
     """
+    panel = chsh_panel(quad)
+    if not panel.fine_passes:
+        return None
     rhs = np.array([1.0, *quad.correlators(), *quad.marginals()])
+    rhs[1:] /= max(panel.gauge, 1.0)
     cost = np.zeros(17)
     cost[16] = -1.0  # maximize the minimum weight t
     result = solve_lp(cost, _FINE_A_EQ, rhs)
-    if result.status == INFEASIBLE:
-        return None
     if result.status != OPTIMAL:
         raise RuntimeError(f"unexpected solver status {result.status!r}")
-    v, t = result.x[:16], result.x[16]
-    model = LocalModel(weights=tuple(float(x) for x in np.clip(v + t, 0.0, None)))
+    v, t = result.x[:16], result.x[16]  # solve_lp's point is nonnegative, so v + t is too
+    model = LocalModel(weights=tuple((v + t).tolist()))
     if not model.reproduces(quad):
         raise RuntimeError("local model fails to reproduce its target quad")
     return model

@@ -262,6 +262,16 @@ class TestFineCommand:
         assert doc["finePasses"] is False
         assert doc["feasible"] is False
 
+    @pytest.mark.parametrize("m_a1, local", [("-1.5e-8", False), ("-3e-9", True)])
+    def test_fine_passes_and_feasible_are_one_verdict(self, capsys, m_a1, local):
+        """A least joint probability of m_a1 / 4 puts the gauge at 1 - m_a1, outside the band
+        1 + 5e-9 at -1.5e-8 (the panel once passed it while the LP found no model) and
+        inside it at -3e-9."""
+        code, out, _ = run_cli(capsys, "fine", "-1", "0", "0", "0",
+                               "--marginals", m_a1, "0", "0", "0")
+        doc = json.loads(out)
+        assert (code, doc["finePasses"], doc["feasible"]) == (0, local, local)
+
     def test_out_of_range_correlator(self, capsys):
         code, _, err = run_cli(capsys, "fine", "1.5", "0", "0", "0")
         assert code == 2

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -40,7 +41,11 @@ from eprlab.qstate import (
     density_from_pure,
     phase_epr_state,
 )
+from eprlab.simplex import INFEASIBLE, OPTIMAL, solve_lp
 from eprlab.witnesses import EkertSettings, KSCase, default_ekert_settings
+
+# The one band in the local polytope's gauge that fine_passes and fine_local_model read.
+GAUGE_BAND = 1.0 + hidden_variables.LP_FEAS_TOL / 2.0
 
 
 def random_bloch(rng: np.random.Generator) -> tuple[float, float, float]:
@@ -48,6 +53,21 @@ def random_bloch(rng: np.random.Generator) -> tuple[float, float, float]:
     v = rng.normal(size=3)
     v /= np.linalg.norm(v)
     return tuple(v * rng.random() ** (1.0 / 3.0))
+
+
+def fine_system(values):
+    """Fine's LP for a quad (four correlators, four marginals), as fine_local_model poses it
+    for a quad the panel passes: maximize the least strategy weight."""
+    cost = np.zeros(17)
+    cost[16] = -1.0
+    return cost, hidden_variables._FINE_A_EQ, np.array([1.0, *values])
+
+
+def lp_finds_model(quad: CorrelatorQuad) -> bool:
+    """The phase-one verdict of Fine's LP on the quad itself, a search apart from the panel."""
+    status = solve_lp(*fine_system(quad.correlators() + quad.marginals())).status
+    assert status in (OPTIMAL, INFEASIBLE)
+    return status == OPTIMAL
 
 
 def random_ensemble(rng: np.random.Generator) -> ProductEnsemble:
@@ -200,14 +220,27 @@ class TestChshPanel:
         assert panel.max_value == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-12)
         assert not panel.passes
 
-    def test_fine_pass_slack_is_lp_feas_tol(self):
-        """A least joint probability of -LP_FEAS_TOL or one step above it passes; one
-        step below fails."""
-        slack = -hidden_variables.LP_FEAS_TOL
-        for p, passes in ((np.nextafter(slack, 0.0), True), (slack, True),
-                          (np.nextafter(slack, -1.0), False)):
-            panel = ChshPanel(values=(0.0,) * 8, min_joint_probability=float(p))
-            assert panel.fine_passes is passes, p
+    @pytest.mark.parametrize("family", ["chsh", "positivity"])
+    def test_fine_pass_slack_is_lp_feas_tol(self, family):
+        """Both facet families pass a gauge of 1 + LP_FEAS_TOL / 2 and fail the next float up:
+        a CHSH value of twice the gauge, or a least joint probability of (1 - gauge) / 4, whose
+        gauge 1 - 4 p is the gauge exactly.  On the CHSH side the verdict is passes."""
+        def panel(gauge):
+            if family == "chsh":
+                return ChshPanel(values=(0.0,) * 7 + (2.0 * gauge,), min_joint_probability=0.25)
+            return ChshPanel(values=(0.0,) * 8, min_joint_probability=(1.0 - gauge) / 4.0)
+
+        last = panel(GAUGE_BAND)
+        first = panel(math.nextafter(GAUGE_BAND, 2.0))
+        assert (last.gauge, first.gauge) == (GAUGE_BAND, math.nextafter(GAUGE_BAND, 2.0))
+        assert (last.fine_passes, first.fine_passes) == (True, False)
+        if family == "chsh":
+            assert (last.passes, first.passes) == (True, False)
+        else:
+            # The positivity band is about -1.25e-9 in p; -LP_FEAS_TOL (its old edge) fails.
+            assert -1.26e-9 < last.min_joint_probability < -1.24e-9
+            assert not ChshPanel(values=(0.0,) * 8,
+                                 min_joint_probability=-hidden_variables.LP_FEAS_TOL).fine_passes
 
     def test_numpy_floats_give_python_floats_and_bools(self):
         """NumPy inputs are stored as Python floats, so the verdicts are bools and every
@@ -287,12 +320,24 @@ class TestFineLocalModel:
 
     @pytest.mark.parametrize("sign", [-1.0, 1.0])
     def test_quad_within_feasibility_slack_of_a_facet_gets_a_model(self, sign):
-        """Its least joint probability is -3e-12; the LP's weights sum to 1 + 1.8e-11, and the
-        prediction, clipped to [-1, 1], still builds (it raised 'c13 outside [-1, 1]')."""
+        """Its least joint probability is -3e-12, inside the band, so it gets a model.  The
+        weights an LP once found for it sum to 1 + 1.8e-11 and predict c13 = sign * (1 + 6e-12);
+        the prediction, clipped to [-1, 1], still builds (it raised 'c13 outside [-1, 1]')."""
         quad = CorrelatorQuad(0.0, sign, 0.0, 0.0, 0.0, 0.0, 0.0, -sign * 1.225131492874702e-11)
         model = fine_local_model(quad)
-        assert model is not None and sum(model.weights) > 1.0 + 1e-12
-        assert model.predicted_quad().c13 == sign
+        assert model is not None and model.reproduces(quad)
+        recorded = {  # strategy index: weight
+            -1.0: {1: 0.25000000000306283, 6: 6.125655538369301e-12, 7: 0.2500000000000001,
+                   10: 0.25000000000612566, 12: 0.25000000000306283},
+            1.0: {0: 0.25000000000306283, 6: 0.25000000000000006, 7: 6.125655538369301e-12,
+                  11: 0.25000000000612566, 13: 0.25000000000306283},
+        }[sign]
+        weights = np.zeros(16)
+        weights[list(recorded)] = list(recorded.values())
+        clipped = LocalModel(weights=tuple(weights.tolist()))
+        assert sum(clipped.weights) > 1.0 + 1e-12
+        assert abs(float(weights @ hidden_variables._FEATURES[:, 1])) > 1.0
+        assert clipped.predicted_quad().c13 == sign and clipped.reproduces(quad)
 
     def test_singlet_xz_quad_feasible(self):
         model = fine_local_model(CorrelatorQuad(-1.0, 0.0, 0.0, -1.0))
@@ -331,12 +376,16 @@ class TestFineLocalModel:
             assert model.reproduces(target)
 
     def test_feasibility_matches_panel_on_random_quads(self):
-        """With zero marginals, the LP agrees with the eight-inequality panel."""
+        """With zero marginals, a model exists exactly when the eight-inequality panel passes,
+        and the LP's own phase one on the quad agrees away from the facets."""
         rng = np.random.default_rng(73)
         for _ in range(200):
             quad = CorrelatorQuad(*(rng.uniform(-1.0, 1.0, size=4)))
+            panel = chsh_panel(quad)
             feasible = fine_local_model(quad) is not None
-            assert feasible == chsh_panel(quad).passes
+            assert feasible == panel.passes
+            if abs(panel.gauge - 1.0) > 1e-6:
+                assert lp_finds_model(quad) == feasible
 
 
 # Multiples of 1/16 in [-1, 1]: every CHSH value and joint probability is exact.
@@ -346,9 +395,11 @@ sixteenths = st.integers(min_value=-16, max_value=16).map(lambda k: k / 16.0)
 @settings(max_examples=300, deadline=None)
 @given(values=st.lists(sixteenths, min_size=8, max_size=8))
 def test_fine_panel_decides_local_model_existence(values):
-    """Fine's theorem: CHSH plus positivity holds exactly when the LP finds a model."""
+    """Fine's theorem: CHSH plus positivity holds exactly when the LP, posed on the quad
+    itself, finds a model; fine_local_model follows the panel."""
     quad = CorrelatorQuad(*values)
-    assert chsh_panel(quad).fine_passes == (fine_local_model(quad) is not None)
+    passes = chsh_panel(quad).fine_passes
+    assert passes == lp_finds_model(quad) == (fine_local_model(quad) is not None)
 
 
 quads = st.one_of(st.lists(sixteenths, min_size=8, max_size=8),
@@ -360,17 +411,63 @@ quads = st.one_of(st.lists(sixteenths, min_size=8, max_size=8),
 def test_fine_optimum_is_the_gauge(values):
     """Fine's LP maximizes the least strategy weight t*; with the local polytope's gauge
     g = max(max CHSH / 2, 1 - 4 p_min), a model exists exactly when g <= 1, and then
-    t* = (1 - g) / 16.  Off the grid, gauges within the LP's feasibility slack of 1 are
-    left out."""
+    t* = (1 - g) / 16.  Both the LP posed on the quad and fine_local_model say so.  Off
+    the grid, gauges within 1e-6 of 1 are left out."""
     quad = CorrelatorQuad(*values)
     panel = chsh_panel(quad)
     gauge = max(panel.max_value / 2.0, 1.0 - 4.0 * panel.min_joint_probability)
+    assert panel.gauge == gauge
     model = fine_local_model(quad)
     if any(v * 16 != round(v * 16) for v in values):
         assume(abs(gauge - 1.0) > 1e-6)
-    assert (model is None) == (gauge > 1.0)
+    assert (model is None) == (gauge > 1.0) == (not lp_finds_model(quad))
     if model is not None:
         assert abs(min(model.weights) - (1.0 - gauge) / 16.0) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=quads)
+def test_no_lp_is_solved_when_the_panel_fails(values):
+    """fine_local_model returns None exactly when the panel fails, and solves its LP only
+    when the panel passes."""
+    quad = CorrelatorQuad(*values)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_lp(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hidden_variables, "solve_lp", counted)
+        model = fine_local_model(quad)
+    passes = chsh_panel(quad).fine_passes
+    assert (model is not None, len(calls)) == (passes, int(passes))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixture=st.dictionaries(st.integers(0, 15), st.floats(0.01, 1.0), min_size=1, max_size=5),
+       gauge=st.floats(1.0, GAUGE_BAND, exclude_min=True))
+def test_quad_in_the_gauge_band_gets_a_model_of_itself(mixture, gauge):
+    """A local quad (a mixture of a few strategies) scaled out to a gauge in (1, 1 +
+    LP_FEAS_TOL / 2] lies outside the local polytope but inside the band: the model is built
+    for quad / gauge, to rounding, and reproduces the quad.  The LP posed on the quad itself
+    often finds no model."""
+    weights = np.zeros(16)
+    weights[list(mixture)] = list(mixture.values())
+    local = LocalModel(weights=tuple(weights / weights.sum())).predicted_quad()
+    local_gauge = chsh_panel(local).gauge
+    assume(local_gauge > 0.0)
+    scaled = np.array(local.correlators() + local.marginals()) * (gauge / local_gauge)
+    assume(np.abs(scaled).max() <= 1.0)
+    quad = CorrelatorQuad(*scaled.tolist())
+    panel = chsh_panel(quad)
+    assume(1.0 < panel.gauge <= GAUGE_BAND)
+    model = fine_local_model(quad)
+    assert model is not None and model.reproduces(quad)
+    predicted = model.predicted_quad()
+    assert abs(sum(model.weights) - 1.0) <= 1e-12
+    assert np.allclose(predicted.correlators() + predicted.marginals(),
+                       scaled / panel.gauge, rtol=0.0, atol=1e-12)
 
 
 # The analytic product-state bounds, written out apart from the package's table.

@@ -4,14 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
 import reference_simplex
 from eprlab import hidden_variables, simplex
 from eprlab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
-from test_hidden_variables import sixteenths
+from test_hidden_variables import fine_system, sixteenths
 
 
 class TestBasicSolves:
@@ -185,6 +185,33 @@ class TestRandomProblems:
 LINPROG_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
 
 
+def linprog_oracle(c, a, b):
+    """(status, optimal objective or None) from SciPy's HiGHS solver.
+
+    HiGHS sometimes answers status 4 (numerical trouble; 'model_status is Unknown').  Two
+    independent solves then settle the status: a zero-objective one for feasibility, and one
+    for a recession ray d >= 0 with a d = 0 and c . d <= -1; feasible plus a ray is unbounded.
+    A feasible system with no ray takes its optimum from the dual, max b . y with a^T y <= c.
+    """
+    def solve(*args, **kwargs):
+        result = linprog(*args, method="highs", **kwargs)
+        assert result.status in LINPROG_STATUS, result.message
+        return result
+
+    result = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+    if result.status != 4:
+        assert result.status in LINPROG_STATUS, result.message
+        return LINPROG_STATUS[result.status], result.fun
+    if solve(np.zeros_like(c), A_eq=a, b_eq=b, bounds=(0, None)).status == 2:
+        return INFEASIBLE, None
+    if solve(np.zeros_like(c), A_ub=[c], b_ub=[-1.0], A_eq=a, b_eq=np.zeros_like(b),
+             bounds=(0, None)).status == 0:
+        return UNBOUNDED, None
+    dual = solve(-np.asarray(b), A_ub=np.asarray(a).T, b_ub=c, bounds=(None, None))
+    assert dual.status == 0, dual.message
+    return OPTIMAL, -dual.fun
+
+
 @st.composite
 def lp_systems(draw):
     """(c, a_eq, b_eq) of full row rank, feasible or infeasible by construction."""
@@ -213,21 +240,19 @@ def lp_systems(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(lp_systems())
+# Unbounded; HiGHS answers status 4 on it, then 0 for feasibility and 0 for a ray.
+@example((np.array([0, 0, 0, 0, 0, 1, 0, -4], dtype=float),
+          np.array([[0, 0, 1, 0, 1, -2, 2, 0], [1, 0, -2, 0, 0, 0, -1, 3],
+                    [-2, 2, -1, 0, 0, -1, -1, 4], [-4, 4, 0, -1, 0, -2, 0, 1]], dtype=float),
+          np.array([2, -1, -1, 0], dtype=float)))
 def test_agrees_with_linprog_oracle(system):
     """Status and optimal objective match SciPy's HiGHS solver on random systems."""
     c, a, b = system
     ours = solve_lp(c, a, b)
-    oracle = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
-    assert ours.status == LINPROG_STATUS[oracle.status], oracle.message
+    status, objective = linprog_oracle(c, a, b)
+    assert ours.status == status
     if ours.status == OPTIMAL:
-        assert abs(ours.objective - oracle.fun) <= 1e-7
-
-
-def fine_system(values):
-    """Fine's LP for a quad (four correlators, four marginals), as fine_local_model poses it."""
-    cost = np.zeros(17)
-    cost[16] = -1.0
-    return cost, hidden_variables._FINE_A_EQ, np.array([1.0, *values])
+        assert abs(ours.objective - objective) <= 1e-7
 
 
 def assert_same_solve(system):

@@ -1,5 +1,7 @@
 """The command-line tools under tools/ run end to end."""
 
+import ast
+import collections
 import shutil
 import subprocess
 import sys
@@ -23,3 +25,24 @@ def test_ab_against_head_finds_no_differing_report():
     assert done.returncode == 0, done.stdout + done.stderr
     assert "reports differing: 0 of 6" in done.stdout.splitlines()
     assert "qkd_rounds_per_s ratio, this tree / HEAD" in done.stdout
+
+
+def test_mutate_list_names_every_comparison_and_number():
+    """tools/mutate.py --list names, file by file, one mutant per comparison operator and two
+    per int or float literal of src/eprlab, counted here straight off each module's AST."""
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "mutate.py"), "--list"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    listed = collections.Counter()
+    for line in done.stdout.splitlines():
+        location, description = line.split(": ", 1)  # src/eprlab/<module>.py:<line>
+        kind = "compare" if description.startswith("compare -> ") else "number"
+        listed[Path(location.rsplit(":", 1)[0]).name, kind] += 1
+    expected = collections.Counter()
+    for path in sorted((ROOT / "src" / "eprlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare):
+                expected[path.name, "compare"] += len(node.ops)
+            elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
+                expected[path.name, "number"] += 2
+    assert listed == expected

@@ -53,6 +53,7 @@ class Mutant:
     end: tuple[int, int]
     replacement: str
     description: str
+    line: str  # the stripped source line the mutant starts on, which --match reads
 
     @property
     def kind(self) -> str:
@@ -67,13 +68,19 @@ def _nudged(value):
     return (value * (1.0 - NUDGE), value * (1.0 + NUDGE))
 
 
-def mutants_of(path: Path) -> list[Mutant]:
-    source = (ROOT / path).read_text(encoding="utf-8")
+def mutants_of(root: Path, path: Path) -> list[Mutant]:
+    """The mutants of root / path, at their positions in that file."""
+    source = (root / path).read_text(encoding="utf-8")
+    lines = source.splitlines()
     found = []
     for node in ast.walk(ast.parse(source)):
-        span = ((getattr(node, "lineno", 0), getattr(node, "col_offset", 0)),
-                (getattr(node, "end_lineno", 0), getattr(node, "end_col_offset", 0)))
+        if not (isinstance(node, ast.Compare)
+                or isinstance(node, ast.Constant) and type(node.value) in (int, float)):
+            continue
+        # get_source_segment splits the whole source on every call: only candidates pay for it.
+        span = ((node.lineno, node.col_offset), (node.end_lineno, node.end_col_offset))
         segment = ast.get_source_segment(source, node)
+        line = lines[node.lineno - 1].strip()
         if isinstance(node, ast.Compare):
             if ast.dump(ast.parse(f"({segment})", mode="eval").body) != ast.dump(node):
                 continue  # a position Python reports wrongly, as inside some f-strings
@@ -83,13 +90,13 @@ def mutants_of(path: Path) -> list[Mutant]:
                 flipped = ast.Compare(node.left, list(node.ops), node.comparators)
                 flipped.ops[k] = FLIPS[type(op)]()
                 text = ast.unparse(flipped)
-                found.append(Mutant(path, *span, text, f"compare -> {text}"))
-        elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
+                found.append(Mutant(path, *span, text, f"compare -> {text}", line))
+        else:
             if segment is None or ast.literal_eval(segment) != node.value:
                 continue
             for value in _nudged(node.value):
                 found.append(Mutant(path, *span, repr(value),
-                                    f"{node.value!r} -> {value!r}"))
+                                    f"{node.value!r} -> {value!r}", line))
     return sorted(found, key=lambda m: (m.start, m.description))
 
 
@@ -105,8 +112,7 @@ def apply(source: str, mutant: Mutant) -> str:
 def selected(mutant: Mutant, match, ranges) -> bool:
     if match is None and not ranges:
         return True
-    line = (ROOT / mutant.path).read_text(encoding="utf-8").splitlines()[mutant.start[0] - 1]
-    if match is not None and re.search(match, line.strip()):
+    if match is not None and re.search(match, mutant.line):
         return True
     return any(mutant.path.name == name and lo <= mutant.start[0] <= hi for name, lo, hi in ranges)
 
@@ -147,16 +153,18 @@ def main(argv=None) -> int:
     parser.add_argument("--list", action="store_true", help="list the mutants and stop")
     args = parser.parse_args(argv)
 
-    mutants = [m for path in sorted((ROOT / PACKAGE).glob("*.py"))
-               for m in mutants_of(path.relative_to(ROOT))
-               if selected(m, args.match, args.lines) and args.kind in (None, m.kind)]
-    if args.list:
-        for m in mutants:
-            print(f"{m.path}:{m.start[0]}: {m.description}")
-        return 0
+    # The positions are read from the copy the mutants are applied to, so an edit to the
+    # checkout during the run moves none of them.
     workdir = Path(tempfile.mkdtemp(prefix="eprlab-mutate-")) / "checkout"
     try:
         shutil.copytree(ROOT, workdir, ignore=SKIPPED)
+        mutants = [m for path in sorted((workdir / PACKAGE).glob("*.py"))
+                   for m in mutants_of(workdir, path.relative_to(workdir))
+                   if selected(m, args.match, args.lines) and args.kind in (None, m.kind)]
+        if args.list:
+            for m in mutants:
+                print(f"{m.path}:{m.start[0]}: {m.description}")
+            return 0
         outcome, detail = run_tier_one(workdir)
         if outcome != "survived":
             print(f"tier 1 fails on the unmutated copy ({outcome}): {detail}", file=sys.stderr)
