@@ -59,6 +59,7 @@ from .protocol import (
     run_protocol,
 )
 from .qstate import (
+    ATOL_PSD,
     BellLabel,
     ProductEnsemble,
     TwoQubitState,
@@ -78,7 +79,6 @@ from .witnesses import (
 )
 
 NAMED_STATES = (*(label.value for label in BellLabel), "mixed")
-FILE_TOLERANCE = 1e-10  # default acceptance tolerance for states read from files
 
 
 def _json_name(label: BellLabel) -> str:
@@ -152,8 +152,6 @@ def _matrix_from_json(data: Any, path: str, tolerance: float) -> TwoQubitState:
             f"state file {path} violates unit trace (trace {trace!r}, "
             f"tolerance {tolerance:.3e})"
         )
-    # As written, like the gates above and as TwoQubitState reads a matrix: after the division,
-    # one it accepts at the floor with a trace just under 1 would read below -tolerance.
     least = float(np.linalg.eigvalsh(matrix).min())
     if not least >= -tolerance:
         raise ValueError(f"state file {path} violates positivity (eigenvalue {least:.3e})")
@@ -182,7 +180,9 @@ def resolve_state(
     descriptor: str,
     phi: Optional[float] = None,
     w: Optional[float] = None,
-    tolerance: float = FILE_TOLERANCE,
+    # TwoQubitState's floor, checked as it checks it, on the matrix as written: divided by a
+    # trace just under 1, a matrix it accepts at the floor would read below the floor.
+    tolerance: float = ATOL_PSD,
 ) -> tuple[TwoQubitState, str]:
     """Turn a state descriptor into a density matrix and a display label."""
     _check_tolerance(tolerance)
@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     state_opts = argparse.ArgumentParser(add_help=False)
     state_opts.add_argument(
-        "--tolerance", type=float, default=FILE_TOLERANCE,
+        "--tolerance", type=float, default=ATOL_PSD,
         help="acceptance tolerance for states loaded from files (default: %(default)g)",
     )
     state_opts.add_argument("--phi", type=float, default=None, help="phase for phase states")

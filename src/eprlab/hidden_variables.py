@@ -35,6 +35,8 @@ from .qstate import (
     _read_only,
     ATOL_ALARM,
     ATOL_CONSTRUCT,
+    BOUND_SLACK,
+    LP_FEAS_TOL,
     ProductEnsemble,
     TwoQubitState,
     joint_probabilities,
@@ -60,9 +62,6 @@ SINGLE_KEYS = ("ax", "ay", "az", "bx", "by", "bz")
 PRODUCT_KEYS = ("xx", "yy", "xy", "yx", "zz")
 
 CHSH_BOUND = 2.0
-LP_FEAS_TOL = 1e-8   # weight nonnegativity and normalization slack
-MODEL_ATOL = 1e-8    # reproduction tolerance for local models
-BOUND_SLACK = 1e-6   # allowed numerical overshoot of an analytic bound
 
 # All sign patterns (s1, s2, s3, s4) with an odd number of minus signs,
 # in lexicographic order with +1 first.
@@ -220,7 +219,7 @@ class LocalModel:
 
     def reproduces(self, quad: CorrelatorQuad) -> bool:
         ours, theirs = (q.correlators() + q.marginals() for q in (self.predicted_quad(), quad))
-        return all(abs(p - q) <= MODEL_ATOL for p, q in zip(ours, theirs))
+        return all(abs(p - q) <= LP_FEAS_TOL for p, q in zip(ours, theirs))
 
 
 def fine_local_model(quad: CorrelatorQuad) -> Optional[LocalModel]:
@@ -288,10 +287,8 @@ class BoundReport:
         if not math.isfinite(self.supremum):
             raise ValueError(f"supremum must be finite, got {self.supremum!r}")
         if self.supremum > self.analytic_bound + BOUND_SLACK:
-            raise RuntimeError(
-                f"supremum {self.supremum!r} lies above the analytic bound "
-                f"{self.analytic_bound!r}; functional or bound is wrong"
-            )
+            raise RuntimeError(f"supremum {self.supremum!r} lies above the analytic bound "
+                               f"{self.analytic_bound!r}; functional or bound is wrong")
 
 
 def separable_bound(functional: SeparableFunctional) -> BoundReport:
@@ -338,8 +335,6 @@ def separable_expansion_check(
     residuals = ExpansionResiduals(ekert=abs(ekert_statistic(state, settings) - expanded_s),
                                    bbm=abs(bbm_statistic(state) - expanded_t))
     if residuals.ekert > ATOL_ALARM or residuals.bbm > ATOL_ALARM:
-        raise RuntimeError(
-            f"expansion routes disagree (S residual {residuals.ekert:.3e}, "
-            f"T residual {residuals.bbm:.3e})"
-        )
+        raise RuntimeError(f"expansion routes disagree (S residual {residuals.ekert:.3e}, "
+                           f"T residual {residuals.bbm:.3e})")
     return residuals

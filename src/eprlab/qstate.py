@@ -16,15 +16,15 @@ Conventions
   joint outcome probability is (1 + a r_A.n_a + b r_B.n_b + ab n_a.T.n_b)/4,
   written once, in joint_probabilities, in OUTCOMES order; one rule,
   _physical, reads it as 0.0 within ATOL_PSD of zero and raises below PROJECTOR_FLOOR.
-- Every state the package builds itself (product mixtures, Werner states,
-  Eve's intercept-resend images) is assembled once, from (r_A, r_B, T).
-  Werner states go through state_from_bloch and pass every TwoQubitState
-  check.  Product mixtures and intercept-resend images go through
-  _unchecked_state_from_bloch, which skips the finite, Hermitian, trace and
-  eigenvalue checks: a mixture of a ProductEnsemble's validated product
-  terms is a state, and a mixture of unitary conjugations keeps every check
-  its source passed.  Checking again would read only the assembly's
+- Every state the package builds itself is assembled once, from (r_A, r_B, T):
+  Werner states through state_from_bloch, which checks them, and product
+  mixtures and Eve's intercept-resend images through _unchecked_state_from_bloch,
+  which need not (see there): checking again would read only the assembly's
   rounding, which at the eigenvalue floor refused such an image.
+- Every threshold the package compares against is in the tolerance block below,
+  derived from ATOL_CONSTRUCT, ATOL_PSD or simplex.FEAS_TOL, or given its reason.
+  VERDICT_SLACK covers what the eigenvalue floor, -ATOL_PSD, adds to a statistic,
+  so a state at the floor of a separable one certifies nothing.
 - BELL_CORRELATORS, the Bell states' same-axis correlators (c_x, c_y, c_z),
   is the one table of Bell-state data; the amplitudes are read off it:
   (|++> + c_x |-->)/sqrt 2 if c_z = +1, else (|+-> + c_x |-+>)/sqrt 2.
@@ -38,16 +38,22 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .simplex import FEAS_TOL
+
 Array = np.ndarray
 
-# Tolerance policy, shared across the package.
+# Tolerance policy (see the module docstring); simplex keeps its own pivot thresholds.
 ATOL_CONSTRUCT = 1e-12  # construction-time equality checks (norms, trace, weights)
 ATOL_PSD = 1e-10        # eigenvalue floor for positive semidefiniteness
-# Least value a projector's mean can read on a state the floor accepts: it is at least the
-# least eigenvalue, less the rounding of the few terms of order 1 it is read from.
+# A projector's mean is at least the least eigenvalue, less the rounding of its few terms.
 PROJECTOR_FLOOR = -ATOL_PSD - 1e-14
-ATOL_DERIVED = 1e-10    # derived algebraic identities
-ATOL_ALARM = 1e-8       # corruption alarms (imaginary parts, cross-checks)
+ATOL_DERIVED = ATOL_PSD  # two routes to one identity differ by (tr rho - 1)/4 plus rounding
+ATOL_ALARM = 1e-8  # corruption alarms: far above rounding, and no verdict reads it
+# With least eigenvalue -e, rho = (1 + 4e) sigma - e I for a state sigma, so offset + <W, T>
+# reads at most 4e (b - offset) above a bound b on sigma's, and b - offset <= 2 for S, T, U.
+VERDICT_SLACK = 8.0 * ATOL_PSD
+LP_FEAS_TOL = FEAS_TOL  # local-model weights and the CHSH and Fine bands: the LP's own slack
+BOUND_SLACK = ATOL_CONSTRUCT  # a product-state supremum is an SVD's top value, exact to rounding
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -145,9 +151,8 @@ class TwoQubitState:
         pauli = (_PAULI_PRODUCTS @ m.ravel()).reshape(4, 4)
         imaginary = np.abs(pauli.imag).max()
         if imaginary > ATOL_ALARM:
-            raise RuntimeError(
-                f"Pauli expectations have imaginary part {imaginary:.3e}; state corrupted"
-            )
+            raise RuntimeError(f"Pauli expectations have imaginary part {imaginary:.3e}; "
+                               "state corrupted")
         expectations = _read_only(pauli.real.copy())  # slices of it are read-only too
         self.bloch_a = expectations[1:, 0]
         self.bloch_b = expectations[0, 1:]

@@ -166,16 +166,21 @@ class TestWitnessCommand:
         assert doc["distillable"] is True
         assert doc["distillableBellState"] == "psiMinus"
 
-    def test_distillability_and_the_ks_verdict_agree_just_above_the_bound(self, capsys):
-        """U2 = 4 f(psi-minus) = 2.0000000002 violates KS_BOUND beyond its slack, and the
-        distillability verdict reads the same Bell row by the same rule (it said false)."""
-        code, out, _ = run_cli(capsys, "witness", "--state", "werner:0.3333333334")
+    @pytest.mark.parametrize("w, u2, f, beyond", [
+        ("0.3333333334", 2.0000000002, 0.50000000005, False),
+        ("0.3333333336", 2.0000000008, 0.5000000002, False),
+        ("0.3333333337", 2.0000000011, 0.500000000275, True)], ids=["inside", "edge", "beyond"])
+    def test_distillability_and_the_ks_verdict_agree_at_the_bound(self, capsys, w, u2, f, beyond):
+        """U2 = 4 f(psi-minus) against KS_BOUND plus VERDICT_SLACK = 8e-10: 2.0000000002 lies
+        inside the slack, 2.0000000008 on its edge, 2.0000000011 beyond it, and the
+        distillability verdict reads the same Bell row by the same rule each time."""
+        code, out, _ = run_cli(capsys, "witness", "--state", "werner:" + w)
         assert code == 0
         doc = json.loads(out)
-        assert (doc["U2"], doc["maxFidelity"]) == (2.0000000002, 0.50000000005)
-        assert doc["ksViolated"] == {"caseI": False, "caseII": True, "caseIII": False}
-        assert doc["distillable"] is True
-        assert doc["distillableBellState"] == "psiMinus"
+        assert (doc["U2"], doc["maxFidelity"]) == (u2, f)
+        assert doc["ksViolated"] == {"caseI": False, "caseII": beyond, "caseIII": False}
+        assert doc["distillable"] is beyond
+        assert doc["distillableBellState"] == ("psiMinus" if beyond else None)
 
     def test_werner_flag(self, capsys):
         code, out, _ = run_cli(capsys, "witness", "--state", "werner", "--w", "0.25")

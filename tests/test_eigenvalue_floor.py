@@ -6,7 +6,9 @@ least PROJECTOR_FLOOR (-ATOL_PSD less a rounding allowance), and each alarm
 derives its threshold from that: _physical at probability scale, ks_verdict
 at 4 f, BellFidelities at f, and the Tsirelson guard at rho's trace norm.
 Eve's image of such a state is not checked again; it keeps the source's floor
-less rounding, so the key simulation runs under every eavesdropper.
+less rounding, so the key simulation runs under every eavesdropper.  A state at
+the floor of a separable one certifies nothing: VERDICT_SLACK covers what the
+floor can add to a statistic.
 """
 
 import contextlib
@@ -17,10 +19,16 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from eprlab import cli, witnesses
-from eprlab.hidden_variables import chsh_panel, fine_local_model, quad_from_state
+from eprlab.hidden_variables import (
+    SeparableFunctional,
+    chsh_panel,
+    fine_local_model,
+    quad_from_state,
+    separable_bound,
+)
 from eprlab.protocol import (
     InterceptResend,
     NoEve,
@@ -41,6 +49,7 @@ from eprlab.qstate import (
     X_AXIS,
     Z_AXIS,
     outcome_distribution,
+    product_mixture,
 )
 from eprlab.witnesses import (
     BellFidelities,
@@ -227,3 +236,40 @@ def test_every_state_at_or_above_the_floor_runs_end_to_end(state):
         for flavour in Protocol:
             assert cli_exit_code("qkd", "--protocol", flavour.value, "--source", path,
                                  "--rounds", "2000") == 0
+
+
+@st.composite
+def product_ensembles(draw):
+    """One to three product terms, each Bloch vector a unit vector or shortened in the ball."""
+    def bloch():
+        v = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+        assume(np.linalg.norm(v) > 1e-3)
+        return v / np.linalg.norm(v) * draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3)))
+    return ProductEnsemble([(w, bloch(), bloch()) for w in weights / weights.sum()])
+
+
+def product_state(functional: SeparableFunctional) -> ProductEnsemble:
+    """The pure product state at which a functional reaches its separable bound."""
+    report = separable_bound(functional)
+    return ProductEnsemble([(1.0, report.argmax_bloch_a, report.argmax_bloch_b)])
+
+
+E_MAX = 0.999 * ATOL_PSD
+
+
+@settings(max_examples=200, deadline=None)
+@given(sigma=product_ensembles(), e=st.floats(0.0, E_MAX))
+@example(sigma=ProductEnsemble([(1.0, Z_AXIS, -Z_AXIS)]), e=E_MAX)  # U1 = U2 = 2 + 4e, T = -1 - 4e
+@example(sigma=ProductEnsemble([(1.0, Z_AXIS, Z_AXIS)]), e=E_MAX)  # T = U3 = 2 + 4e
+@example(sigma=product_state(SeparableFunctional.EKERT_S), e=E_MAX)  # S = sqrt(2) (1 + 4e)
+def test_no_state_at_the_floor_of_a_separable_one_certifies(sigma, e):
+    """rho = (1 + 4e) sigma - e I, with sigma separable, has least eigenvalue at least -e, and
+    each offset + <W, T> reads at most 4e (bound - offset) <= 8 ATOL_PSD above sigma's bound:
+    VERDICT_SLACK, so no witness, KS functional or Bell fidelity certifies it."""
+    state = TwoQubitState((1.0 + 4.0 * e) * product_mixture(sigma).matrix - e * np.eye(4))
+    assert not ekert_verdict(state).violated
+    assert not bbm_verdict(state).violated
+    assert not any(ks_verdict(state, case).violated for case in KSCase)
+    assert not distillable_witness(state).distillable

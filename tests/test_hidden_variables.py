@@ -31,6 +31,7 @@ from eprlab.hidden_variables import (
     separable_expansion_check,
 )
 from eprlab.qstate import (
+    ATOL_CONSTRUCT,
     BellLabel,
     ProductEnsemble,
     SpinSetting,
@@ -490,10 +491,13 @@ class TestSeparableBound:
         assert np.linalg.norm(report.argmax_bloch_b) == pytest.approx(1.0, abs=1e-9)
 
     def test_report_rejects_bound_overshoot(self):
-        """T's bound 1 plus BOUND_SLACK = 1e-6 is accepted; one ulp more, or 1.1, raises."""
-        report = BoundReport(SeparableFunctional.BBM_T, 1.000001, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-        assert report.supremum == 1.0 + 1e-6
-        for supremum in (float(np.nextafter(1.000001, 2.0)), 1.1):
+        """T's bound 1 plus BOUND_SLACK = ATOL_CONSTRUCT = 1e-12 is accepted; one ulp more, or
+        1.1, raises."""
+        assert hidden_variables.BOUND_SLACK == ATOL_CONSTRUCT == 1e-12
+        report = BoundReport(SeparableFunctional.BBM_T, 1.000000000001, (1.0, 0.0, 0.0),
+                             (1.0, 0.0, 0.0))
+        assert report.supremum == 1.0 + 1e-12
+        for supremum in (float(np.nextafter(1.000000000001, 2.0)), 1.1):
             with pytest.raises(RuntimeError, match="above the analytic bound"):
                 BoundReport(
                     functional=SeparableFunctional.BBM_T,

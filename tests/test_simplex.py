@@ -135,6 +135,14 @@ class TestStatuses:
         with pytest.raises(RuntimeError, match="^constraint matrix is rank deficient$"):
             solve_lp([0.0, 0.0], [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0])
 
+    def test_drive_out_needs_an_entry_above_pivot_tol(self):
+        """The artificial left basic at zero moves onto a column whose entry exceeds PIVOT_TOL:
+        an entry of exactly PIVOT_TOL counts as zero, and one ulp more is pivoted on."""
+        with pytest.raises(RuntimeError, match="^constraint matrix is rank deficient$"):
+            solve_lp([0.0], [[simplex.PIVOT_TOL]], [0.0])
+        result = solve_lp([0.0], [[math.nextafter(simplex.PIVOT_TOL, 1.0)]], [0.0])
+        assert (result.status, result.x.tolist()) == (OPTIMAL, [0.0])
+
 
 class TestDeterminism:
     def test_degenerate_problem_repeats_identically(self):

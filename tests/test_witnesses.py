@@ -17,6 +17,8 @@ from eprlab.hidden_variables import (
 )
 from eprlab.protocol import Protocol, ProtocolReport
 from eprlab.qstate import (
+    ATOL_DERIVED,
+    ATOL_PSD,
     PROJECTOR_FLOOR,
     BellLabel,
     ProductEnsemble,
@@ -196,6 +198,16 @@ class TestEkertVerdict:
         assert not verdict.violated
         assert verdict.margin == 0.0
 
+    @pytest.mark.parametrize("bound", [EKERT_BOUND, BBM_BOUND, KS_BOUND], ids=["S", "T", "U"])
+    def test_slack_is_eight_eigenvalue_floors(self, bound):
+        """|statistic| = bound + VERDICT_SLACK is not a violation, one ulp more is, either sign;
+        the slack 8 ATOL_PSD covers the 4 ATOL_PSD (bound - offset) a floor state adds."""
+        assert VERDICT_SLACK == 8 * ATOL_PSD == 8e-10
+        edge = bound + VERDICT_SLACK
+        for sign in (1.0, -1.0):
+            assert not WitnessVerdict(sign * edge, bound).violated
+            assert WitnessVerdict(sign * math.nextafter(edge, 9.0), bound).violated
+
     def test_inconsistent_flag_rejected(self):
         """The flag and margin are derived, so none can be passed in to contradict them."""
         with pytest.raises(TypeError):
@@ -293,6 +305,19 @@ class TestBellFidelities:
         assert fid.psi_minus == pytest.approx(np.sin(np.pi / 8.0) ** 2, abs=1e-10)
         assert fid.phi_plus == pytest.approx(0.0, abs=1e-10)
         assert fid.phi_minus == pytest.approx(0.0, abs=1e-10)
+
+    def test_route_residual_may_reach_atol_derived(self, monkeypatch):
+        """On |++><++| the psi overlaps are exactly 0; table fidelities -x and x for them leave
+        a residual of x, which passes at x = ATOL_DERIVED and raises one ulp above it."""
+        state = TwoQubitState(np.diag([1.0, 0.0, 0.0, 0.0]))
+        for x, passes in ((ATOL_DERIVED, True), (math.nextafter(ATOL_DERIVED, 1.0), False)):
+            monkeypatch.setattr(witnesses, "bell_fidelities",
+                                lambda _, x=x: BellFidelities(0.5, 0.5, -x, x))
+            if passes:
+                assert fidelity_identities_check(state) == (ATOL_DERIVED, 0.0)
+            else:
+                with pytest.raises(RuntimeError, match="fidelity routes disagree"):
+                    fidelity_identities_check(state)
 
     def test_overlap_route_agrees(self):
         rng = np.random.default_rng(41)
@@ -490,7 +515,7 @@ def test_distillability_threshold_has_slack(top, distillable):
     """The rule is the KS verdict's on the same Bell row, 4 f against KS_BOUND with its slack:
     anything within VERDICT_SLACK / 4 above f = 1/2 is not distillable."""
     top = float(top)
-    assert LAST_UNDISTILLABLE == 0.500000000025
+    assert LAST_UNDISTILLABLE == 0.5000000002
     verdict = DistillabilityVerdict(BellFidelities(0.0, 1.0 - top, top, 0.0))
     assert (verdict.distillable, verdict.fidelity) == (distillable, top)
     assert verdict.distillable == WitnessVerdict(4.0 * top, KS_BOUND).violated
