@@ -313,50 +313,32 @@ def estimate_statistic(
     Each tally is (n++, n+-, n-+, n--) for one setting pair, in whole
     non-negative counts.  Correlators are estimated as mean outcome
     products; variances (1 - E^2)/n add across pairs (disjoint samples).
-    A bad tally raises ValueError naming the first bad pair in schedule order.
+    It walks the pairs once in schedule order, so a bad tally raises
+    ValueError naming the first bad pair.
     """
     plan = _SCHEDULES[protocol]
-    try:
-        counts = np.array([tallies[label] for label, *_ in plan.tests], dtype=float)
-    except (KeyError, TypeError, ValueError):  # missing or ragged: the pair is named below
-        counts = None
-    if (counts is None or counts.shape != (len(plan.tests), 4)
-            or not _whole_counts(counts.ravel().tolist())):
-        _raise_first_bad_tally(tallies, plan)
-    totals = counts.sum(axis=1)
-    if totals.min() < MIN_SAMPLES_PER_PAIR:
-        _raise_first_bad_tally(tallies, plan)
-    e_hats = (_OUTCOME_SIGNS[2] * counts).sum(axis=1) / totals
-    estimate = 0.0
-    variance = 0.0
-    for (*_, sign), e_hat, total in zip(plan.tests, e_hats, totals):
-        estimate += sign * e_hat
-        variance += (1.0 - e_hat**2) / total
-    return float(estimate), float(np.sqrt(variance))
-
-
-def _whole_counts(values: list[float]) -> bool:
-    """Whether every value is a whole non-negative count; is_integer() is False for NaN and inf."""
-    return all(value >= 0.0 and value.is_integer() for value in values)
-
-
-def _raise_first_bad_tally(tallies: Mapping[str, Sequence[int]], plan: _Schedule) -> None:
-    for label, *_ in plan.tests:
+    estimate = variance = 0.0
+    for label, _, _, sign in plan.tests:
         if label not in tallies:
             raise ValueError(f"missing tally for setting pair {label}")
         counts = np.asarray(tallies[label], dtype=float)
         if counts.shape != (4,):
             raise ValueError(f"tally for {label} must have 4 entries")
-        if not _whole_counts(counts.tolist()):
-            raise ValueError(f"tally for {label} must hold counts, got {counts.tolist()}")
-        total = counts.sum()
+        pp, pm, mp, mm = values = counts.tolist()
+        # is_integer() is False for NaN and inf
+        if not all(value >= 0.0 and value.is_integer() for value in values):
+            raise ValueError(f"tally for {label} must hold counts, got {values}")
+        total = pp + pm + mp + mm
         if total < MIN_SAMPLES_PER_PAIR:
             raise ValueError(
                 f"setting pair {label} has {int(total)} samples, "
                 f"need {MIN_SAMPLES_PER_PAIR}; increase rounds"
                 + (" or raise the test fraction" if plan.split else "")
             )
-    raise AssertionError("the stacked tallies failed a check that no single pair fails")
+        e_hat = (pp - pm - mp + mm) / total
+        estimate += sign * e_hat
+        variance += (1.0 - e_hat**2) / total
+    return estimate, math.sqrt(variance)
 
 
 # The lead bytes of a key come in at most this many slices of at least

@@ -447,12 +447,16 @@ def test_no_lp_is_solved_when_the_panel_fails(values):
 
 @settings(max_examples=200, deadline=None)
 @given(mixture=st.dictionaries(st.integers(0, 15), st.floats(0.01, 1.0), min_size=1, max_size=5),
-       gauge=st.floats(1.0, GAUGE_BAND, exclude_min=True))
-def test_quad_in_the_gauge_band_gets_a_model_of_itself(mixture, gauge):
+       flipped=st.floats(0.01, 1.0), gauge=st.floats(1.0, GAUGE_BAND, exclude_min=True))
+def test_quad_in_the_gauge_band_gets_a_model_of_itself(mixture, flipped, gauge):
     """A local quad (a mixture of a few strategies) scaled out to a gauge in (1, 1 +
     LP_FEAS_TOL / 2] lies outside the local polytope but inside the band: the model is built
     for quad / gauge, to rounding, and reproduces the quad.  The LP posed on the quad itself
-    often finds no model."""
+    often finds no model.  The mixture holds one drawn strategy with Alice's signs flipped
+    and with Bob's, so every feature takes both signs and none sits at +-1."""
+    first = next(iter(mixture))
+    for flip in (0b1100, 0b0011):  # Alice's (a1, a3), Bob's (b1, b3) bits of STRATEGIES
+        mixture.setdefault(first ^ flip, flipped)
     weights = np.zeros(16)
     weights[list(mixture)] = list(mixture.values())
     local = LocalModel(weights=tuple(weights / weights.sum())).predicted_quad()

@@ -247,12 +247,17 @@ class TestEstimator:
         "starved": ((20, 0, 0, 9), "setting pair {label} has 29 samples, need 30; increase rounds"),
     }
 
+    @pytest.mark.parametrize("flavour, positions", [
+        (Protocol.E91, ((0, 1), (1, 3), (0, 3), (2, 3))),
+        (Protocol.BBM92, ((0, 1),)),
+    ], ids=["e91", "bbm92"])
     @pytest.mark.parametrize("later", sorted(FAULTS))
     @pytest.mark.parametrize("first", sorted(FAULTS))
-    def test_first_bad_pair_in_schedule_order_is_named(self, first, later):
+    def test_first_bad_pair_in_schedule_order_is_named(self, first, later, flavour, positions):
         """With two pairs spoiled, whatever the faults, the error is the first pair's."""
-        tests = protocol._SCHEDULES[Protocol.E91].tests
-        for i, j in ((0, 1), (1, 3), (0, 3), (2, 3)):
+        plan = protocol._SCHEDULES[flavour]
+        tests = plan.tests
+        for i, j in positions:
             tallies = {label: (40, 0, 0, 0) for label, *_ in tests}
             for k, fault in ((i, first), (j, later)):
                 spoiled = self.FAULTS[fault][0]
@@ -261,8 +266,34 @@ class TestEstimator:
                 else:
                     tallies[tests[k][0]] = spoiled
             message = self.FAULTS[first][1].format(label=tests[i][0])
+            if first == "starved" and plan.split:
+                message += " or raise the test fraction"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                estimate_statistic(tallies, Protocol.E91)
+                estimate_statistic(tallies, flavour)
+
+    @pytest.mark.parametrize("flavour", list(Protocol))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_estimate_is_the_ordered_float_sum(self, flavour, data):
+        """Counts up to 2**62, past where float sums are exact, give the float sums taken in
+        order: e = (n++ - n+- - n-+ + n--) / n per pair, S = sum of sign * e and
+        stderr = sqrt(sum of (1 - e**2) / n) in schedule order, whether the tallies are
+        int64 rows or tuples of Python ints."""
+        tests = protocol._SCHEDULES[flavour].tests
+        counts = st.tuples(*[st.integers(0, 2**62)] * 4).filter(lambda t: sum(t) >= 30)
+        tuples = {label: data.draw(counts, label=label) for label, *_ in tests}
+        estimate = variance = 0.0
+        for label, *_, sign in tests:
+            pp, pm, mp, mm = map(float, tuples[label])
+            n = pp + pm + mp + mm
+            e = (pp - pm - mp + mm) / n
+            estimate += sign * e
+            variance += (1.0 - e**2) / n
+        rows = {label: np.array(tally, dtype=np.int64) for label, tally in tuples.items()}
+        for tallies in (rows, tuples):
+            result = estimate_statistic(tallies, flavour)
+            assert [type(value) for value in result] == [float, float]
+            assert result == (estimate, math.sqrt(variance))
 
     def test_minimum_is_thirty(self):
         assert MIN_SAMPLES_PER_PAIR == 30
