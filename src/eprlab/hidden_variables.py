@@ -22,6 +22,7 @@ Three classical constructions live here:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -282,8 +283,14 @@ class BoundReport:
     analytic_bound: float = field(init=False)
 
     def __post_init__(self) -> None:
-        bound = SEPARABLE_WITNESSES[SeparableFunctional(self.functional)][1]
-        object.__setattr__(self, "analytic_bound", bound)
+        functional = SeparableFunctional(self.functional)
+        object.__setattr__(self, "functional", functional)
+        object.__setattr__(self, "analytic_bound", SEPARABLE_WITNESSES[functional][1])
+        for name in ("argmax_bloch_a", "argmax_bloch_b"):
+            vector = tuple(map(float, getattr(self, name)))
+            if len(vector) != 3 or not all(map(math.isfinite, vector)):
+                raise ValueError(f"{name} must be 3 finite numbers, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, vector)
         if not math.isfinite(self.supremum):
             raise ValueError(f"supremum must be finite, got {self.supremum!r}")
         if self.supremum > self.analytic_bound + BOUND_SLACK:
@@ -291,20 +298,23 @@ class BoundReport:
                                f"{self.analytic_bound!r}; functional or bound is wrong")
 
 
+@functools.cache  # the reports are constants: one SVD per functional and process
 def separable_bound(functional: SeparableFunctional) -> BoundReport:
     """Supremum of a witness statistic over product states, in closed form.
 
     On the pure product state with Bloch vectors u and v the statistic is
     offset + u.W.v, and |u.W.v| <= sigma_max(W) with equality at the top
-    singular vectors; mixing product states cannot exceed that.
+    singular vectors; mixing product states cannot exceed that.  Each
+    functional is computed once per process, and later calls return the
+    same frozen report; a call that raises is not cached.
     """
     row, _ = SEPARABLE_WITNESSES[functional]
     left, singular_values, right = np.linalg.svd(row[1:].reshape(3, 3))
     return BoundReport(
         functional=functional,
         supremum=float(row[0] + singular_values[0]),
-        argmax_bloch_a=tuple(float(x) for x in left[:, 0]),
-        argmax_bloch_b=tuple(float(x) for x in right[0]),
+        argmax_bloch_a=left[:, 0],
+        argmax_bloch_b=right[0],
     )
 
 

@@ -523,6 +523,47 @@ class TestSeparableBound:
         with pytest.raises(ValueError, match="is not a valid SeparableFunctional"):
             BoundReport("chsh", 0.0, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("functional", list(SeparableFunctional))
+    def test_each_report_is_computed_once(self, functional):
+        """Later calls return the first call's report, equal field for field to a fresh SVD."""
+        report = separable_bound(functional)
+        assert separable_bound(functional) is report
+        fresh = separable_bound.__wrapped__(functional)
+        assert fresh is not report
+        for f in dataclasses.fields(BoundReport):
+            assert getattr(report, f.name) == getattr(fresh, f.name)
+
+    def test_a_failing_call_is_not_cached(self):
+        before = separable_bound.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(KeyError):
+                separable_bound("chsh")
+        assert separable_bound.cache_info().currsize == before
+
+    def test_cache_holds_one_report_per_functional(self):
+        for functional in SeparableFunctional:
+            separable_bound(functional)
+        assert separable_bound.cache_info().currsize == 5
+
+    def test_report_normalizes_functional_and_argmax(self):
+        """A str functional and list argmaxes give the report built from the member and tuples."""
+        by_member = BoundReport(SeparableFunctional.EKERT_S, 1.0, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+        by_name = BoundReport("ekert-s", 1.0, [1.0, 0.0, 0.0], np.array([0.0, 1.0, 0.0]))
+        assert by_name.functional is SeparableFunctional.EKERT_S
+        assert by_name == by_member
+        assert hash(by_name) == hash(by_member)
+        assert type(by_name.argmax_bloch_a) is tuple and type(by_name.argmax_bloch_b) is tuple
+        assert all(type(x) is float for x in by_name.argmax_bloch_b)
+
+    @pytest.mark.parametrize("field_name", ["argmax_bloch_a", "argmax_bloch_b"])
+    @pytest.mark.parametrize("vector", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
+                                        (0.0, 0.0, -math.inf), (1.0, 0.0)])
+    def test_report_rejects_bad_argmax(self, field_name, vector):
+        fields = {"argmax_bloch_a": (1.0, 0.0, 0.0), "argmax_bloch_b": (1.0, 0.0, 0.0),
+                  field_name: vector}
+        with pytest.raises(ValueError, match=field_name):
+            BoundReport(SeparableFunctional.BBM_T, 0.0, **fields)
+
 
 class TestExpansionCheck:
     def test_residuals_small_on_random_ensembles(self):
