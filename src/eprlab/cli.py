@@ -59,11 +59,12 @@ from .protocol import (
     run_protocol,
 )
 from .qstate import (
+    _state_from_bloch,
     ATOL_PSD,
+    BELL_CORRELATORS,
     BellLabel,
     ProductEnsemble,
     TwoQubitState,
-    bell_state,
     density_from_pure,
     phase_epr_state,
     product_mixture,
@@ -201,7 +202,7 @@ def resolve_state(
             raise ValueError(f"named state {base} takes no parameter")
         if base == "mixed":
             return werner_state(0.0), base  # I/4 is the Werner state at w = 0
-        return density_from_pure(bell_state(BellLabel(base))), base
+        return _state_from_bloch(0.0, 0.0, np.diag(BELL_CORRELATORS[BellLabel(base)])), base
     if base in _PARAMETRIC_STATES:
         flag, build, parameter, example = _PARAMETRIC_STATES[base]
         if argument and given[base] is not None:

@@ -298,7 +298,6 @@ class BoundReport:
                                f"{self.analytic_bound!r}; functional or bound is wrong")
 
 
-@functools.cache  # the reports are constants: one SVD per functional and process
 def separable_bound(functional: SeparableFunctional) -> BoundReport:
     """Supremum of a witness statistic over product states, in closed form.
 
@@ -306,8 +305,16 @@ def separable_bound(functional: SeparableFunctional) -> BoundReport:
     offset + u.W.v, and |u.W.v| <= sigma_max(W) with equality at the top
     singular vectors; mixing product states cannot exceed that.  Each
     functional is computed once per process, and later calls return the
-    same frozen report; a call that raises is not cached.
+    same frozen report; a call that raises is not cached.  A member's value
+    ("ekert-s") gets the member's report; anything else raises ValueError.
     """
+    if not isinstance(functional, SeparableFunctional):  # a member skips Enum's 0.3 us call
+        functional = SeparableFunctional(functional)
+    return _bound_report(functional)
+
+
+@functools.cache  # the reports are constants: one SVD per member and process
+def _bound_report(functional: SeparableFunctional) -> BoundReport:
     row, _ = SEPARABLE_WITNESSES[functional]
     left, singular_values, right = np.linalg.svd(row[1:].reshape(3, 3))
     return BoundReport(
@@ -331,15 +338,15 @@ def separable_expansion_check(
 ) -> ExpansionResiduals:
     """Compare two routes to S and T on a product mixture.
 
-    Route one forms the density matrix and reads S and T off its
-    correlation matrix; route two expands each statistic as a weighted sum
-    of nA.W.nB terms over the ensemble.  Raises if the routes disagree
-    beyond ATOL_ALARM.
+    Route one reads S and T back off the mixture's assembled matrix, as
+    TwoQubitState reads an outside one, checks included; route two expands
+    each statistic as a weighted sum of nA.W.nB terms over the ensemble.
+    Raises if the routes disagree beyond ATOL_ALARM.
     """
     weights = _TABLE[[_ROWS.index("ekert-s"), _ROWS.index("bbm-t")], 1:].reshape(2, 3, 3)
     if settings is not None:
         weights = np.array([ekert_functional(settings), weights[1]])
-    state = product_mixture(ensemble)
+    state = TwoQubitState(product_mixture(ensemble).matrix)
     expanded_s, expanded_t = np.einsum("k,ki,fij,kj->f", ensemble.weights, ensemble.blochs_a,
                                        weights, ensemble.blochs_b)
     residuals = ExpansionResiduals(ekert=abs(ekert_statistic(state, settings) - expanded_s),

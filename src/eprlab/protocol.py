@@ -66,16 +66,15 @@ from .qstate import (
     Z_AXIS,
     ATOL_CONSTRUCT,
     _OUTCOME_SIGNS,
-    _unchecked_state_from_bloch,
     _physical,
     _read_only,
+    _state_from_bloch,
+    BELL_CORRELATORS,
     BellLabel,
     ProductEnsemble,
     SpinSetting,
     TwoQubitState,
-    bell_state,
     correlator,
-    density_from_pure,
     joint_probabilities,
     product_mixture,
 )
@@ -144,7 +143,7 @@ EveStrategy = Union[NoEve, InterceptResend, SeparableSubstitution]
 
 
 def _default_source() -> TwoQubitState:
-    return density_from_pure(bell_state(BellLabel.PSI_MINUS))
+    return _state_from_bloch(0.0, 0.0, np.diag(BELL_CORRELATORS[BellLabel.PSI_MINUS]))
 
 
 @dataclass(frozen=True)
@@ -223,8 +222,7 @@ def effective_state(source: TwoQubitState, eve: EveStrategy) -> TwoQubitState:
         keep = _INTERCEPT_KEEP.get(eve.basis)
         if keep is None:
             keep = np.outer(eve.basis, eve.basis)
-        return _unchecked_state_from_bloch(source.bloch_a, keep @ source.bloch_b,
-                                           source.correlations @ keep)
+        return _state_from_bloch(source.bloch_a, keep @ source.bloch_b, source.correlations @ keep)
     if isinstance(eve, SeparableSubstitution):
         return product_mixture(eve.ensemble)
     raise ValueError(f"unknown eavesdropper strategy {eve!r}")

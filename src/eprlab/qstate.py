@@ -16,11 +16,11 @@ Conventions
   joint outcome probability is (1 + a r_A.n_a + b r_B.n_b + ab n_a.T.n_b)/4,
   written once, in joint_probabilities, in OUTCOMES order; one rule,
   _physical, reads it as 0.0 within ATOL_PSD of zero and raises below PROJECTOR_FLOOR.
-- Every state the package builds itself is assembled once, from (r_A, r_B, T):
-  Werner states through state_from_bloch, which checks them, and product
-  mixtures and Eve's intercept-resend images through _unchecked_state_from_bloch,
-  which need not (see there): checking again would read only the assembly's
-  rounding, which at the eigenvalue floor refused such an image.
+- Two routes make a TwoQubitState: a matrix from outside is checked and
+  (r_A, r_B, T) read off it; a state the package builds from its own 15
+  numbers holds them as given and, a state by construction, goes unchecked
+  (_state_from_bloch).  Both Pauli maps and the witness table add their terms
+  in index order (_sum_in_order), so no BLAS kernel decides a printed digit.
 - Every threshold the package compares against is in the tolerance block below,
   derived from ATOL_CONSTRUCT, ATOL_PSD or simplex.FEAS_TOL, or given its reason.
   VERDICT_SLACK covers what the eigenvalue floor, -ATOL_PSD, adds to a statistic,
@@ -60,10 +60,9 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_VECTOR = (PAULI_X, PAULI_Y, PAULI_Z)
-# Row 4i + j is (sigma_i (x) sigma_j)^T flattened, with sigma_0 = I, so this
-# table times a flattened density matrix gives every tr(rho sigma_i (x) sigma_j).
+# Entry 4i + j is sigma_i (x) sigma_j, with sigma_0 = I: the (16, 4, 4) stack both Pauli maps read.
 _PAULI_BASIS = (IDENTITY_2, *PAULI_VECTOR)
-_PAULI_PRODUCTS = np.array([np.kron(a, b).T.ravel() for a in _PAULI_BASIS for b in _PAULI_BASIS])
+_PAULI_PRODUCTS = np.array([np.kron(a, b) for a in _PAULI_BASIS for b in _PAULI_BASIS])
 
 X_AXIS, Y_AXIS, Z_AXIS = np.eye(3)
 
@@ -98,6 +97,12 @@ def _read_only(a: Array) -> Array:
     return a
 
 
+def _sum_in_order(terms: Array) -> Array:
+    """The terms along the last axis added one after another in index order, as Python's sum
+    adds them: no BLAS kernel or pairwise split picks the rounding."""
+    return np.add.accumulate(terms, axis=-1)[..., -1]
+
+
 # Row k holds the amplitudes of the k-th BellLabel, read off its correlators.
 _BELL_AMPLITUDES = _read_only(np.array(
     [[1.0, 0.0, 0.0, c_x] if c_z > 0 else [0.0, 1.0, c_x, 0.0]
@@ -124,7 +129,7 @@ class TwoQubitState:
     """Density matrix on two qubits: Hermitian, unit trace, positive semidefinite.
 
     The read-only arrays bloch_a, bloch_b and correlations hold r_A, r_B and
-    T, read once off the matrix after it is validated.
+    T, read once off the matrix after it is validated (see _state_from_bloch).
     """
 
     def __init__(self, matrix: Sequence[Sequence[complex]]) -> None:
@@ -143,23 +148,34 @@ class TwoQubitState:
         eigmin = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
         if eigmin < -ATOL_PSD:
             raise ValueError(f"density matrix has negative eigenvalue {eigmin:.3e}")
-        self._read_pauli(m)
-
-    def _read_pauli(self, m: Array) -> None:
-        """Keep a copy of m and read r_A, r_B and T off it."""
-        self.matrix = _read_only(m.copy())
-        pauli = (_PAULI_PRODUCTS @ m.ravel()).reshape(4, 4)
+        pauli = _sum_in_order((_PAULI_PRODUCTS * m.T).reshape(16, 16))  # sum_kl P_kl rho_lk
         imaginary = np.abs(pauli.imag).max()
         if imaginary > ATOL_ALARM:
             raise RuntimeError(f"Pauli expectations have imaginary part {imaginary:.3e}; "
                                "state corrupted")
-        expectations = _read_only(pauli.real.copy())  # slices of it are read-only too
-        self.bloch_a = expectations[1:, 0]
-        self.bloch_b = expectations[0, 1:]
-        self.correlations = expectations[1:, 1:]
+        self.matrix = _read_only(m.copy())
+        table = _read_only(pauli.real.reshape(4, 4).copy())  # [[1, r_B], [r_A, T]]
+        self.bloch_a, self.bloch_b, self.correlations = table[1:, 0], table[0, 1:], table[1:, 1:]
 
     def __repr__(self) -> str:
         return f"TwoQubitState(trace={self.matrix.trace().real:.6f})"
+
+
+class _state_from_bloch(TwoQubitState):
+    """The state (I + r_A.sigma (x) I + I (x) r_B.sigma + sum_ij T_ij sigma_i (x) sigma_j)/4,
+    holding the given r_A, r_B and T bit for bit; a subclass only to skip TwoQubitState's
+    checks, which would read only the assembly's rounding (at the eigenvalue floor they
+    refused Eve's image of an accepted state).  Only for numbers that are a state by
+    construction: the named Bell states, Werner states, a ProductEnsemble's mixture, and
+    Eve's intercept-resend image of a TwoQubitState, a mixture of unitary conjugations."""
+
+    def __init__(self, bloch_a, bloch_b, correlations) -> None:
+        table = np.ones((4, 4))  # Pauli coefficients [[1, r_B], [r_A, T]]
+        table[0, 1:], table[1:, 0], table[1:, 1:] = bloch_b, bloch_a, correlations
+        terms = table.ravel() * _PAULI_PRODUCTS.transpose(1, 2, 0)  # (k, l, n): c_n P_n[k, l]
+        self.matrix = _read_only(_sum_in_order(terms) / 4.0)
+        _read_only(table)
+        self.bloch_a, self.bloch_b, self.correlations = table[1:, 0], table[0, 1:], table[1:, 1:]
 
 
 class SpinSetting:
@@ -265,39 +281,11 @@ def density_from_pure(state: PureState) -> TwoQubitState:
     return TwoQubitState(np.outer(amp, amp.conj()))
 
 
-def _bloch_matrix(bloch_a, bloch_b, correlations) -> Array:
-    """(I + r_A.sigma (x) I + I (x) r_B.sigma + sum_ij T_ij sigma_i (x) sigma_j)/4, unchecked."""
-    table = np.ones((4, 4))  # Pauli coefficients [[1, r_B], [r_A, T]]
-    table[0, 1:], table[1:, 0], table[1:, 1:] = bloch_b, bloch_a, correlations
-    return (table.ravel() @ _PAULI_PRODUCTS).reshape(4, 4).T / 4.0
-
-
-def state_from_bloch(bloch_a: Sequence[float], bloch_b: Sequence[float],
-                     correlations: Sequence[Sequence[float]]) -> TwoQubitState:
-    """State (I + r_A.sigma (x) I + I (x) r_B.sigma + sum_ij T_ij sigma_i (x) sigma_j)/4."""
-    return TwoQubitState(_bloch_matrix(bloch_a, bloch_b, correlations))
-
-
-def _unchecked_state_from_bloch(bloch_a: Array, bloch_b: Array,
-                                correlations: Array) -> TwoQubitState:
-    """state_from_bloch without the finite, Hermitian, trace and eigenvalue checks.
-
-    Only for (r_A, r_B, T) that are a state by construction: a mixture of a
-    ProductEnsemble's validated product terms, or the image of a
-    TwoQubitState under a mixture of unitary conjugations (Eve's
-    intercept-resend dephasing of Bob's qubit), which cannot lower the least
-    eigenvalue.  The imaginary-part alarm stays.
-    """
-    state = TwoQubitState.__new__(TwoQubitState)
-    state._read_pauli(_bloch_matrix(bloch_a, bloch_b, correlations))
-    return state
-
-
 def product_mixture(ensemble: ProductEnsemble) -> TwoQubitState:
     """Mixture of product states: r_A = sum_k w_k r_A,k, r_B likewise, T = sum_k w_k r_A,k r_B,k^T."""
     weights, blochs_a, blochs_b = ensemble.weights, ensemble.blochs_a, ensemble.blochs_b
-    return _unchecked_state_from_bloch(weights @ blochs_a, weights @ blochs_b,
-                                       np.einsum("k,ki,kj->ij", weights, blochs_a, blochs_b))
+    return _state_from_bloch(weights @ blochs_a, weights @ blochs_b,
+                             np.einsum("k,ki,kj->ij", weights, blochs_a, blochs_b))
 
 
 def werner_state(w: float) -> TwoQubitState:
@@ -305,7 +293,7 @@ def werner_state(w: float) -> TwoQubitState:
     w = float(w)
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"Werner parameter must lie in [0, 1], got {w!r}")
-    return state_from_bloch(0.0, 0.0, -w * np.eye(3))
+    return _state_from_bloch(0.0, 0.0, -w * np.eye(3))
 
 
 def _require_pair(setting_a: SpinSetting, setting_b: SpinSetting) -> None:

@@ -32,6 +32,7 @@ import numpy as np
 from .qstate import (
     _BELL_AMPLITUDES,
     _read_only,
+    _sum_in_order,
     ATOL_DERIVED,
     BELL_CORRELATORS,
     PROJECTOR_FLOOR,
@@ -109,8 +110,10 @@ _TABLE = _read_only(np.array([[0.0, *ekert_functional().flat],
 
 
 def _values(correlations: np.ndarray, rows=slice(None)) -> np.ndarray:
-    """offset + <W, T> of the table's rows (last axis), on one T or a stack of them."""
-    return _TABLE[rows, 0] + correlations.reshape(*correlations.shape[:-2], 9) @ _TABLE[rows, 1:].T
+    """offset + sum_ij W_ij T_ij of the table's rows (last axis), on one T or a stack of them,
+    the nine products added in row-major order."""
+    terms = correlations.reshape(*correlations.shape[:-2], 1, 9) * _TABLE[rows, 1:]
+    return _TABLE[rows, 0] + _sum_in_order(terms)
 
 
 @functools.lru_cache(maxsize=1)  # a verdict chain reads the rows of one state many times
@@ -195,8 +198,8 @@ def pair_correlator_sum(state: TwoQubitState, axes: CorrelatorAxes) -> float:
 def ekert_statistic(state: TwoQubitState, settings: Optional[EkertSettings] = None) -> float:
     """S = E(a1,b1) - E(a1,b3) + E(a3,b1) + E(a3,b3)."""
     # Other settings add S's zero offset as the table does, so -0.0 reads 0.0 on both routes.
-    value = (_statistics(state)[0] if settings is None
-             else 0.0 + float(np.vdot(ekert_functional(settings), state.correlations)))
+    value = (_statistics(state)[0] if settings is None else
+             0.0 + float(_sum_in_order((ekert_functional(settings) * state.correlations).ravel())))
     # |S| is at most TSIRELSON_BOUND times rho's trace norm, 1 + 6 ATOL_PSD at the floor.
     if abs(value) > TSIRELSON_BOUND * (1.0 - 6.0 * PROJECTOR_FLOOR):
         raise RuntimeError(f"statistic {value!r} exceeds the quantum maximum; state corrupted")

@@ -166,6 +166,13 @@ class TestWitnessCommand:
         assert doc["distillable"] is True
         assert doc["distillableBellState"] == "psiMinus"
 
+    def test_singlet_prints_exact_sums(self, capsys):
+        """Built from T = -I, the singlet's statistics are its sums, rounded once each: S is
+        -(R + R) - (R + R) with R = 1/sqrt(2), and T, U2 and the fidelity are exact."""
+        doc = json.loads(run_cli(capsys, "witness", "--state", "psi-minus")[1])
+        assert (doc["S"], doc["T"], doc["U2"]) == (-2.82842712474619, -2.0, 4.0)
+        assert (doc["U1"], doc["U3"], doc["maxFidelity"]) == (0.0, 0.0, 1.0)
+
     @pytest.mark.parametrize("w, u2, f, beyond", [
         ("0.3333333334", 2.0000000002, 0.50000000005, False),
         ("0.3333333336", 2.0000000008, 0.5000000002, False),
@@ -359,9 +366,15 @@ REPORT_PANEL = (
        for f in ("json", "plain", "csv")]
 )
 # Recorded before the witness, fidelity and bound tables were merged: every
-# report, key order included, must not move.  Recorded on the same build as
-# FINE_PANEL_DIGEST; the bound reports rest on LAPACK's SVD.
-REPORT_PANEL_DIGEST = "b155ea99b1577a4caa32d148838b544a3ba70d469596a89ab82b240c25b395b1"
+# report, key order included, must not move.  Re-recorded when the states the
+# package builds came to hold their (r_A, r_B, T) as given and every Pauli map
+# and table row came to add its terms in index order, with no BLAS call: the
+# Bell-state, Werner and file reports moved in their last digits, the singlet's
+# to T = -2.0 and U2 = 4.0 exactly.  Recorded on the same build as
+# FINE_PANEL_DIGEST; it holds under OpenBLAS's SkylakeX and Prescott kernels
+# alike (test_digests_hold_under_the_prescott_kernel).  The bound reports and
+# the file route rest on LAPACK (SVD, eigvalsh, eigh).
+REPORT_PANEL_DIGEST = "b18c3bb25df8ce2102966f683f5ccab5122af0a1efc98d64da46db7fe194bf90"
 
 
 def test_golden_report_digest_is_pinned(capsys, tmp_path, monkeypatch):

@@ -8,7 +8,8 @@ at 4 f, BellFidelities at f, and the Tsirelson guard at rho's trace norm.
 Eve's image of such a state is not checked again; it keeps the source's floor
 less rounding, so the key simulation runs under every eavesdropper.  A state at
 the floor of a separable one certifies nothing: VERDICT_SLACK covers what the
-floor can add to a statistic.
+floor can add to a statistic.  The checks the builder of the package's own
+states drops hold on every state it builds.
 """
 
 import contextlib
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from eprlab import cli, witnesses
+from eprlab import cli, protocol, witnesses
 from eprlab.hidden_variables import (
     SeparableFunctional,
     chsh_panel,
@@ -41,8 +42,11 @@ from eprlab.protocol import (
 from eprlab.qstate import (
     _BELL_AMPLITUDES,
     ATOL_CONSTRUCT,
+    ATOL_DERIVED,
     ATOL_PSD,
+    BELL_CORRELATORS,
     PROJECTOR_FLOOR,
+    BellLabel,
     ProductEnsemble,
     SpinSetting,
     TwoQubitState,
@@ -50,6 +54,7 @@ from eprlab.qstate import (
     Z_AXIS,
     outcome_distribution,
     product_mixture,
+    werner_state,
 )
 from eprlab.witnesses import (
     BellFidelities,
@@ -62,6 +67,8 @@ from eprlab.witnesses import (
     fidelity_identities_check,
     ks_verdict,
 )
+
+from test_tensor_oracle import EYE, SIGMA, intercept_bases, states as oracle_states
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 # Columns are eigenvectors: the z-z and x-x product bases and the Bell basis.
@@ -273,3 +280,58 @@ def test_no_state_at_the_floor_of_a_separable_one_certifies(sigma, e):
     assert not bbm_verdict(state).violated
     assert not any(ks_verdict(state, case).violated for case in KSCase)
     assert not distillable_witness(state).distillable
+
+
+def assert_built_as_given(state: TwoQubitState, given, least: float = -ATOL_PSD) -> None:
+    """The checks _state_from_bloch drops, on a state it built from given = (r_A, r_B, T):
+    the least eigenvalue is at least least, the trace is 1, Pauli expectations read off the
+    matrix by traces match the held numbers, and those are the given ones bit for bit."""
+    m = state.matrix
+    assert least_eigenvalue(state) >= least
+    assert abs(m.trace() - 1.0) <= ATOL_CONSTRUCT
+    read = np.array([[np.trace(np.kron(a, b) @ m).real for b in (EYE, *SIGMA)]
+                     for a in (EYE, *SIGMA)])
+    held = np.block([[np.ones((1, 1)), state.bloch_b[None, :]],
+                     [state.bloch_a[:, None], state.correlations]])
+    assert np.abs(read - held).max() <= ATOL_DERIVED
+    for kept, number in zip((state.bloch_a, state.bloch_b, state.correlations), given):
+        assert kept.tobytes() == np.broadcast_to(np.asarray(number, dtype=float),
+                                                 kept.shape).tobytes()
+
+
+@pytest.mark.parametrize("w", [0.0, 5e-324, 0.4, float(np.nextafter(1.0, 0.0)), 1.0])
+def test_werner_states_are_built_as_given(w):
+    assert_built_as_given(werner_state(w), (0.0, 0.0, -w * np.eye(3)))
+
+
+@pytest.mark.parametrize("label", list(BellLabel), ids=lambda b: b.value)
+def test_bell_states_are_built_as_given(label):
+    """The CLI's named Bell states, and the protocol's default source, the singlet."""
+    given = (0.0, 0.0, np.diag(BELL_CORRELATORS[label]))
+    assert_built_as_given(cli.resolve_state(label.value)[0], given)
+    if label is BellLabel.PSI_MINUS:
+        assert_built_as_given(ProtocolConfig(Protocol.E91, 1_000).source_state, given)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sigma=product_ensembles())
+def test_product_mixtures_are_built_as_given(sigma):
+    w, blochs_a, blochs_b = sigma.weights, sigma.blochs_a, sigma.blochs_b
+    assert_built_as_given(product_mixture(sigma), (w @ blochs_a, w @ blochs_b,
+                                                   np.einsum("k,ki,kj->ij", w, blochs_a, blochs_b)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(source=st.one_of(oracle_states, floor_states()), basis=intercept_bases)
+def test_intercept_images_are_built_as_given(source, basis):
+    """Eve's image of a random source, or one at the floor, on a named or random axis.  An
+    image of a state at the floor may read past it by the rounding of its 15 numbers (the
+    diagonal one in the test above reads -1.0000000827e-10), so it is held to the source's
+    least eigenvalue less that rounding, as run_chain holds it."""
+    eve = InterceptResend(basis if isinstance(basis, str) else tuple(basis))
+    keep = protocol._INTERCEPT_KEEP.get(eve.basis)
+    if keep is None:
+        keep = np.outer(eve.basis, eve.basis)
+    given = (source.bloch_a, keep @ source.bloch_b, source.correlations @ keep)
+    least = min(-ATOL_PSD, least_eigenvalue(source) - 1e-14)
+    assert_built_as_given(effective_state(source, eve), given, least)

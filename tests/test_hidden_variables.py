@@ -528,22 +528,37 @@ class TestSeparableBound:
         """Later calls return the first call's report, equal field for field to a fresh SVD."""
         report = separable_bound(functional)
         assert separable_bound(functional) is report
-        fresh = separable_bound.__wrapped__(functional)
+        fresh = hidden_variables._bound_report.__wrapped__(functional)
         assert fresh is not report
         for f in dataclasses.fields(BoundReport):
             assert getattr(report, f.name) == getattr(fresh, f.name)
 
     def test_a_failing_call_is_not_cached(self):
-        before = separable_bound.cache_info().currsize
+        before = hidden_variables._bound_report.cache_info().currsize
         for _ in range(2):
-            with pytest.raises(KeyError):
+            with pytest.raises(ValueError, match="is not a valid SeparableFunctional"):
                 separable_bound("chsh")
-        assert separable_bound.cache_info().currsize == before
+        assert hidden_variables._bound_report.cache_info().currsize == before
+
+    @pytest.mark.parametrize("functional", list(SeparableFunctional))
+    def test_a_value_gets_its_members_report(self, functional):
+        """A member's value ("ekert-s") is read as the member: same report, no new cache entry."""
+        report = separable_bound(functional)
+        before = hidden_variables._bound_report.cache_info().currsize
+        assert separable_bound(functional.value) is report
+        assert hidden_variables._bound_report.cache_info().currsize == before
+
+    @pytest.mark.parametrize("functional", ["chsh", "EKERT_S", None, 0, 1.5, KSCase.CASE_I])
+    def test_anything_else_raises_value_error(self, functional):
+        """Not a bare KeyError: the message names the input and the type it is not."""
+        with pytest.raises(ValueError) as raised:
+            separable_bound(functional)
+        assert str(raised.value) == f"{functional!r} is not a valid SeparableFunctional"
 
     def test_cache_holds_one_report_per_functional(self):
         for functional in SeparableFunctional:
             separable_bound(functional)
-        assert separable_bound.cache_info().currsize == 5
+        assert hidden_variables._bound_report.cache_info().currsize == 5
 
     def test_report_normalizes_functional_and_argmax(self):
         """A str functional and list argmaxes give the report built from the member and tuples."""

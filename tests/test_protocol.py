@@ -496,11 +496,15 @@ GOLDEN_EVES = {
 # Recorded when the key came to be drawn as (Alice bit, Bob bit) classes, one
 # lead byte per key bit and 32 bits per tie: a seed must keep mapping to the
 # same report, bit for bit.  Recorded on CPython 3.11.7 with NumPy 2.4.6 on
-# scipy-openblas 0.3.31.188.0 (DYNAMIC_ARCH), whose run-time kernel was
-# SkylakeX; the pytest header names the build and the kernel a run uses.
+# scipy-openblas 0.3.31.188.0 (DYNAMIC_ARCH); they hold under its SkylakeX and
+# Prescott kernels alike (test_digests_hold_under_the_prescott_kernel), and
+# the pytest header names the build and the kernel a run uses.
 # bbm92-none, bbm92-x and e91-none were re-recorded when probabilities within
 # ATOL_PSD of zero came to be read as 0.0: the singlet's impossible outcomes
 # lost their 5.6e-17, and the multinomial draws no uniform for a zero weight.
+# bbm92-xz was re-recorded when the default singlet came to be built from its
+# correlators, T = -I exactly: Eve's xz image has T_xx = T_zz = -0.5, not
+# -0.4999999999999999, and its outcome weights moved in the last bit.
 GOLDEN_DIGESTS = {
     ("e91", "none"): "2a2df32700b96c88c3d2a61af2c2953179be84af031726ccd41453f4f0b26bec",
     ("e91", "x"): "527a229addc2b73eb3a121e702f5103de1ada3a62446e240fa9716dfd4756a18",
@@ -509,7 +513,7 @@ GOLDEN_DIGESTS = {
     ("e91", "substitution"): "131ccad35f18875bff80181314a8fb363bfc8095f79cb28dbdde6c0ff2ecf4f2",
     ("bbm92", "none"): "a6eec487ff87ef14626a7927bfdbbf82df111e14c9f5427e8c11ce501693d352",
     ("bbm92", "x"): "61a8128049fda600fd66bbdb7b987e344bbbbe2322f39e815371f019875d2c81",
-    ("bbm92", "xz"): "db359b15374b140ca9439c2ba8a6ebc5c29f69da28fc77a1f0059fcc7d997145",
+    ("bbm92", "xz"): "1a903cac1f5b9d551b4bcf15b728413dfae95e144926b3ace2dd40f3cfe6e27e",
     ("bbm92", "tilted"): "8d843dc71cfeba3b905100d58c2948f4a01945707c9f4a86e46990b351a1aff1",
     ("bbm92", "substitution"): "2034372f8eb6737f562b06b08fab3868c6a7c60a1e35163ee1c2e2dcd84edf4f",
 }
@@ -545,8 +549,8 @@ def test_reference_sampler_is_the_shuffle_sampler(protocol, eve):
 
 # Seeded runs on the maximally mixed source, whose key-basis correlators are
 # exactly 0.0: the parties' sign flip (correlator < 0.0) sits on its boundary,
-# and read as <= 0.0 it would invert Bob's key.  Recorded on the same build and
-# kernel (SkylakeX) as GOLDEN_DIGESTS.
+# and read as <= 0.0 it would invert Bob's key.  Recorded on the same build as
+# GOLDEN_DIGESTS, and they hold under the same two kernels.
 MIXED_DIGESTS = {
     "e91": "8e070166840ec7901715d4b4466409d96bd12cd0b7508de251f578e3456909e5",
     "bbm92": "c3d5e9da3d06082377808f6027b274411f2a144dd1319211e7933e38322cc6a2",

@@ -26,7 +26,7 @@ from eprlab.qstate import (
     outcome_distribution,
     phase_epr_state,
     product_mixture,
-    state_from_bloch,
+    _state_from_bloch,
     werner_state,
 )
 
@@ -474,8 +474,8 @@ class TestProductMixture:
                 weights = rng.dirichlet(np.ones(k))
                 ensemble = ProductEnsemble(zip(weights, blochs[:k], blochs[k:]))
                 w, r_a, r_b = weights, blochs[:k], blochs[k:]
-                expected = state_from_bloch(w @ r_a, w @ r_b,
-                                            np.einsum("k,ki,kj->ij", w, r_a, r_b))
+                expected = _state_from_bloch(w @ r_a, w @ r_b,
+                                             np.einsum("k,ki,kj->ij", w, r_a, r_b))
                 assert product_mixture(ensemble).matrix.tobytes() == expected.matrix.tobytes()
 
     def test_mixture_correlators_average(self):

@@ -29,7 +29,7 @@ from eprlab.qstate import (
     joint_probabilities,
     outcome_distribution,
     product_mixture,
-    state_from_bloch,
+    _state_from_bloch,
     werner_state,
     _physical,
 )
@@ -233,7 +233,7 @@ def test_states_built_from_bloch_match_matrix_oracle(terms, w, state, basis):
         (product_mixture(ProductEnsemble(terms)),
          sum(wk * np.kron((EYE + spin(a)) / 2, (EYE + spin(b)) / 2) for wk, a, b in terms)),
         (werner_state(w), w * singlet + (1.0 - w) * np.eye(4) / 4.0),
-        (state_from_bloch(state.bloch_a, keep @ state.bloch_b, state.correlations @ keep),
+        (_state_from_bloch(state.bloch_a, keep @ state.bloch_b, state.correlations @ keep),
          oracle_intercept(state.matrix, axes)),
     ]
     for got, oracle in built:

@@ -78,9 +78,12 @@ ORACLE_FUNCTIONALS = {
 
 
 def oracle_value(state: TwoQubitState, key) -> float:
-    """One functional on its own, offset + <W, T> by np.vdot."""
+    """One functional on its own, offset + sum_ij W_ij T_ij in Python floats: the nine products
+    added one after another in row-major order, the order eprlab adds them in."""
     offset, weights = ORACLE_FUNCTIONALS[key]
-    return offset + float(np.vdot(weights, state.correlations))
+    products = (w * t for w, t in zip(weights.ravel().tolist(),
+                                      state.correlations.ravel().tolist()))
+    return offset + sum(products)
 
 
 @settings(max_examples=300, deadline=None)
