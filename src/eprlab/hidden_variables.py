@@ -34,6 +34,7 @@ import numpy as np
 from .qstate import (
     _OUTCOME_SIGNS,
     _read_only,
+    _sum_in_order,
     ATOL_ALARM,
     ATOL_CONSTRUCT,
     BOUND_SLACK,
@@ -148,7 +149,7 @@ def quad_from_state(state: TwoQubitState, settings: EkertSettings) -> Correlator
     [-1, 1]: a mean of +-1 outcomes reaches rho's trace norm, 1 + 6 ATOL_PSD at the floor."""
     # Each pair's (<A>, <B>, <AB>), read back off its outcome distribution.
     (m_a1, m_b1, c11), (_, _, c13), (_, _, c31), (m_a3, m_b3, c33) = (
-        np.clip((_OUTCOME_SIGNS * outcome_distribution(state, a, b)).sum(axis=1), -1.0, 1.0)
+        np.clip(_sum_in_order(_OUTCOME_SIGNS * outcome_distribution(state, a, b)), -1.0, 1.0)
         .tolist() for a in (settings.a1, settings.a3) for b in (settings.b1, settings.b3))
     return CorrelatorQuad(c11, c13, c31, c33, m_a1, m_a3, m_b1, m_b3)
 
@@ -216,7 +217,8 @@ class LocalModel:
     def predicted_quad(self) -> CorrelatorQuad:
         """Correlators and marginals generated by the strategy mixture.  The weights sum to 1
         only within LP_FEAS_TOL, so each value is clipped to [-1, 1]."""
-        return CorrelatorQuad(*np.clip(np.asarray(self.weights) @ _FEATURES, -1.0, 1.0).tolist())
+        means = _sum_in_order(_FEATURES.T * self.weights)  # sum_s w_s F_s, in strategy order
+        return CorrelatorQuad(*np.clip(means, -1.0, 1.0).tolist())
 
     def reproduces(self, quad: CorrelatorQuad) -> bool:
         ours, theirs = (q.correlators() + q.marginals() for q in (self.predicted_quad(), quad))

@@ -43,10 +43,11 @@ Randomness comes from a counter-based generator keyed by the config
 seed, so every report is reproducible bit for bit.
 
 What a run reads off its schedule alone is built once, at import: each
-party's settings as one matrix, so that three products give every mean;
-the key settings; and, for each pattern of key-basis sign flips, the key
-cells and the books that read rounds and bit errors off the tallies.  A
-run does only what depends on its source, eavesdropper, seed and rounds.
+party's settings as rows and each setting pair's products a_k b_l, so that
+every mean is an ordered sum that equals outcome_distribution's; the key
+settings; and, for each pattern of key-basis sign flips, the key cells and
+the books that read rounds and bit errors off the tallies.  A run does
+only what depends on its source, eavesdropper, seed and rounds.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ from .qstate import (
     _physical,
     _read_only,
     _state_from_bloch,
+    _sum_in_order,
     BELL_CORRELATORS,
     BellLabel,
     ProductEnsemble,
@@ -222,7 +224,8 @@ def effective_state(source: TwoQubitState, eve: EveStrategy) -> TwoQubitState:
         keep = _INTERCEPT_KEEP.get(eve.basis)
         if keep is None:
             keep = np.outer(eve.basis, eve.basis)
-        return _state_from_bloch(source.bloch_a, keep @ source.bloch_b, source.correlations @ keep)
+        return _state_from_bloch(source.bloch_a, _sum_in_order(keep * source.bloch_b),
+                                 _sum_in_order(source.correlations[:, None, :] * keep.T))
     if isinstance(eve, SeparableSubstitution):
         return product_mixture(eve.ensemble)
     raise ValueError(f"unknown eavesdropper strategy {eve!r}")
@@ -257,10 +260,10 @@ class _Schedule:
         self.keys = keys  # (basis label, i, j) of key rounds
         self.split = split  # matched rounds go to test or key by the test_fraction coin
         self.bound = bound
-        self.rows_a = _read_only(np.array(alice))
-        # Bob's settings as the columns of a C-ordered matrix: a product with it rounds as
-        # the per-setting vector products do, which a product with rows does not.
-        self.columns_b = _read_only(np.ascontiguousarray(np.array(bob).T))
+        self.rows_a, self.rows_b = _read_only(np.array(alice)), _read_only(np.array(bob))
+        # Pair (i, j)'s products a_k b_l, row-major, the ones correlator weighs T with.
+        self.pair_products = _read_only((self.rows_a[:, None, :, None] * self.rows_b[:, None])
+                                        .reshape(len(alice), len(bob), 9))
         n_b = len(bob)
         self.tested = tuple(i * n_b + j for _, i, j, _ in tests)  # the pair of each test
         self.keyed = tuple(i * n_b + j for _, i, j in keys)  # the pair of each key basis
@@ -428,11 +431,11 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
     plan = _SCHEDULES[cfg.protocol]
     state = effective_state(cfg.source_state, cfg.eve)
 
-    # The joint outcome table of every setting pair, read straight from (r_A, r_B, T).
-    rows_a, columns_b = plan.rows_a, plan.columns_b
-    probs = _physical(joint_probabilities((rows_a @ state.bloch_a)[:, None],
-                                          state.bloch_b @ columns_b,
-                                          rows_a @ state.correlations @ columns_b))
+    # The joint outcome table of every setting pair, each mean summed as outcome_distribution's.
+    probs = _physical(joint_probabilities(_sum_in_order(plan.rows_a * state.bloch_a)[:, None],
+                                          _sum_in_order(plan.rows_b * state.bloch_b),
+                                          _sum_in_order(plan.pair_products
+                                                        * state.correlations.ravel())))
     coin = [1.0 - cfg.test_fraction, cfg.test_fraction] if plan.split else [1.0]
     law = np.multiply.outer(coin, probs).ravel()
     # Parties fix each key basis's sign from the advertised source, not

@@ -19,8 +19,9 @@ Conventions
 - Two routes make a TwoQubitState: a matrix from outside is checked and
   (r_A, r_B, T) read off it; a state the package builds from its own 15
   numbers holds them as given and, a state by construction, goes unchecked
-  (_state_from_bloch).  Both Pauli maps and the witness table add their terms
-  in index order (_sum_in_order), so no BLAS kernel decides a printed digit.
+  (_state_from_bloch).  Every mean adds its terms in index order (_sum_in_order),
+  so no BLAS kernel or SIMD split decides a digit: both Pauli maps, r.n, a
+  product mixture's sums, and a correlator, sum_ij (a_i b_j) T_ij row-major.
 - Every threshold the package compares against is in the tolerance block below,
   derived from ATOL_CONSTRUCT, ATOL_PSD or simplex.FEAS_TOL, or given its reason.
   VERDICT_SLACK covers what the eigenvalue floor, -ATOL_PSD, adds to a statistic,
@@ -141,6 +142,7 @@ class TwoQubitState:
         dev = np.abs(m - m.conj().T).max()
         if dev > ATOL_CONSTRUCT:
             raise ValueError(f"density matrix not Hermitian (max deviation {dev:.3e})")
+        # So |Im tr(rho P)| <= 4 ATOL_CONSTRUCT / 2 = 2e-12 for each Pauli product P; dropped below.
         tr = complex(m.trace())
         if abs(tr - 1.0) > ATOL_CONSTRUCT:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1 beyond {ATOL_CONSTRUCT}")
@@ -149,10 +151,6 @@ class TwoQubitState:
         if eigmin < -ATOL_PSD:
             raise ValueError(f"density matrix has negative eigenvalue {eigmin:.3e}")
         pauli = _sum_in_order((_PAULI_PRODUCTS * m.T).reshape(16, 16))  # sum_kl P_kl rho_lk
-        imaginary = np.abs(pauli.imag).max()
-        if imaginary > ATOL_ALARM:
-            raise RuntimeError(f"Pauli expectations have imaginary part {imaginary:.3e}; "
-                               "state corrupted")
         self.matrix = _read_only(m.copy())
         table = _read_only(pauli.real.reshape(4, 4).copy())  # [[1, r_B], [r_A, T]]
         self.bloch_a, self.bloch_b, self.correlations = table[1:, 0], table[0, 1:], table[1:, 1:]
@@ -283,9 +281,10 @@ def density_from_pure(state: PureState) -> TwoQubitState:
 
 def product_mixture(ensemble: ProductEnsemble) -> TwoQubitState:
     """Mixture of product states: r_A = sum_k w_k r_A,k, r_B likewise, T = sum_k w_k r_A,k r_B,k^T."""
-    weights, blochs_a, blochs_b = ensemble.weights, ensemble.blochs_a, ensemble.blochs_b
-    return _state_from_bloch(weights @ blochs_a, weights @ blochs_b,
-                             np.einsum("k,ki,kj->ij", weights, blochs_a, blochs_b))
+    weighted_a = ensemble.blochs_a.T * ensemble.weights  # (i, k): w_k r_A,k,i
+    weighted_b = ensemble.blochs_b.T * ensemble.weights
+    terms_t = weighted_a[:, None, :] * ensemble.blochs_b.T  # (i, j, k): (w_k r_A,k,i) r_B,k,j
+    return _state_from_bloch(*map(_sum_in_order, (weighted_a, weighted_b, terms_t)))
 
 
 def werner_state(w: float) -> TwoQubitState:
@@ -296,18 +295,13 @@ def werner_state(w: float) -> TwoQubitState:
     return _state_from_bloch(0.0, 0.0, -w * np.eye(3))
 
 
-def _require_pair(setting_a: SpinSetting, setting_b: SpinSetting) -> None:
-    if setting_a.party is not Party.ALICE or setting_b.party is not Party.BOB:
-        raise ValueError(
-            "need one Alice setting and one Bob setting, got "
-            f"({setting_a.party}, {setting_b.party})"
-        )
-
-
 def correlator(state: TwoQubitState, setting_a: SpinSetting, setting_b: SpinSetting) -> float:
     """Expectation of the product of outcomes for a joint spin measurement: n_a.T.n_b."""
-    _require_pair(setting_a, setting_b)
-    return float(setting_a.direction @ state.correlations @ setting_b.direction)
+    if setting_a.party is not Party.ALICE or setting_b.party is not Party.BOB:
+        raise ValueError("need one Alice setting and one Bob setting, got "
+                         f"({setting_a.party}, {setting_b.party})")
+    pair = setting_a.direction[:, None] * setting_b.direction  # a b^T, as a witness's W
+    return float(_sum_in_order((pair * state.correlations).ravel()))
 
 
 def joint_probabilities(mean_a, mean_b, mean_ab) -> Array:
@@ -336,8 +330,9 @@ def _physical(probs: Array) -> Array:
 
 def outcome_distribution(state: TwoQubitState, setting_a: SpinSetting,
                          setting_b: SpinSetting) -> Array:
-    """Read-only (4,) joint probabilities in OUTCOMES order, read through _physical."""
-    _require_pair(setting_a, setting_b)
-    return _read_only(_physical(joint_probabilities(state.bloch_a @ setting_a.direction,
-                                                    state.bloch_b @ setting_b.direction,
-                                                    correlator(state, setting_a, setting_b))))
+    """Read-only (4,) joint probabilities in OUTCOMES order, read through _physical;
+    correlator checks the parties."""
+    return _read_only(_physical(joint_probabilities(
+        _sum_in_order(state.bloch_a * setting_a.direction),
+        _sum_in_order(state.bloch_b * setting_b.direction),
+        correlator(state, setting_a, setting_b))))

@@ -8,15 +8,17 @@ the same test tallies, statistic, error rates of the test sample and key
 length for every seed; only the keys and how the key splits among its
 codes differ.  It reads the law through qstate._physical, as run_protocol
 does: the multinomial draws no uniform for a zero weight, so both must see
-the same zeros.  It calls protocol.estimate_statistic through the module, so
-a test that patches it sees the tallies of both samplers.  Inputs are
-trusted.
+the same zeros.  Its means are conftest's per-setting ordered sums, the
+package's one summation rule written in Python floats.  It calls
+protocol.estimate_statistic through the module, so a test that patches it
+sees the tallies of both samplers.  Inputs are trusted.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from conftest import ordered_correlator, ordered_dot
 from eprlab import protocol
 from eprlab.qstate import SpinSetting, _physical, correlator, joint_probabilities
 
@@ -32,8 +34,8 @@ def run_protocol(cfg: protocol.ProtocolConfig) -> protocol.ProtocolReport:
 
     r_a, r_b, t = state.bloch_a, state.bloch_b, state.correlations
     probs = _physical(joint_probabilities(
-        [[r_a @ a] for a in plan.alice], [r_b @ b for b in plan.bob],
-        [[a @ t @ b for b in plan.bob] for a in plan.alice]))
+        [[ordered_dot(r_a, a)] for a in plan.alice], [ordered_dot(r_b, b) for b in plan.bob],
+        [[ordered_correlator(t, a, b) for b in plan.bob] for a in plan.alice]))
     coin = [1.0 - cfg.test_fraction, cfg.test_fraction] if plan.split else [1.0]
     law = np.multiply.outer(coin, probs).ravel()
     codes = np.arange(law.size, dtype=np.uint8)

@@ -68,6 +68,7 @@ from eprlab.witnesses import (
     ks_verdict,
 )
 
+from conftest import ordered_dot, ordered_mixture
 from test_tensor_oracle import EYE, SIGMA, intercept_bases, states as oracle_states
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -316,9 +317,8 @@ def test_bell_states_are_built_as_given(label):
 @settings(max_examples=100, deadline=None)
 @given(sigma=product_ensembles())
 def test_product_mixtures_are_built_as_given(sigma):
-    w, blochs_a, blochs_b = sigma.weights, sigma.blochs_a, sigma.blochs_b
-    assert_built_as_given(product_mixture(sigma), (w @ blochs_a, w @ blochs_b,
-                                                   np.einsum("k,ki,kj->ij", w, blochs_a, blochs_b)))
+    given = ordered_mixture(sigma.weights, sigma.blochs_a, sigma.blochs_b)
+    assert_built_as_given(product_mixture(sigma), given)
 
 
 @settings(max_examples=200, deadline=None)
@@ -332,6 +332,7 @@ def test_intercept_images_are_built_as_given(source, basis):
     keep = protocol._INTERCEPT_KEEP.get(eve.basis)
     if keep is None:
         keep = np.outer(eve.basis, eve.basis)
-    given = (source.bloch_a, keep @ source.bloch_b, source.correlations @ keep)
+    given = (source.bloch_a, [ordered_dot(row, source.bloch_b) for row in keep],
+             [[ordered_dot(t_i, keep[:, j]) for j in range(3)] for t_i in source.correlations])
     least = min(-ATOL_PSD, least_eigenvalue(source) - 1e-14)
     assert_built_as_given(effective_state(source, eve), given, least)

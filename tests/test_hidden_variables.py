@@ -45,6 +45,8 @@ from eprlab.qstate import (
 from eprlab.simplex import INFEASIBLE, OPTIMAL, solve_lp
 from eprlab.witnesses import EkertSettings, KSCase, default_ekert_settings
 
+from conftest import ordered_sum
+
 # The one band in the local polytope's gauge that fine_passes and fine_local_model read.
 GAUGE_BAND = 1.0 + hidden_variables.LP_FEAS_TOL / 2.0
 
@@ -297,6 +299,17 @@ class TestLocalModel:
         assert quad.correlators() == pytest.approx((1.0, 1.0, 1.0, 1.0))
         assert quad.marginals() == pytest.approx((1.0, 1.0, 1.0, 1.0))
         assert STRATEGIES[0] == (1, 1, 1, 1)
+
+    def test_predicted_means_add_the_strategies_in_order(self):
+        """Each predicted mean is sum_s w_s F_s, added in STRATEGIES order as every mean is."""
+        rng = np.random.default_rng(33)
+        for _ in range(200):
+            weights = rng.dirichlet(np.ones(16)).tolist()
+            quad = LocalModel(weights=tuple(weights)).predicted_quad()
+            expected = [ordered_sum(w * f for w, f in zip(weights, column))
+                        for column in zip(*((a1 * b1, a1 * b3, a3 * b1, a3 * b3, a1, a3, b1, b3)
+                                            for a1, a3, b1, b3 in STRATEGIES))]
+            assert list(quad.correlators() + quad.marginals()) == expected
 
 
     def test_reproduction_tolerance_is_1e_8(self):

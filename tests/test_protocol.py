@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 import reference_sampler
+from conftest import ordered_correlator, ordered_dot
 from test_eigenvalue_floor import floor_states
 from eprlab import protocol
 from eprlab.protocol import (
@@ -49,6 +50,7 @@ from eprlab.qstate import (
     outcome_distribution,
     phase_epr_state,
     werner_state,
+    _sum_in_order,
 )
 from eprlab.hidden_variables import SEPARABLE_WITNESSES, SeparableFunctional
 from eprlab.witnesses import BBM_BOUND, EKERT_BOUND, ekert_functional
@@ -571,18 +573,19 @@ def test_mixed_source_report_digest_is_pinned(flavour):
 
 @pytest.mark.parametrize("flavour", list(Protocol), ids=lambda p: p.value)
 def test_schedule_products_round_as_the_per_setting_loops(flavour):
-    """run_protocol reads every mean off three products with the schedule's setting matrices;
-    on random (r_A, r_B, T) each is the per-setting vector product to the last bit, the
-    reference sampler's loops.  Bob's settings must be the columns of a C-ordered matrix:
-    as rows, r_B's products round differently on about 60% of E91's draws."""
+    """run_protocol adds every mean in index order over the schedule's setting rows and pair
+    products; on random (r_A, r_B, T) each is the per-setting ordered sum to the last bit,
+    the reference sampler's loops."""
     plan = protocol._SCHEDULES[flavour]
     rng = np.random.default_rng(2024)
     for _ in range(2_000):
         r_a, r_b, t = rng.normal(size=3), rng.normal(size=3), rng.normal(size=(3, 3))
-        assert (plan.rows_a @ r_a).tolist() == [r_a @ a for a in plan.alice]
-        assert (r_b @ plan.columns_b).tolist() == [r_b @ b for b in plan.bob]
-        assert ((plan.rows_a @ t @ plan.columns_b).tolist()
-                == [[a @ t @ b for b in plan.bob] for a in plan.alice])
+        assert _sum_in_order(plan.rows_a * r_a).tolist() == [ordered_dot(r_a, a)
+                                                            for a in plan.alice]
+        assert _sum_in_order(plan.rows_b * r_b).tolist() == [ordered_dot(r_b, b)
+                                                            for b in plan.bob]
+        assert (_sum_in_order(plan.pair_products * t.ravel()).tolist()
+                == [[ordered_correlator(t, a, b) for b in plan.bob] for a in plan.alice])
 
 
 def threshold_oracle(weights: np.ndarray, u32: np.ndarray) -> np.ndarray:
@@ -1037,8 +1040,9 @@ def test_key_draw_keeps_every_tally_of_the_shuffle_sampler(protocol_name, eve, r
     statistic, the test sample's error rates, the key length and any
     starvation error are the same, bit for bit.  The sources are the
     singlet, random full-rank states and states at the eigenvalue floor, so
-    the law read from three matrix products meets the per-setting loops of
-    the reference on general (r_A, r_B, T) and on every key-sign pattern.
+    the law read off the schedule's rows and pair products meets the
+    per-setting loops of the reference on general (r_A, r_B, T) and on every
+    key-sign pattern.
     """
     cfg = ProtocolConfig(protocol=Protocol(protocol_name), rounds=rounds, eve=GOLDEN_EVES[eve],
                          test_fraction=test_fraction, seed=seed, source_state=source)

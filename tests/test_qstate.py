@@ -30,6 +30,8 @@ from eprlab.qstate import (
     werner_state,
 )
 
+from conftest import ordered_mixture
+
 # The Bell amplitudes as a literal table, the oracle for the ones eprlab reads
 # off BELL_CORRELATORS.
 BELL_AMPLITUDES = {
@@ -141,6 +143,28 @@ class TestTwoQubitState:
                 else:
                     with pytest.raises(ValueError, match=message):
                         TwoQubitState(matrix)
+
+    def test_hermitian_check_bounds_the_imaginary_pauli_parts(self):
+        """The Pauli read drops imaginary parts because a matrix within the Hermitian
+        tolerance has none above 2 ATOL_CONSTRUCT: its anti-Hermitian part A has entries of
+        modulus at most ATOL_CONSTRUCT / 2, and |Im tr(rho P)| = |tr(A P)| sums four of them.
+        I/4 + i c P with c = ATOL_CONSTRUCT / 2 is accepted and reaches the bound at P."""
+        products = [np.kron(p, q) for p in (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z)
+                    for q in (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z)]
+        extreme = [np.eye(4) / 4.0 + sign * 0.5j * ATOL_CONSTRUCT * p
+                   for p in products[1:] for sign in (1.0, -1.0)]  # i c I fails the trace check
+        rng = np.random.default_rng(33)
+        near = []
+        for _ in range(200):
+            g = rng.normal(size=(4, 4)) + 1.0j * rng.normal(size=(4, 4))
+            a = g - g.conj().T
+            a -= np.trace(a) / 4.0 * np.eye(4)  # traceless, so the trace check passes
+            near.append(random_density(rng).matrix + a * (0.499 * ATOL_CONSTRUCT / np.abs(a).max()))
+        for m in extreme + near:
+            TwoQubitState(m)
+            assert max(abs(np.trace(p @ m).imag) for p in products) <= 2.0 * ATOL_CONSTRUCT
+        assert all(max(abs(np.trace(p @ m).imag) for p in products) == 2.0 * ATOL_CONSTRUCT
+                   for m in extreme)
 
     def test_rejects_non_hermitian(self):
         m = np.eye(4, dtype=complex) / 4.0
@@ -464,7 +488,7 @@ class TestProductMixture:
         assert np.allclose(rho.matrix, expected, atol=1e-12)
 
     def test_matrix_matches_the_per_term_route_bit_for_bit(self):
-        """Reading the ensemble's arrays gives the matrix that stacking its terms gave."""
+        """The mixture holds its terms' sums in term order, and the matrix they assemble."""
         rng = np.random.default_rng(17)
         for k in (1, 2, 3, 5, 9):
             for _ in range(20):
@@ -473,10 +497,10 @@ class TestProductMixture:
                     blochs, axis=1, keepdims=True)
                 weights = rng.dirichlet(np.ones(k))
                 ensemble = ProductEnsemble(zip(weights, blochs[:k], blochs[k:]))
-                w, r_a, r_b = weights, blochs[:k], blochs[k:]
-                expected = _state_from_bloch(w @ r_a, w @ r_b,
-                                             np.einsum("k,ki,kj->ij", w, r_a, r_b))
-                assert product_mixture(ensemble).matrix.tobytes() == expected.matrix.tobytes()
+                expected = _state_from_bloch(*ordered_mixture(weights, blochs[:k], blochs[k:]))
+                mixture = product_mixture(ensemble)
+                for name in ("bloch_a", "bloch_b", "correlations", "matrix"):
+                    assert getattr(mixture, name).tobytes() == getattr(expected, name).tobytes()
 
     def test_mixture_correlators_average(self):
         """Mixture correlators are the weighted average of the components'."""

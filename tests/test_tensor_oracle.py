@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import ordered_correlator, ordered_dot
 from eprlab.hidden_variables import SeparableFunctional, separable_bound
 from eprlab.protocol import InterceptResend, effective_state
 from eprlab.qstate import (
@@ -279,10 +280,12 @@ def test_batched_joint_probabilities_match_scalar_calls(n_a, n_b, data):
 @given(state=states, alice=st.lists(unit_vectors(), min_size=1, max_size=3),
        bob=st.lists(unit_vectors(), min_size=1, max_size=3))
 def test_probability_table_matches_outcome_distributions(state, alice, bob):
-    """The (r_A, r_B, T) table run_protocol reads equals each pair's distribution."""
-    table = joint_probabilities([[state.bloch_a @ a] for a in alice],
-                                [state.bloch_b @ b for b in bob],
-                                [[a @ state.correlations @ b for b in bob] for a in alice])
+    """The (r_A, r_B, T) table run_protocol reads, each mean an ordered sum, equals each
+    pair's distribution."""
+    table = joint_probabilities([[ordered_dot(state.bloch_a, a)] for a in alice],
+                                [ordered_dot(state.bloch_b, b) for b in bob],
+                                [[ordered_correlator(state.correlations, a, b) for b in bob]
+                                 for a in alice])
     for i, a in enumerate(alice):
         for j, b in enumerate(bob):
             dist = outcome_distribution(state, SpinSetting.alice(a), SpinSetting.bob(b))
