@@ -38,6 +38,7 @@ import numpy as np
 
 from .hidden_variables import (
     _ASSIGNMENT_VALUES,
+    _fine_model,
     PRODUCT_KEYS,
     SINGLE_KEYS,
     STRATEGIES,
@@ -45,7 +46,6 @@ from .hidden_variables import (
     SeparableFunctional,
     chsh_panel,
     enumerate_ks_assignments,
-    fine_local_model,
     ks_classical_bound,
     separable_bound,
 )
@@ -294,7 +294,7 @@ def cmd_fine(args: argparse.Namespace) -> dict[str, Any]:
     # --marginals A1 A3 B1 B3 fill m_a1, m_a3, m_b1, m_b3 in order; absent, they default to 0.
     quad = CorrelatorQuad(args.c11, args.c13, args.c31, args.c33, *(args.marginals or ()))
     panel = chsh_panel(quad)
-    model = fine_local_model(quad)
+    model = _fine_model(quad, panel)
     return {
         "quad": dict(zip(("c11", "c13", "c31", "c33"), quad.correlators())),
         "marginals": dict(zip(("a1", "a3", "b1", "b3"), quad.marginals())),

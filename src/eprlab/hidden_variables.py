@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .qstate import (
-    _OUTCOME_SIGNS,
+    _joint,
     _read_only,
     _sum_in_order,
     ATOL_ALARM,
@@ -41,7 +41,6 @@ from .qstate import (
     LP_FEAS_TOL,
     ProductEnsemble,
     TwoQubitState,
-    joint_probabilities,
     outcome_distribution,
     product_mixture,
 )
@@ -147,10 +146,14 @@ class CorrelatorQuad:
 def quad_from_state(state: TwoQubitState, settings: EkertSettings) -> CorrelatorQuad:
     """Measure all four correlators and the four marginals of a state, each clipped to
     [-1, 1]: a mean of +-1 outcomes reaches rho's trace norm, 1 + 6 ATOL_PSD at the floor."""
-    # Each pair's (<A>, <B>, <AB>), read back off its outcome distribution.
+    # Each pair's (<A>, <B>, <AB>) off its four probabilities in OUTCOMES order, the signed
+    # terms added in that order; min and max clip as np.clip does, -0.0 too.
     (m_a1, m_b1, c11), (_, _, c13), (_, _, c31), (m_a3, m_b3, c33) = (
-        np.clip(_sum_in_order(_OUTCOME_SIGNS * outcome_distribution(state, a, b)), -1.0, 1.0)
-        .tolist() for a in (settings.a1, settings.a3) for b in (settings.b1, settings.b3))
+        [min(max(mean, -1.0), 1.0) for mean in (pp + pm - mp - mm, pp - pm + mp - mm,
+                                                 pp - pm - mp + mm)]
+        for pp, pm, mp, mm in (outcome_distribution(state, a, b).tolist()
+                               for a in (settings.a1, settings.a3)
+                               for b in (settings.b1, settings.b3)))
     return CorrelatorQuad(c11, c13, c31, c33, m_a1, m_a3, m_b1, m_b3)
 
 
@@ -192,8 +195,8 @@ def chsh_panel(quad: CorrelatorQuad) -> ChshPanel:
     c = quad.correlators()
     values = tuple(s1 * c[0] + s2 * c[1] + s3 * c[2] + s4 * c[3]
                    for s1, s2, s3, s4 in CHSH_SIGN_PATTERNS)
-    min_joint = joint_probabilities([quad.m_a1, quad.m_a1, quad.m_a3, quad.m_a3],
-                                    [quad.m_b1, quad.m_b3, quad.m_b1, quad.m_b3], c).min()
+    min_joint = min(map(min, map(_joint, (quad.m_a1, quad.m_a1, quad.m_a3, quad.m_a3),
+                                 (quad.m_b1, quad.m_b3, quad.m_b1, quad.m_b3), c)))
     return ChshPanel(values=values, min_joint_probability=min_joint)
 
 
@@ -235,7 +238,11 @@ def fine_local_model(quad: CorrelatorQuad) -> Optional[LocalModel]:
     (w_s = v_s + t makes that linear), a canonical, deterministic representative; the
     all-zero quad yields exactly the uniform mixture.
     """
-    panel = chsh_panel(quad)
+    return _fine_model(quad, chsh_panel(quad))
+
+
+def _fine_model(quad: CorrelatorQuad, panel: ChshPanel) -> Optional[LocalModel]:
+    """fine_local_model(quad), given panel = chsh_panel(quad)."""
     if not panel.fine_passes:
         return None
     rhs = np.array([1.0, *quad.correlators(), *quad.marginals()])

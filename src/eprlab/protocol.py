@@ -435,7 +435,8 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
     probs = _physical(joint_probabilities(_sum_in_order(plan.rows_a * state.bloch_a)[:, None],
                                           _sum_in_order(plan.rows_b * state.bloch_b),
                                           _sum_in_order(plan.pair_products
-                                                        * state.correlations.ravel())))
+                                                        * state.correlations.ravel()))
+                      .ravel())
     coin = [1.0 - cfg.test_fraction, cfg.test_fraction] if plan.split else [1.0]
     law = np.multiply.outer(coin, probs).ravel()
     # Parties fix each key basis's sign from the advertised source, not

@@ -14,14 +14,15 @@ Conventions
   Alice's Bloch vector r_A, Bob's r_B, and the correlation matrix
   T_ij = tr(rho sigma_i (x) sigma_j).  A correlator is n_a.T.n_b and a
   joint outcome probability is (1 + a r_A.n_a + b r_B.n_b + ab n_a.T.n_b)/4,
-  written once, in joint_probabilities, in OUTCOMES order; one rule,
+  written once, in _joint, in OUTCOMES order; one rule,
   _physical, reads it as 0.0 within ATOL_PSD of zero and raises below PROJECTOR_FLOOR.
 - Two routes make a TwoQubitState: a matrix from outside is checked and
   (r_A, r_B, T) read off it; a state the package builds from its own 15
   numbers holds them as given and, a state by construction, goes unchecked
-  (_state_from_bloch).  Every mean adds its terms in index order (_sum_in_order),
-  so no BLAS kernel or SIMD split decides a digit: both Pauli maps, r.n, a
-  product mixture's sums, and a correlator, sum_ij (a_i b_j) T_ij row-major.
+  (_state_from_bloch).  Every mean adds its terms one after another in index order,
+  so no BLAS kernel or SIMD split decides a digit: one state's r.n and correlator,
+  sum_ij (a_i b_j) T_ij row-major, as Python floats (_add_in_order), and arrays of
+  means, both Pauli maps and a product mixture's sums, along their last axis (_sum_in_order).
 - Every threshold the package compares against is in the tolerance block below,
   derived from ATOL_CONSTRUCT, ATOL_PSD or simplex.FEAS_TOL, or given its reason.
   VERDICT_SLACK covers what the eigenvalue floor, -ATOL_PSD, adds to a statistic,
@@ -33,7 +34,9 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
@@ -99,9 +102,15 @@ def _read_only(a: Array) -> Array:
 
 
 def _sum_in_order(terms: Array) -> Array:
-    """The terms along the last axis added one after another in index order, as Python's sum
+    """The terms along the last axis added one after another in index order, as _add_in_order
     adds them: no BLAS kernel or pairwise split picks the rounding."""
     return np.add.accumulate(terms, axis=-1)[..., -1]
+
+
+def _add_in_order(terms: Iterable[float]) -> float:
+    """Python floats added one after another from the first term, _sum_in_order's bits.  Not
+    sum(), which starts from 0 (so -0.0 reads 0.0) and on Python 3.12 compensates floats."""
+    return functools.reduce(operator.add, terms)
 
 
 # Row k holds the amplitudes of the k-th BellLabel, read off its correlators.
@@ -300,8 +309,16 @@ def correlator(state: TwoQubitState, setting_a: SpinSetting, setting_b: SpinSett
     if setting_a.party is not Party.ALICE or setting_b.party is not Party.BOB:
         raise ValueError("need one Alice setting and one Bob setting, got "
                          f"({setting_a.party}, {setting_b.party})")
-    pair = setting_a.direction[:, None] * setting_b.direction  # a b^T, as a witness's W
-    return float(_sum_in_order((pair * state.correlations).ravel()))
+    b = setting_b.direction.tolist()  # (a_i b_j) T_ij, row-major, as a witness's W = a b^T
+    return _add_in_order([a_i * b_j * t_ij for a_i, row in zip(setting_a.direction.tolist(),
+                                                                state.correlations.tolist())
+                          for b_j, t_ij in zip(b, row)])
+
+
+def _joint(mean_a, mean_b, mean_ab, signs=OUTCOMES) -> list:
+    """(1 + a <A> + b <B> + ab <AB>)/4 for each (a, b) in signs: four floats in OUTCOMES
+    order, or one array when signs holds the sign rows and the means a trailing axis."""
+    return [(1.0 + a * mean_a + b * mean_b + a * b * mean_ab) / 4.0 for a, b in signs]
 
 
 def joint_probabilities(mean_a, mean_b, mean_ab) -> Array:
@@ -311,28 +328,27 @@ def joint_probabilities(mean_a, mean_b, mean_ab) -> Array:
     of length 4 in OUTCOMES order.  Nothing is validated: a negative entry
     means the means are not physical (see _physical).
     """
-    a, b, ab = _OUTCOME_SIGNS
-    mean_a, mean_b, mean_ab = np.asarray(mean_a), np.asarray(mean_b), np.asarray(mean_ab)
-    return (1.0 + a * mean_a[..., None] + b * mean_b[..., None]
-            + ab * mean_ab[..., None]) / 4.0
+    a, b, _ = _OUTCOME_SIGNS
+    return _joint(*(np.asarray(m)[..., None] for m in (mean_a, mean_b, mean_ab)), [(a, b)])[0]
 
 
-def _physical(probs: Array) -> Array:
-    """probs, each entry within ATOL_PSD of zero read as 0.0; one below PROJECTOR_FLOOR raises.
+def _physical(probs: Sequence[float]) -> Array:
+    """Flat probs (a list or 1-d array) as an array, each within ATOL_PSD of zero as 0.0; one
+    below PROJECTOR_FLOOR raises.
 
     The flush keeps rounding from weighing an impossible outcome: the singlet's
     T_ii = -0.9999999999999998 would leave 5.6e-17 on each agreeing outcome.
     """
-    if probs.min() < PROJECTOR_FLOOR:
-        raise ValueError(f"negative probability {probs.min():.3e}; state not physical")
-    return np.where(probs <= ATOL_PSD, 0.0, probs)
+    least = min(probs)
+    if least < PROJECTOR_FLOOR:
+        raise ValueError(f"negative probability {least:.3e}; state not physical")
+    return np.array([0.0 if p <= ATOL_PSD else p for p in probs])
 
 
 def outcome_distribution(state: TwoQubitState, setting_a: SpinSetting,
                          setting_b: SpinSetting) -> Array:
     """Read-only (4,) joint probabilities in OUTCOMES order, read through _physical;
     correlator checks the parties."""
-    return _read_only(_physical(joint_probabilities(
-        _sum_in_order(state.bloch_a * setting_a.direction),
-        _sum_in_order(state.bloch_b * setting_b.direction),
-        correlator(state, setting_a, setting_b))))
+    mean_a, mean_b = (_add_in_order(map(operator.mul, r.tolist(), setting.direction.tolist()))
+                      for r, setting in ((state.bloch_a, setting_a), (state.bloch_b, setting_b)))
+    return _read_only(_physical(_joint(mean_a, mean_b, correlator(state, setting_a, setting_b))))

@@ -21,6 +21,7 @@ import numpy as np
 Array = np.ndarray
 
 PIVOT_TOL = 1e-9  # reduced-cost and pivot-element threshold
+_BELOW = np.array(-PIVOT_TOL)  # 0-d: an array operand spares each entering test a conversion
 FEAS_TOL = 1e-8   # feasibility threshold on the phase-one objective
 MAX_ITERATIONS = 10_000
 
@@ -46,7 +47,7 @@ class LPResult:
 def _pivot(tab: Array, row: int, col: int) -> None:
     """Pivot the tableau in place so column col becomes basic in row."""
     pivot_row = tab[row] / tab[row, col]
-    tab -= tab[:, col, None] * pivot_row
+    tab -= tab[:, col:col + 1] * pivot_row
     tab[row] = pivot_row
 
 
@@ -63,7 +64,7 @@ def _bland_iterate(tab: Array, basis: list[int]) -> tuple[str, int]:
     m, n = len(basis), tab.shape[1] - 1
     reduced = tab[m, :n]
     for iteration in range(1, MAX_ITERATIONS + 1):
-        eligible = reduced < -PIVOT_TOL
+        eligible = reduced < _BELOW
         entering = int(eligible.argmax())  # Bland: the first eligible column
         if not eligible[entering]:
             return OPTIMAL, iteration
@@ -113,8 +114,9 @@ def solve_lp(
 
     # Phase one: [A | I | b] is already the tableau of the identity basis of
     # artificials, and the reduced costs of their sum are minus A's column sums.
-    rows = np.hstack([a, np.eye(m), b[:, None]])
-    tab = np.vstack([rows, -rows.sum(axis=0)])
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n], tab[:m, n:n + m], tab[:m, -1] = a, np.eye(m), b
+    tab[m] = -tab[:m].sum(axis=0)
     tab[m, n:n + m] = 0.0
     basis = list(range(n, n + m))
     status, iters1 = _bland_iterate(tab, basis)
@@ -137,7 +139,7 @@ def solve_lp(
 
     # Phase two drops the artificial columns and prices the real costs; a basic
     # column's price is c_j - c_j * 1.0, exactly 0.0.
-    tab = tab[:, np.r_[:n, n + m]]
+    tab = np.concatenate([tab[:, :n], tab[:, -1:]], axis=1)
     tab[m] = np.append(cost, 0.0) - cost[basis] @ tab[:m]
     status, iters2 = _bland_iterate(tab, basis)
     iterations = iters1 + iters2

@@ -35,7 +35,7 @@ def run_protocol(cfg: protocol.ProtocolConfig) -> protocol.ProtocolReport:
     r_a, r_b, t = state.bloch_a, state.bloch_b, state.correlations
     probs = _physical(joint_probabilities(
         [[ordered_dot(r_a, a)] for a in plan.alice], [ordered_dot(r_b, b) for b in plan.bob],
-        [[ordered_correlator(t, a, b) for b in plan.bob] for a in plan.alice]))
+        [[ordered_correlator(t, a, b) for b in plan.bob] for a in plan.alice]).ravel())
     coin = [1.0 - cfg.test_fraction, cfg.test_fraction] if plan.split else [1.0]
     law = np.multiply.outer(coin, probs).ravel()
     codes = np.arange(law.size, dtype=np.uint8)

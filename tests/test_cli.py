@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eprlab import cli, protocol
+from eprlab import cli, hidden_variables, protocol
 from eprlab.protocol import InterceptResend
 from eprlab.qstate import (
     Y_AXIS, BellLabel, TwoQubitState, bell_state, density_from_pure, werner_state,
@@ -283,6 +283,28 @@ class TestFineCommand:
                                "--marginals", m_a1, "0", "0", "0")
         doc = json.loads(out)
         assert (code, doc["finePasses"], doc["feasible"]) == (0, local, local)
+
+    @pytest.mark.parametrize("argv, solves", [(["0.5", "0.5", "0.5", "-0.5"], 1),
+                                              (["1", "1", "1", "-1"], 0)])
+    def test_one_panel_per_call(self, capsys, monkeypatch, argv, solves):
+        """`fine` computes the quad's ChshPanel once, for its report and for the model, and
+        solves Fine's LP only when the panel passes."""
+        calls = []
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls.append(name)
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(cli, "chsh_panel", counted("panel", cli.chsh_panel))
+        monkeypatch.setattr(hidden_variables, "chsh_panel",
+                            counted("panel", hidden_variables.chsh_panel))
+        monkeypatch.setattr(hidden_variables, "solve_lp",
+                            counted("solve", hidden_variables.solve_lp))
+        code, out, _ = run_cli(capsys, "fine", *argv)
+        assert code == 0 and json.loads(out)["feasible"] is bool(solves)
+        assert calls == ["panel"] + ["solve"] * solves
 
     def test_out_of_range_correlator(self, capsys):
         code, _, err = run_cli(capsys, "fine", "1.5", "0", "0", "0")

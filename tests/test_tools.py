@@ -12,19 +12,24 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_ab_against_head_finds_no_differing_report():
-    """tools/ab.py loads HEAD's src/eprlab beside this checkout's, hashes every report of the
-    companion run list on both trees and times them in turn; the tree against itself (or
-    against a change that keeps every report) differs in none."""
+@pytest.mark.parametrize("flags, reports, metric", [
+    ([], 6, "qkd_rounds_per_s"),
+    (["--certify"], 47, "states_per_s"),
+], ids=["protocol", "certify"])
+def test_ab_against_head_finds_no_differing_report(flags, reports, metric):
+    """tools/ab.py loads HEAD's src/eprlab beside this checkout's, hashes every output of the
+    companion run list (with --certify, of the certify workload's 42 states and 5 bounds) on
+    both trees and times them in turn; the tree against itself (or against a change that
+    keeps every output) differs in none."""
     if shutil.which("git") is None or subprocess.run(
             ["git", "rev-parse", "--verify", "HEAD"], cwd=ROOT, capture_output=True).returncode:
         pytest.skip("needs git and a checkout with a HEAD commit")
     done = subprocess.run([sys.executable, str(ROOT / "tools" / "ab.py"), "--against", "HEAD",
-                           "--seconds", "1"], cwd=ROOT, capture_output=True, text=True,
+                           "--seconds", "1", *flags], cwd=ROOT, capture_output=True, text=True,
                           timeout=600)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "reports differing: 0 of 6" in done.stdout.splitlines()
-    assert "qkd_rounds_per_s ratio, this tree / HEAD" in done.stdout
+    assert f"reports differing: 0 of {reports}" in done.stdout.splitlines()
+    assert f"{metric} ratio, this tree / HEAD" in done.stdout
 
 
 def test_mutate_list_names_every_comparison_and_number():
