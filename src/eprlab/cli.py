@@ -38,7 +38,6 @@ import numpy as np
 
 from .hidden_variables import (
     _ASSIGNMENT_VALUES,
-    _fine_model,
     PRODUCT_KEYS,
     SINGLE_KEYS,
     STRATEGIES,
@@ -46,6 +45,7 @@ from .hidden_variables import (
     SeparableFunctional,
     chsh_panel,
     enumerate_ks_assignments,
+    fine_local_model,
     ks_classical_bound,
     separable_bound,
 )
@@ -140,19 +140,15 @@ def _matrix_from_json(data: Any, path: str, tolerance: float) -> TwoQubitState:
     matrix = m[..., 0] + 1.0j * m[..., 1]
     herm_dev = float(np.abs(matrix - matrix.conj().T).max())
     if not herm_dev <= tolerance:
-        raise ValueError(
-            f"state file {path} violates Hermiticity (deviation {herm_dev:.3e} "
-            f"> tolerance {tolerance:.3e})"
-        )
+        raise ValueError(f"state file {path} violates Hermiticity (deviation {herm_dev:.3e} "
+                         f"> tolerance {tolerance:.3e})")
     matrix = 0.5 * (matrix + matrix.conj().T)
     trace = float(matrix.trace().real)
     if not trace > 0.0:
         raise ValueError(f"state file {path} has trace {trace!r}; a state's trace must be positive")
     if not abs(trace - 1.0) <= tolerance:
-        raise ValueError(
-            f"state file {path} violates unit trace (trace {trace!r}, "
-            f"tolerance {tolerance:.3e})"
-        )
+        raise ValueError(f"state file {path} violates unit trace (trace {trace!r}, "
+                         f"tolerance {tolerance:.3e})")
     least = float(np.linalg.eigvalsh(matrix).min())
     if not least >= -tolerance:
         raise ValueError(f"state file {path} violates positivity (eigenvalue {least:.3e})")
@@ -294,7 +290,7 @@ def cmd_fine(args: argparse.Namespace) -> dict[str, Any]:
     # --marginals A1 A3 B1 B3 fill m_a1, m_a3, m_b1, m_b3 in order; absent, they default to 0.
     quad = CorrelatorQuad(args.c11, args.c13, args.c31, args.c33, *(args.marginals or ()))
     panel = chsh_panel(quad)
-    model = _fine_model(quad, panel)
+    model = fine_local_model(quad)
     return {
         "quad": dict(zip(("c11", "c13", "c31", "c33"), quad.correlators())),
         "marginals": dict(zip(("a1", "a3", "b1", "b3"), quad.marginals())),

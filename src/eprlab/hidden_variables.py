@@ -6,13 +6,13 @@ Three classical constructions live here:
   sx, sy, sz per party, with product observables valued multiplicatively
   on commuting factors.  All 64 assignments keep each assignment
   functional at or below 2, while entangled states reach up to 4.
-- Local deterministic strategies for a two-setting, two-outcome
-  experiment.  A convex mixture of the 16 strategies reproducing a given
-  correlator quad and marginals exists exactly when the eight CHSH
-  combinations stay at or below 2 and all 16 joint probabilities
-  (1 + a m_x + b m_y + ab c_xy)/4 are nonnegative (Fine's theorem);
-  that closed-form panel decides existence, and a linear program only
-  builds the mixture for a quad the panel passes.
+- Local deterministic strategies for a two-setting, two-outcome experiment.  A
+  convex mixture of the 16 strategies reproducing a given correlator quad and
+  marginals exists exactly when the eight CHSH combinations stay at or below 2
+  and all 16 joint probabilities (1 + a m_x + b m_y + ab c_xy)/4 are nonnegative
+  (Fine's theorem).  A quad computes that closed-form panel once, as its panel;
+  chsh_panel and fine_local_model both read it, it decides existence, and a
+  linear program only builds the mixture for a quad the panel passes.
 - Product (separable) states.  A product mixture has correlation matrix
   T = sum_k w_k r_A,k r_B,k^T, so a witness offset + <W, T> is at most
   offset + sigma_max(W) on it, attained at the top singular vectors of W
@@ -142,6 +142,17 @@ class CorrelatorQuad:
     def marginals(self) -> tuple[float, float, float, float]:
         return (self.m_a1, self.m_a3, self.m_b1, self.m_b3)
 
+    @functools.cached_property  # computed once per quad; not a field, so eq, hash and repr skip it
+    def panel(self) -> ChshPanel:
+        """s1 c11 + s2 c13 + s3 c31 + s4 c33 over the odd sign patterns, and the least
+        joint probability (1 + a m_x + b m_y + ab c_xy)/4 of the four pairs."""
+        c = self.correlators()
+        values = tuple(s1 * c[0] + s2 * c[1] + s3 * c[2] + s4 * c[3]
+                       for s1, s2, s3, s4 in CHSH_SIGN_PATTERNS)
+        min_joint = min(map(min, map(_joint, (self.m_a1, self.m_a1, self.m_a3, self.m_a3),
+                                     (self.m_b1, self.m_b3, self.m_b1, self.m_b3), c)))
+        return ChshPanel(values=values, min_joint_probability=min_joint)
+
 
 def quad_from_state(state: TwoQubitState, settings: EkertSettings) -> CorrelatorQuad:
     """Measure all four correlators and the four marginals of a state, each clipped to
@@ -190,14 +201,8 @@ class ChshPanel:
 
 
 def chsh_panel(quad: CorrelatorQuad) -> ChshPanel:
-    """Evaluate s1 c11 + s2 c13 + s3 c31 + s4 c33 over the odd sign patterns, and
-    the least joint probability (1 + a m_x + b m_y + ab c_xy)/4 of the four pairs."""
-    c = quad.correlators()
-    values = tuple(s1 * c[0] + s2 * c[1] + s3 * c[2] + s4 * c[3]
-                   for s1, s2, s3, s4 in CHSH_SIGN_PATTERNS)
-    min_joint = min(map(min, map(_joint, (quad.m_a1, quad.m_a1, quad.m_a3, quad.m_a3),
-                                 (quad.m_b1, quad.m_b3, quad.m_b1, quad.m_b3), c)))
-    return ChshPanel(values=values, min_joint_probability=min_joint)
+    """quad.panel: computed on the quad's first read, then read back (fine_local_model too)."""
+    return quad.panel
 
 
 @dataclass(frozen=True)
@@ -231,22 +236,17 @@ class LocalModel:
 def fine_local_model(quad: CorrelatorQuad) -> Optional[LocalModel]:
     """Find a strategy mixture reproducing the quad, or None if none exists.
 
-    The panel decides, with no LP solved: None exactly when chsh_panel(quad).fine_passes
-    is false.  Otherwise a two-phase simplex finds weights w_s >= 0 matching the
-    normalization, correlators and marginals of quad / max(gauge, 1), which is in the local
-    polytope (quad itself at gauge <= 1).  The one maximizing the minimum weight is returned
-    (w_s = v_s + t makes that linear), a canonical, deterministic representative; the
-    all-zero quad yields exactly the uniform mixture.
+    quad.panel, computed once per quad and also what chsh_panel returns, decides with no LP
+    solved: None exactly when its fine_passes is false.  Otherwise a two-phase simplex finds
+    weights w_s >= 0 matching the normalization, correlators and marginals of quad /
+    max(gauge, 1), in the local polytope (quad itself at gauge <= 1).  The one maximizing the
+    minimum weight is returned (w_s = v_s + t makes that linear), a canonical, deterministic
+    representative; the all-zero quad yields exactly the uniform mixture.
     """
-    return _fine_model(quad, chsh_panel(quad))
-
-
-def _fine_model(quad: CorrelatorQuad, panel: ChshPanel) -> Optional[LocalModel]:
-    """fine_local_model(quad), given panel = chsh_panel(quad)."""
-    if not panel.fine_passes:
+    if not quad.panel.fine_passes:
         return None
     rhs = np.array([1.0, *quad.correlators(), *quad.marginals()])
-    rhs[1:] /= max(panel.gauge, 1.0)
+    rhs[1:] /= max(quad.panel.gauge, 1.0)
     cost = np.zeros(17)
     cost[16] = -1.0  # maximize the minimum weight t
     result = solve_lp(cost, _FINE_A_EQ, rhs)

@@ -127,8 +127,11 @@ class PureState:
         if amp.shape != (4,):
             raise ValueError(f"pure state needs 4 amplitudes, got shape {amp.shape}")
         norm = math.hypot(*np.abs(amp))  # hypot neither overflows nor warns
-        if not abs(norm - 1.0) <= ATOL_CONSTRUCT:
-            raise ValueError(f"pure state norm {norm!r} deviates from 1 beyond {ATOL_CONSTRUCT}")
+        # Squared as TwoQubitState reads |psi><psi|'s trace, NumPy's rounding (FMA) included.
+        square = complex(np.outer(amp, amp.conj()).trace()) if norm < 2.0 else math.inf
+        if not abs(square - 1.0) <= ATOL_CONSTRUCT:
+            raise ValueError(f"pure state norm {norm!r} deviates from 1 beyond {ATOL_CONSTRUCT} "
+                             "when squared")
         self.amplitudes = _read_only(amp.copy())
 
     def __repr__(self) -> str:

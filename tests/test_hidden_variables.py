@@ -256,6 +256,26 @@ class TestChshPanel:
         fields = dataclasses.asdict(panel) | {"fine_passes": panel.fine_passes}
         assert json.loads(json.dumps(fields))["fine_passes"] is True
 
+    @pytest.mark.parametrize("values, local", [((0.5, 0.5, 0.5, -0.5), True),
+                                               ((1.0, 1.0, 1.0, -1.0), False)])
+    def test_one_panel_per_certified_quad(self, values, local):
+        """The certification chain's order, chsh_panel and then fine_local_model, builds the
+        quad's ChshPanel once, on a quad that passes and on one that fails."""
+        built = []
+        post_init = ChshPanel.__post_init__
+
+        def counted(panel):
+            built.append(panel)
+            post_init(panel)
+
+        quad = CorrelatorQuad(*values)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ChshPanel, "__post_init__", counted)
+            panel = chsh_panel(quad)
+            model = fine_local_model(quad)
+        assert built == [panel] and panel is quad.panel
+        assert (panel.fine_passes, model is not None) == (local, local)
+
     def test_needs_eight_values(self):
         with pytest.raises(ValueError, match="8"):
             ChshPanel(values=(0.0,), min_joint_probability=0.0)
@@ -437,6 +457,31 @@ def test_fine_optimum_is_the_gauge(values):
     assert (model is None) == (gauge > 1.0) == (not lp_finds_model(quad))
     if model is not None:
         assert abs(min(model.weights) - (1.0 - gauge) / 16.0) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=quads)
+def test_panel_is_cached_outside_the_fields(values):
+    """quad.panel is the panel computed afresh from its formulas, read back on later reads;
+    equal quads compare, hash and print equal whether or not they have read it, and
+    dataclasses.replace gives a quad that has not."""
+    quad, twin = CorrelatorQuad(*values), CorrelatorQuad(*values)
+    c, (m_a1, m_a3, m_b1, m_b3) = quad.correlators(), quad.marginals()
+    fresh = ChshPanel(
+        values=tuple(s1 * c[0] + s2 * c[1] + s3 * c[2] + s4 * c[3]
+                     for s1, s2, s3, s4 in CHSH_SIGN_PATTERNS),
+        min_joint_probability=min((1.0 + a * m_a + b * m_b + a * b * c_ab) / 4.0
+                                  for m_a, m_b, c_ab in ((m_a1, m_b1, c[0]), (m_a1, m_b3, c[1]),
+                                                         (m_a3, m_b1, c[2]), (m_a3, m_b3, c[3]))
+                                  for a in (1, -1) for b in (1, -1)))
+    unread_hash = hash(quad)
+    assert quad.panel == fresh and chsh_panel(quad) is quad.panel
+    assert "panel" in vars(quad) and "panel" not in vars(twin)
+    assert quad == twin and hash(quad) == hash(twin) == unread_hash
+    assert repr(quad) == repr(twin) and dataclasses.asdict(quad) == dataclasses.asdict(twin)
+    copy = dataclasses.replace(quad)
+    assert copy == quad and "panel" not in vars(copy)
+    assert copy.panel == quad.panel and copy.panel is not quad.panel
 
 
 @settings(max_examples=300, deadline=None)

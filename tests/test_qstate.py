@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from eprlab.qstate import (
     ATOL_CONSTRUCT,
@@ -83,6 +84,42 @@ class TestPureState:
         """The norm neither overflows nor warns (the suite turns warnings into errors)."""
         with pytest.raises(ValueError, match="pure state norm .*e\\+(200|308) deviates"):
             PureState([0.0, huge, 0.0, 0.0])
+
+    @pytest.mark.parametrize("offset, accepted", [
+        (4e-13, True), (-4e-13, True), (6e-13, False), (-6e-13, False),
+        (1e-12, False), (-1e-12, False),
+    ])
+    def test_norm_is_checked_squared_as_the_projector_trace(self, offset, accepted):
+        """TwoQubitState holds |psi><psi|'s trace, the squared norm, to ATOL_CONSTRUCT, so
+        PureState does too: a norm of 1 + 6e-13 was accepted and its projector refused."""
+        amplitudes = [1.0 + offset, 0.0, 0.0, 0.0]
+        if accepted:
+            density_from_pure(PureState(amplitudes))
+        else:
+            with pytest.raises(ValueError, match="pure state norm .* deviates from 1 beyond "
+                                                 "1e-12 when squared"):
+                PureState(amplitudes)
+
+    @settings(max_examples=500, deadline=None)
+    @given(amplitudes=st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                                                  allow_infinity=False), min_size=4, max_size=4),
+           edge=st.sampled_from([-ATOL_CONSTRUCT, ATOL_CONSTRUCT]), ulps=st.integers(-16, 16))
+    def test_accepted_exactly_when_the_projector_is(self, amplitudes, edge, ulps):
+        """A PureState is accepted exactly when TwoQubitState accepts its projector, which
+        density_from_pure builds, also within a few ulps of the band's edge, where the
+        projector's rounding (NumPy may fuse its multiply-adds) decides."""
+        amp = np.array(amplitudes)
+        norm = np.linalg.norm(amp)
+        assume(norm > 1e-3)
+        square = edge + ulps * 2.0 ** -52  # (1 + stretch) ** 2 - 1
+        amp = amp / norm * (1.0 + square / (1.0 + np.sqrt(1.0 + square)))
+        try:
+            psi = PureState(amp)
+        except ValueError:
+            with pytest.raises(ValueError, match="trace"):
+                TwoQubitState(np.outer(amp, amp.conj()))
+        else:
+            density_from_pure(psi)
 
     def test_amplitudes_read_only(self):
         psi = bell_state(BellLabel.PHI_PLUS)

@@ -7,12 +7,13 @@ loaded under a second package name (eprlab imports only relatively, so both
 trees load side by side in one interpreter).  Both then run perfbench's seed-1
 inputs.  By default these are the protocol runs of the companion list of the
 certify and cli-mix workloads (six runs, 3e5 rounds), or with --bulk the
-qkd-bulk list (7e6 rounds).  With --certify they are the certify workload's 42
-states, each built and put through perfbench's certification chain, and the
-five separable bounds; the chain is perfbench's own function with its module
-globals pointed at each tree's modules.  Each operation goes to both trees in
-turn, and which goes first alternates operation by operation and pass by pass,
-so a slow stretch of the host touches both alike.
+qkd-bulk list (7e6 rounds), each configured by perfbench's own QkdInput.config.
+With --certify they are the certify workload's 42 states, each built and put
+through perfbench's certification chain, and the five separable bounds.  Each
+perfbench function runs with its module globals pointed at each tree's modules.
+Each operation goes to both trees in turn, and which goes first alternates
+operation by operation and pass by pass, so a slow stretch of the host touches
+both alike.
 
 Before timing, every output is hashed on both trees (floats by float.hex, arrays
 by their bytes); the script prints how many differ and exits 1 if any does.  It
@@ -80,22 +81,6 @@ def rebound(function, **modules):
     """function with the named module globals swapped for one tree's modules."""
     return types.FunctionType(function.__code__, {**function.__globals__, **modules},
                               function.__name__, function.__defaults__, function.__closure__)
-
-
-def config(qs, pr, run, jobs):
-    """The ProtocolConfig of one perfbench run input, built from one tree's classes."""
-    if run.source[0] == "singlet":
-        source = qs.density_from_pure(qs.bell_state(qs.BellLabel.PSI_MINUS))
-    else:
-        source = qs.werner_state(run.source[1])
-    eve = {
-        "none": lambda: pr.NoEve(),
-        "intercept-xz": lambda: pr.InterceptResend("xz"),
-        "substitute": lambda: pr.SeparableSubstitution(qs.ProductEnsemble(run.eve[1])),
-    }[run.eve[0]]()
-    return pr.ProtocolConfig(protocol=pr.Protocol(run.protocol), rounds=run.rounds,
-                             source_state=source, eve=eve, test_fraction=jobs.TEST_FRACTION,
-                             seed=run.seed, abort_sigma=jobs.ABORT_SIGMA)
 
 
 def digest(output) -> str:
@@ -173,8 +158,10 @@ def protocol_calls(jobs, rng, trees, bulk: bool):
           f"({'bulk' if bulk else 'companion'} list)")
     names = [f"{run.protocol} {run.source[0]} {run.eve[0]} at {run.rounds} rounds"
              for run in runs]
-    calls = [[functools.partial(t.protocol.run_protocol, config(t.qstate, t.protocol, run, jobs))
-              for run in runs] for t in trees]
+    calls = []
+    for t in trees:
+        config = rebound(jobs.QkdInput.config, qs=t.qstate, pr=t.protocol)
+        calls.append([functools.partial(t.protocol.run_protocol, config(run)) for run in runs])
     return names, calls, len(runs)
 
 
